@@ -43,7 +43,6 @@ def _storm(telemetry):
         LOG_LENGTH,
         waves=WAVES,
         record_perceived_traces=False,
-        enable_trace=False,
         telemetry=telemetry,
     ).settle_setup()
     started = time.perf_counter()

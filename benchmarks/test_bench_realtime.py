@@ -52,3 +52,21 @@ def test_three_replica_cluster_basic_session():
         assert got["value"] == "hello"
         statuses = cluster.statuses()
         assert [len(s["committed"]) for s in statuses] == [2, 2, 2]
+
+
+@pytest.mark.timeout(120)
+def test_three_replica_paxos_cluster_commits_a_strong_op():
+    """``serve`` builds its replica before ``asyncio.run``; the Paxos
+    engine used to die there on ``no running event loop``."""
+    spec = ClusterSpec(
+        n_replicas=3,
+        tob_engine="paxos",
+        heartbeat_interval=0.1,
+        failure_timeout=0.5,
+        paxos_retry_interval=0.3,
+    )
+    with RealtimeCluster(spec) as cluster:
+        put = cluster.invoke(1, KVStore.put("k", 1), strong=True, wait="stable")
+        assert put["stable"]
+        statuses = cluster.await_convergence(expect_committed=1)
+        assert [s["state"] for s in statuses] == [statuses[0]["state"]] * 3

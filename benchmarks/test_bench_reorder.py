@@ -21,7 +21,7 @@ rollback–replay storm itself — via ``DivergentSuffixRig``; cluster
 construction, the tentative-log build-up and the final commit flood are
 identical in both modes and excluded. Perceived-trace capture is disabled
 (``record_perceived_traces=False``) so O(n²) formal-framework bookkeeping
-does not drown the engines' difference; the diagnostic trace stays on.
+does not drown the engines' difference.
 See ``docs/PERFORMANCE.md`` for the full discussion.
 """
 
@@ -80,7 +80,7 @@ def test_divergent_suffix_speedup_at_scale():
 
 def test_divergent_suffix_bit_identical_all_engines(bench):
     """Full-run fingerprints agree across all three engine configurations
-    (default knobs: perceived traces and diagnostic trace both on)."""
+    (default knobs: perceived traces on)."""
     stepwise = bench(
         run_divergent_suffix, 200, waves=2, reorder_engine="stepwise"
     )

@@ -65,7 +65,7 @@ from repro.core.durability import DurableStore, InMemoryStore, JsonLinesStore
 from repro.core.modified_replica import ModifiedBayouReplica
 from repro.core.replica import BayouReplica
 from repro.core.request import Dot, Req
-from repro.core.session import ClientSession, OpFuture, Session
+from repro.core.session import OpFuture, Session
 from repro.core.state_object import StateObject
 from repro.datatypes import (
     BankAccounts,
@@ -103,7 +103,6 @@ from repro.shard import (
     ShardMap,
     ShardRouter,
     ShardedCluster,
-    ShardedRunResult,
     VersionedShardMap,
 )
 
@@ -114,7 +113,6 @@ __all__ = [
     "BayouCluster",
     "BayouConfig",
     "BayouReplica",
-    "ClientSession",
     "Counter",
     "CrashSchedule",
     "CrossShardError",
@@ -156,7 +154,6 @@ __all__ = [
     "ShardMap",
     "ShardRouter",
     "ShardedCluster",
-    "ShardedRunResult",
     "StateObject",
     "Telemetry",
     "UnknownOperationError",

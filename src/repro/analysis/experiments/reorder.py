@@ -188,7 +188,6 @@ def build_divergent_suffix(
     exec_delay: float = 0.001,
     waves: int = 1,
     record_perceived_traces: bool = True,
-    enable_trace: bool = True,
     telemetry: Optional[Any] = None,
 ) -> DivergentSuffixRig:
     """Compile the divergent-suffix schedule; nothing has run yet.
@@ -221,7 +220,6 @@ def build_divergent_suffix(
         reorder_engine=reorder_engine,
         checkpoint_interval=checkpoint_interval,
         record_perceived_traces=record_perceived_traces,
-        enable_trace=enable_trace,
     )
     filters = MessageFilter()
     filters.add(_hold_sender_rule(0, hold))
@@ -254,7 +252,6 @@ def run_divergent_suffix(
     exec_delay: float = 0.001,
     waves: int = 1,
     record_perceived_traces: bool = True,
-    enable_trace: bool = True,
 ) -> ReorderRun:
     """Build, run and distil the divergent-suffix schedule in one call."""
     rig = build_divergent_suffix(
@@ -264,7 +261,6 @@ def run_divergent_suffix(
         exec_delay=exec_delay,
         waves=waves,
         record_perceived_traces=record_perceived_traces,
-        enable_trace=enable_trace,
     ).settle_setup()
     rig.run_waves()
     return rig.finish()
@@ -278,7 +274,6 @@ def run_drifting_clock(
     exec_delay: float = 0.001,
     drift_period: int = 20,
     record_perceived_traces: bool = True,
-    enable_trace: bool = True,
 ) -> ReorderRun:
     """A drifting-clock schedule causing many partial rollbacks.
 
@@ -303,7 +298,6 @@ def run_drifting_clock(
         reorder_engine=reorder_engine,
         checkpoint_interval=checkpoint_interval,
         record_perceived_traces=record_perceived_traces,
-        enable_trace=enable_trace,
     )
     cluster = BayouCluster(Counter(), config, protocol=ORIGINAL)
     for index in range(log_length):

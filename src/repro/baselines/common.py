@@ -18,7 +18,6 @@ from repro.net.network import FixedLatency, Network
 from repro.net.partition import PartitionSchedule
 from repro.sim.clock import DriftingClock
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceLog
 
 
 @dataclass
@@ -56,7 +55,6 @@ class BaselineCluster:
         self.datatype = datatype
         self.n_replicas = n_replicas
         self.sim = Simulator()
-        self.trace = TraceLog()
         self.partitions = partitions or PartitionSchedule(
             n_replicas + extra_processes
         )
@@ -67,7 +65,6 @@ class BaselineCluster:
             latency=FixedLatency(message_delay),
             partitions=self.partitions,
             filters=self.filters,
-            trace=self.trace,
         )
         self.clocks = [
             DriftingClock(self.sim) for _ in range(n_replicas)

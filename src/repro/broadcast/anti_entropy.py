@@ -44,7 +44,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.net.node import RoutingNode
-from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core → broadcast)
     from repro.core.durability import DurableStore
@@ -72,7 +71,6 @@ class AntiEntropy:
         deliver_batch: Optional[DeliverBatchFn] = None,
         sync_interval: float = 2.0,
         deliver_own: bool = False,
-        trace: Optional[TraceLog] = None,
         store: Optional["DurableStore"] = None,
         tag: str = _TAG,
         telemetry: Optional[Any] = None,
@@ -82,7 +80,6 @@ class AntiEntropy:
         self._deliver_batch = deliver_batch
         self._deliver_own = deliver_own
         self.sync_interval = sync_interval
-        self.trace = trace
         #: Volume counters only: anti-entropy ships whole log suffixes, so
         #: per-op spans here would be noise — sync traffic is not op history.
         self.telemetry = telemetry
@@ -172,11 +169,6 @@ class AntiEntropy:
             return
         if self.telemetry:
             self._m_delivered.inc(len(items))
-        if self.trace is not None:
-            for key, _ in items:
-                self.trace.record(
-                    self.node.now, self.node.pid, "ae.deliver", key=key
-                )
         if self._deliver_batch is not None:
             self._deliver_batch(items)
         else:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.net.node import RoutingNode
-from repro.sim.trace import TraceLog
 
 _TAG = "omega"
 
@@ -37,7 +36,6 @@ class OmegaFailureDetector:
         heartbeat_interval: float = 5.0,
         timeout: float = 20.0,
         on_leader_change: Optional[Callable[[int], None]] = None,
-        trace: Optional[TraceLog] = None,
         tag: str = _TAG,
     ) -> None:
         if timeout <= heartbeat_interval:
@@ -46,14 +44,16 @@ class OmegaFailureDetector:
         self.heartbeat_interval = heartbeat_interval
         self.timeout = timeout
         self.on_leader_change = on_leader_change
-        self.trace = trace
         self.tag = tag
+        # Construction reads no clock (the asyncio runtime has none before
+        # its loop runs): nobody is suspected until start() opens the
+        # window, so the smallest pid leads.
         self._last_heard: Dict[int, float] = {
-            pid: node.now for pid in range(node.n_processes)
+            pid: float("inf") for pid in range(node.n_processes)
         }
         self._stopped = False
         self._tick_timer = None
-        self._current_leader = self._compute_leader()
+        self._current_leader = 0
         node.register_component(tag, self._on_heartbeat)
         node.register_crash_hooks(on_recover=self._on_node_recover)
 
@@ -135,13 +135,6 @@ class OmegaFailureDetector:
         new_leader = self._compute_leader()
         if new_leader != self._current_leader:
             self._current_leader = new_leader
-            if self.trace is not None:
-                self.trace.record(
-                    self.node.now,
-                    self.node.pid,
-                    "omega.leader",
-                    leader=new_leader,
-                )
             if self.on_leader_change is not None:
                 self.on_leader_change(new_leader)
 

@@ -79,7 +79,6 @@ from repro.broadcast.total_order import (
 )
 from repro.core.durability import register_codec
 from repro.net.node import RoutingNode
-from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core → broadcast)
     from repro.core.durability import DurableStore
@@ -181,7 +180,6 @@ class PaxosTOB(TotalOrderBroadcast):
         catchup_rate: float = 32.0,
         catchup_burst: float = 64.0,
         deliver_batch: Optional[DeliverBatchFn] = None,
-        trace: Optional[TraceLog] = None,
         store: Optional["DurableStore"] = None,
         tag: str = _TAG,
         telemetry: Optional[Any] = None,
@@ -198,7 +196,6 @@ class PaxosTOB(TotalOrderBroadcast):
         self.catchup_batch = max(1, catchup_batch)
         self.catchup_rate = catchup_rate
         self.catchup_burst = catchup_burst
-        self.trace = trace
         self.telemetry = telemetry
         if telemetry is not None:
             self._m_casts = telemetry.counter("repro_tob_casts", engine="paxos")
@@ -256,8 +253,10 @@ class PaxosTOB(TotalOrderBroadcast):
         self._delivered_keys: Set[Hashable] = set()
 
         # Catch-up responder token bucket and requester rotation.
+        # The bucket starts full, so the first refill's elapsed time is
+        # immaterial and construction need not read the clock.
         self._bucket = float(catchup_burst)
-        self._bucket_stamp = node.now
+        self._bucket_stamp = 0.0
         self._catchup_peer = node.pid
 
         self._stopped = False
@@ -299,8 +298,6 @@ class PaxosTOB(TotalOrderBroadcast):
                     self.node.now, self.node.pid, "tob.cast", key,
                     "tob.cast", "root",
                 )
-        if self.trace is not None:
-            self.trace.record(self.node.now, self.node.pid, "paxos.cast", key=key)
         leader = self.omega.leader()
         if leader == self.node.pid:
             self._arm_flush()
@@ -358,10 +355,6 @@ class PaxosTOB(TotalOrderBroadcast):
             ("p1a", self._ballot, self._phase1_first_instance),
             include_self=True,
         )
-        if self.trace is not None:
-            self.trace.record(
-                self.node.now, self.node.pid, "paxos.phase1", ballot=self._ballot
-            )
         self._ensure_driving()
 
     # ------------------------------------------------------------------
@@ -740,14 +733,6 @@ class PaxosTOB(TotalOrderBroadcast):
                             "tob.cast",
                             seqno=instance,
                         )
-                if self.trace is not None:
-                    self.trace.record(
-                        self.node.now,
-                        self.node.pid,
-                        "tob.deliver",
-                        key=key,
-                        seqno=instance,
-                    )
                 ready.append((key, payload))
         if not ready:
             return

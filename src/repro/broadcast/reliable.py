@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.net.node import RoutingNode
-from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core → broadcast)
     from repro.core.durability import DurableStore
@@ -66,7 +65,6 @@ class ReliableBroadcast:
         deliver: DeliverFn,
         *,
         deliver_own: bool = False,
-        trace: Optional[TraceLog] = None,
         store: Optional["DurableStore"] = None,
         tag: str = _TAG,
     ) -> None:
@@ -75,7 +73,6 @@ class ReliableBroadcast:
         self._deliver_own = deliver_own
         #: key -> payload for everything cast or delivered here.
         self._log: Dict[Hashable, Any] = {}
-        self.trace = trace
         self.store = store
         self.tag = tag
         node.register_component(tag, self._on_message)
@@ -94,8 +91,6 @@ class ReliableBroadcast:
             return
         self._absorb(key, payload)
         self.node.broadcast_component(self.tag, ("cast", key, payload))
-        if self.trace is not None:
-            self.trace.record(self.node.now, self.node.pid, "rb.cast", key=key)
         if self._deliver_own:
             self._deliver(key, payload)
 
@@ -122,10 +117,6 @@ class ReliableBroadcast:
         self._absorb(key, payload)
         # Relay before delivering: uniform reliability despite sender crashes.
         self.node.broadcast_component(self.tag, ("cast", key, payload))
-        if self.trace is not None:
-            self.trace.record(
-                self.node.now, self.node.pid, "rb.deliver", key=key, sender=sender
-            )
         self._deliver(key, payload)
 
     def _absorb(self, key: Hashable, payload: Any) -> None:
@@ -156,10 +147,6 @@ class ReliableBroadcast:
     def announce_recovery(self) -> None:
         """Broadcast our key set so peers repair us (and we repair them)."""
         self.node.broadcast_component(self.tag, ("sync", sorted(self._log, key=repr)))
-        if self.trace is not None:
-            self.trace.record(
-                self.node.now, self.node.pid, "rb.sync", known=len(self._log)
-            )
 
     def _handle_sync(self, sender: int, keys: List[Hashable]) -> None:
         known = set(keys)

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Set, Tupl
 
 from repro.broadcast.total_order import DeliverFn, TotalOrderBroadcast
 from repro.net.node import RoutingNode
-from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core → broadcast)
     from repro.core.durability import DurableStore
@@ -52,7 +51,6 @@ class SequencerTOB(TotalOrderBroadcast):
         deliver: DeliverFn,
         *,
         sequencer_pid: int = 0,
-        trace: Optional[TraceLog] = None,
         store: Optional["DurableStore"] = None,
         tag: str = _TAG,
         telemetry: Optional[Any] = None,
@@ -60,7 +58,6 @@ class SequencerTOB(TotalOrderBroadcast):
         self.node = node
         self._deliver = deliver
         self.sequencer_pid = sequencer_pid
-        self.trace = trace
         self.telemetry = telemetry
         if telemetry is not None:
             self._m_casts = telemetry.counter("repro_tob_casts", engine="sequencer")
@@ -104,8 +101,6 @@ class SequencerTOB(TotalOrderBroadcast):
                     self.node.now, self.node.pid, "tob.cast", key,
                     "tob.cast", "root",
                 )
-        if self.trace is not None:
-            self.trace.record(self.node.now, self.node.pid, "tob.cast", key=key)
 
     def stop(self) -> None:
         """No periodic activity to stop in this engine."""
@@ -174,14 +169,6 @@ class SequencerTOB(TotalOrderBroadcast):
                         "tob.cast",
                         seqno=self._next_to_deliver - 1,
                     )
-            if self.trace is not None:
-                self.trace.record(
-                    self.node.now,
-                    self.node.pid,
-                    "tob.deliver",
-                    key=ordered_key,
-                    seqno=self._next_to_deliver - 1,
-                )
             self._deliver(ordered_key, ordered_payload)
 
     # ------------------------------------------------------------------

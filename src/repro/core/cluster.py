@@ -23,17 +23,15 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.broadcast.failure_detector import OmegaFailureDetector
-from repro.broadcast.paxos import PaxosTOB
 from repro.broadcast.anti_entropy import AntiEntropy
-from repro.broadcast.reliable import ReliableBroadcast
-from repro.broadcast.sequencer import SequencerTOB
+from repro.broadcast.failure_detector import OmegaFailureDetector
 from repro.core.config import BayouConfig
 from repro.core.durability import DurableStore, open_store
 from repro.core.modified_replica import ModifiedBayouReplica
 from repro.core.replica import BayouReplica
 from repro.core.request import Dot, Req
-from repro.core.session import OpFuture, ResponseCallback, Session
+from repro.core.session import OpFuture, Session
+from repro.core.stack import build_replica_stack
 from repro.datatypes.base import DataType, Operation
 from repro.errors import DivergedOrderError, ReplicaUnavailableError
 from repro.framework.history import PENDING, STRONG, WEAK, History, HistoryEvent
@@ -46,7 +44,6 @@ from repro.runtime.sim import SimRuntime
 from repro.sim.clock import DriftingClock
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRngRegistry
-from repro.sim.trace import TraceLog
 
 #: Protocol selector values.
 ORIGINAL = "original"
@@ -100,11 +97,6 @@ class BayouCluster:
         self.name = name
 
         self.sim = sim if sim is not None else Simulator()
-        self.trace = (
-            TraceLog(capacity=self.config.trace_capacity)
-            if self.config.enable_trace
-            else None
-        )
         #: The deployment's telemetry plane. Sharded deployments pass one
         #: shared plane into every shard; standalone clusters build their
         #: own when ``config.enable_telemetry`` is set.
@@ -141,7 +133,6 @@ class BayouCluster:
             latency=latency,
             partitions=self.partitions,
             filters=self.filters,
-            trace=self.trace,
         )
         #: The execution runtime every node and component runs against.
         #: Here it is always the deterministic backend; the same stack runs
@@ -194,64 +185,18 @@ class BayouCluster:
                 offset=config.clock_offsets.get(pid, 0.0),
                 rate=config.clock_rates.get(pid, 1.0),
             )
-            replica = replica_class(
+            replica, omega = build_replica_stack(
                 node,
                 clock,
                 self.datatype,
                 config,
-                trace=self.trace,
+                replica_class=replica_class,
                 responder=self._make_responder(pid),
                 store=store,
                 telemetry=self._tscope,
             )
-            if config.dissemination == "anti_entropy":
-                replica.rb = AntiEntropy(
-                    node,
-                    replica.on_rb_deliver,
-                    deliver_batch=replica.on_rb_deliver_batch,
-                    sync_interval=config.ae_sync_interval,
-                    trace=self.trace,
-                    store=store,
-                    telemetry=self._tscope,
-                )
-            else:
-                replica.rb = ReliableBroadcast(
-                    node, replica.on_rb_deliver, trace=self.trace, store=store
-                )
-            if config.tob_engine == "sequencer":
-                replica.tob = SequencerTOB(
-                    node,
-                    replica.on_tob_deliver,
-                    sequencer_pid=config.sequencer_pid,
-                    trace=self.trace,
-                    store=store,
-                    telemetry=self._tscope,
-                )
-            else:
-                omega = OmegaFailureDetector(
-                    node,
-                    heartbeat_interval=config.heartbeat_interval,
-                    timeout=config.failure_timeout,
-                    trace=self.trace,
-                )
+            if omega is not None:
                 self.omegas.append(omega)
-                replica.tob = PaxosTOB(
-                    node,
-                    replica.on_tob_deliver,
-                    omega,
-                    retry_interval=config.paxos_retry_interval,
-                    max_batch=config.paxos_max_batch,
-                    max_inflight=config.paxos_max_inflight,
-                    dual_2b=config.paxos_dual_2b,
-                    max_gap=config.paxos_max_gap,
-                    catchup_batch=config.paxos_catchup_batch,
-                    catchup_rate=config.paxos_catchup_rate,
-                    catchup_burst=config.paxos_catchup_burst,
-                    deliver_batch=replica.on_tob_deliver_batch,
-                    trace=self.trace,
-                    store=store,
-                    telemetry=self._tscope,
-                )
                 self.sim.schedule(0.0, omega.start, label=f"omega start {pid}")
             replica.commit_listener = self._on_commit
             # Registered last, so it runs after every component on this node
@@ -417,17 +362,9 @@ class BayouCluster:
         assert request is not None
         return request
 
-    def connect(
-        self,
-        pid: int,
-        *,
-        think_time: float = 0.0,
-        on_response: Optional[ResponseCallback] = None,
-    ) -> Session:
+    def connect(self, pid: int, *, think_time: float = 0.0) -> Session:
         """Open a closed-loop :class:`Session` against replica ``pid``."""
-        return Session(
-            self, pid, think_time=think_time, on_response=on_response
-        )
+        return Session(self, pid, think_time=think_time)
 
     def _was_tob_cast(self, req: Req) -> bool:
         """Whether the request was disseminated through TOB at all."""

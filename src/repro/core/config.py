@@ -81,8 +81,9 @@ class BayouConfig:
         perceived-order checks then fall back to the final arbitration
         order.
     enable_trace:
-        Attach the diagnostic :class:`TraceLog` to every component.
-        Disable for scale runs where per-event trace records dominate.
+        No effect since PR 13 (the trace log it switched is gone); kept
+        only because ``bench/workloads.py`` passes it; remove with the
+        next benchmark PR.
     enable_telemetry:
         Attach the unified telemetry plane (:class:`repro.obs.Telemetry`):
         causal per-op span traces plus the online metrics registry.
@@ -90,9 +91,9 @@ class BayouConfig:
         Tracing never feeds back into protocol decisions, so a seeded run
         is bit-identical with telemetry on or off.
     trace_capacity:
-        When set, bounds *both* the :class:`TraceLog` and the telemetry
-        span ring to this many entries (oldest dropped, drops counted) —
-        the streaming-first discipline long runs need.
+        When set, bounds the telemetry span ring to this many entries
+        (oldest dropped, drops counted) — the streaming-first discipline
+        long runs need.
     seed:
         Master seed for all random streams.
     """
@@ -198,6 +199,10 @@ class BayouConfig:
             raise ValueError(
                 "checkpoint_interval must be a positive integer when set, "
                 f"got {self.checkpoint_interval!r}"
+            )
+        if not isinstance(self.enable_trace, bool):
+            raise ValueError(
+                f"enable_trace must be a bool, got {self.enable_trace!r}"
             )
         if self.trace_capacity is not None and self.trace_capacity < 1:
             raise ValueError(

@@ -40,14 +40,6 @@ class ModifiedBayouReplica(BayouReplica):
             strong=strong,
             op=op,
         )
-        if self.trace is not None:
-            self.trace.record(
-                self.node.now,
-                self.pid,
-                "bayou.invoke",
-                dot=req.dot,
-                op=str(op),
-            )
         if self.telemetry:
             self.telemetry.op_span(
                 self.node.now,
@@ -91,10 +83,6 @@ class ModifiedBayouReplica(BayouReplica):
                 req.dot,
                 "exec.tentative",
                 "root",
-            )
-        if self.trace is not None:
-            self.trace.record(
-                self.node.now, self.pid, "bayou.execute", dot=req.dot
             )
         self._respond(req, response, perceived, stable=False)
 

@@ -58,7 +58,6 @@ from repro.core.state_object import StateObject
 from repro.datatypes.base import DataType, Operation
 from repro.net.node import RoutingNode
 from repro.sim.clock import DriftingClock
-from repro.sim.trace import TraceLog
 
 #: responder(req, response, perceived_trace, stable)
 Responder = Callable[[Req, Any, Tuple[Dot, ...], bool], None]
@@ -77,7 +76,6 @@ class BayouReplica:
         datatype: DataType,
         config: BayouConfig,
         *,
-        trace: Optional[TraceLog] = None,
         responder: Optional[Responder] = None,
         store: Optional[DurableStore] = None,
         telemetry: Optional[Any] = None,
@@ -87,7 +85,6 @@ class BayouReplica:
         self.clock = clock
         self.datatype = datatype
         self.config = config
-        self.trace = trace
         #: Telemetry plane or scope (``None`` or disabled both short-circuit
         #: every instrumentation site to a single false branch). Hot-path
         #: instruments are resolved once here, not per event.
@@ -185,10 +182,6 @@ class BayouReplica:
             strong=strong,
             op=op,
         )
-        if self.trace is not None:
-            self.trace.record(
-                self.node.now, self.pid, "bayou.invoke", dot=req.dot, op=str(op)
-            )
         if self.telemetry:
             # The root span of this op's trace: every invocation — client
             # submit, migration barrier/install, realtime RPC — enters here.
@@ -250,10 +243,6 @@ class BayouReplica:
             return  # issued locally; tentative insertion happened at invoke
         if req.dot in self._committed_dots or req.dot in self._tentative_dots:
             return  # already known (e.g. TOB delivered it first)
-        if self.trace is not None:
-            self.trace.record(
-                self.node.now, self.pid, "bayou.rb_deliver", dot=req.dot
-            )
         self._persist_request(req)
         self.adjust_tentative_order(req)
 
@@ -272,10 +261,6 @@ class BayouReplica:
                 continue
             if req.dot in self._committed_dots or req.dot in self._tentative_dots:
                 continue
-            if self.trace is not None:
-                self.trace.record(
-                    self.node.now, self.pid, "bayou.rb_deliver", dot=req.dot
-                )
             fresh.append(req)
         if not fresh:
             return
@@ -312,10 +297,6 @@ class BayouReplica:
         self._persist_request(req)
         if self.store is not None:
             self.store.log("replica.commits").append(req.dot)
-        if self.trace is not None:
-            self.trace.record(
-                self.node.now, self.pid, "bayou.tob_deliver", dot=req.dot
-            )
         if req.dot in self._tentative_dots:
             self._tentative_dots.discard(req.dot)
             if self.tentative[0].dot == req.dot:
@@ -414,10 +395,6 @@ class BayouReplica:
             self.rollback_count += 1
             if self.telemetry:
                 self._m_rollbacks.inc()
-            if self.trace is not None:
-                self.trace.record(
-                    self.node.now, self.pid, "bayou.rollback", dot=head.dot
-                )
         elif self.to_be_executed:
             head = self.to_be_executed.pop(0)
             self._execute_one(head)
@@ -480,14 +457,6 @@ class BayouReplica:
                 self._record_maintenance(
                     "reorder.rollback_batch", count=count, keep=keep
                 )
-            if self.trace is not None:
-                self.trace.record(
-                    self.node.now,
-                    self.pid,
-                    "bayou.rollback_batch",
-                    count=count,
-                    keep=keep,
-                )
         queue = self.to_be_executed
         #: Drain only what this deadline paid for — a reentrant responder
         #: may tail-append new requests mid-drain; those wait for their own
@@ -525,10 +494,6 @@ class BayouReplica:
             if self.telemetry:
                 self._m_execs.inc(replayed)
                 self._record_maintenance("reorder.execute_batch", count=replayed)
-            if self.trace is not None:
-                self.trace.record(
-                    self.node.now, self.pid, "bayou.execute_batch", count=replayed
-                )
         self._schedule_step()
 
     def _execute_one(self, head: Req) -> None:
@@ -554,10 +519,6 @@ class BayouReplica:
                     "exec.tentative",
                     "root",
                 )
-        if self.trace is not None:
-            self.trace.record(
-                self.node.now, self.pid, "bayou.execute", dot=head.dot
-            )
         if awaiting:
             if not head.strong or head.dot in self._committed_dots:
                 del self._awaiting[head.dot]
@@ -594,15 +555,6 @@ class BayouReplica:
     def _respond(
         self, req: Req, response: Any, perceived: Tuple[Dot, ...], stable: bool
     ) -> None:
-        if self.trace is not None:
-            self.trace.record(
-                self.node.now,
-                self.pid,
-                "bayou.respond",
-                dot=req.dot,
-                response=response,
-                stable=stable,
-            )
         if self.responder is not None:
             self.responder(req, response, perceived, stable)
 
@@ -725,10 +677,6 @@ class BayouReplica:
         """The host node crashed; volatile state is now garbage."""
         self.crash_time = self.node.now
         self.crash_times.append(self.node.now)
-        if self.trace is not None:
-            self.trace.record(
-                self.node.now, self.pid, "bayou.crash", mode=mode
-            )
 
     def _on_node_recover(self) -> None:
         """Rebuild from stable storage (or resume with amnesia without it).
@@ -743,8 +691,6 @@ class BayouReplica:
         if self.crash_time is not None:
             self.downtime += self.node.now - self.crash_time
             self.crash_time = None
-        if self.trace is not None:
-            self.trace.record(self.node.now, self.pid, "bayou.recover")
         # Engine timers and flags are volatile with or without stable
         # storage: a step/retransmit timer suppressed during the downtime
         # (resurrect=False) would otherwise leave its armed flag stuck True
@@ -825,14 +771,6 @@ class BayouReplica:
         self._executed_dots = [req.dot for req in self.executed]
         self.to_be_rolled_back = []
         self.to_be_executed = list(order[prefix_length:])
-        if self.trace is not None:
-            self.trace.record(
-                self.node.now,
-                self.pid,
-                "bayou.replay",
-                checkpoint=prefix_length,
-                backlog=len(self.to_be_executed),
-            )
         self._schedule_step()
 
     def _joins_tentative(self, req: Req) -> bool:

@@ -32,8 +32,6 @@ Sessions expose the data type's declared operations as bound proxies::
     session = cluster.connect(0)
     future = session.append("a")            # weak by default
     confirm = session.strong.read()         # consensus-backed
-
-``ClientSession`` is a backwards-compatible alias of :class:`Session`.
 """
 
 from __future__ import annotations
@@ -74,9 +72,6 @@ def _pending_sentinel() -> Any:
     from repro.framework.history import PENDING
 
     return PENDING
-
-#: Legacy callback signature: callback(op, strong, response, latency).
-ResponseCallback = Callable[[Operation, bool, Any, float], None]
 
 #: OpFuture lifecycle states.
 FUTURE_PENDING = "pending"
@@ -281,12 +276,10 @@ class Session:
         pid: int,
         *,
         think_time: float = 0.0,
-        on_response: Optional[ResponseCallback] = None,
     ) -> None:
         self.cluster = cluster
         self.pid = pid
         self.think_time = think_time
-        self.on_response = on_response
         self._queue: Deque[OpFuture] = deque()
         self._outstanding: Optional[OpFuture] = None
         self._pump_scheduled = False
@@ -360,6 +353,12 @@ class Session:
         """True when nothing is queued or outstanding."""
         return self._outstanding is None and not self._queue
 
+    @property
+    def launch_pending(self) -> bool:
+        """True while the next invocation is a pending simulation event
+        (the session is thinking, not paused or waiting on a response)."""
+        return self._pump_scheduled
+
     # ------------------------------------------------------------------
     # The pump: one invocation per simulation step
     # ------------------------------------------------------------------
@@ -424,10 +423,4 @@ class Session:
         self.latencies.append(latency)
         self.completed += 1
         self._ready_at = self.cluster.sim.now + self.think_time
-        if self.on_response is not None:
-            self.on_response(future.op, future.strong, future.rval, latency)
         self._maybe_schedule_pump()
-
-
-#: Backwards-compatible name: the pre-futures closed-loop client.
-ClientSession = Session

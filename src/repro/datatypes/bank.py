@@ -21,9 +21,9 @@ from repro.datatypes.base import (
     DbView,
     Operation,
     ShardedOp,
-    UnknownOperationError,
     operation,
 )
+from repro.errors import UnknownOperationError
 
 
 def _reg(account: str) -> str:

@@ -31,7 +31,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import UnknownOperationError  # noqa: F401  (historical home)
+from repro.errors import UnknownOperationError
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ RESERVED_OPERATION_NAMES = frozenset(
         "futures",
         "idle",
         "latencies",
-        "on_response",
+        "launch_pending",
         "op",
         "ops",
         "pid",

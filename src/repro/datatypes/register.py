@@ -14,9 +14,9 @@ from repro.datatypes.base import (
     DataType,
     DbView,
     Operation,
-    UnknownOperationError,
     operation,
 )
+from repro.errors import UnknownOperationError
 
 _VALUE = "register:value"
 

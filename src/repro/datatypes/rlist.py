@@ -13,9 +13,9 @@ from repro.datatypes.base import (
     DataType,
     DbView,
     Operation,
-    UnknownOperationError,
     operation,
 )
+from repro.errors import UnknownOperationError
 
 _ITEMS = "list:items"
 

@@ -26,9 +26,9 @@ from repro.datatypes.base import (
     DataType,
     DbView,
     Operation,
-    UnknownOperationError,
     operation,
 )
+from repro.errors import UnknownOperationError
 
 
 def _slot_reg(slot: str) -> str:

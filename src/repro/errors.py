@@ -1,10 +1,7 @@
 """The library's exception hierarchy.
 
 Every error the public API raises derives from :class:`ReproError`, so
-callers can catch one base class at an experiment boundary. Errors that
-used to live next to their raise sites (``UnknownOperationError`` in
-:mod:`repro.datatypes.base`) are defined here and re-exported from their
-historical homes for compatibility.
+callers can catch one base class at an experiment boundary.
 """
 
 from __future__ import annotations
@@ -80,7 +77,7 @@ class MigrationStrandedError(MigrationError):
     time, marks the migration ``stranded`` (releasing ``converged()``
     and the one-migration-per-shard slot instead of wedging them
     forever), and surfaces an instance of this error in
-    ``ShardedRunResult.checks["migrations"]`` so scenario assertions see
+    ``RunResult.checks["migrations"]`` so scenario assertions see
     a named failure rather than a hang.
     """
 
@@ -108,6 +105,16 @@ class MigrationInProgress(ReproError, RuntimeError):
         self.migration = migration
         #: The key whose handoff blocked the submission.
         self.key = key
+
+
+class MultiShardError(ReproError, LookupError):
+    """Raised by a single-cluster accessor on a run spanning several shards.
+
+    ``cluster`` / ``history`` / ``execution`` of a
+    :class:`~repro.scenario.LiveRun` or :class:`~repro.scenario.RunResult`
+    name *the* cluster of the run; a multi-shard run has one per shard —
+    read ``clusters`` / ``histories`` / ``executions`` instead.
+    """
 
 
 class DivergedOrderError(ReproError, AssertionError):

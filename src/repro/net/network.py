@@ -26,7 +26,6 @@ from repro.net.partition import PartitionSchedule
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import SeededRngRegistry
-from repro.sim.trace import TraceLog
 
 
 class LatencyModel:
@@ -89,14 +88,12 @@ class Network:
         latency: Optional[LatencyModel] = None,
         partitions: Optional[PartitionSchedule] = None,
         filters: Optional[MessageFilter] = None,
-        trace: Optional[TraceLog] = None,
     ) -> None:
         self.sim = sim
         self.n_processes = n_processes
         self.latency = latency or FixedLatency(1.0)
         self.partitions = partitions or PartitionSchedule(n_processes)
         self.filters = filters or MessageFilter()
-        self.trace = trace
         self._processes: Dict[int, Process] = {}
         self._last_delivery: Dict[Tuple[int, int], float] = {}
         #: Messages whose partition never (yet) heals, awaiting reschedule.
@@ -131,10 +128,6 @@ class Network:
         extra_delay = 0.0
         if verdict == MessageFilter.DROP:
             self.dropped_count += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.sim.now, sender, "net.drop", receiver=receiver, payload=payload
-                )
             return None
         if verdict is not None:
             extra_delay = float(verdict)
@@ -168,10 +161,6 @@ class Network:
             retry_at = self.partitions.next_change_after(now)
             if retry_at == float("inf"):
                 self._held.append(envelope)
-                if self.trace is not None:
-                    self.trace.record(
-                        now, envelope.sender, "net.held", receiver=envelope.receiver
-                    )
             else:
                 self.sim.schedule_at(
                     retry_at,
@@ -185,26 +174,10 @@ class Network:
         if process.crashed:
             # A crashed receiver silently drops the message (the paper's
             # "cease all communication"); it was never delivered, so it
-            # must not count as one nor appear as a ``net.deliver`` trace.
+            # must not count as one.
             self.suppressed_count += 1
-            if self.trace is not None:
-                self.trace.record(
-                    now,
-                    envelope.receiver,
-                    "net.suppress",
-                    sender=envelope.sender,
-                    payload=envelope.payload,
-                )
             return
         self.delivered_count += 1
-        if self.trace is not None:
-            self.trace.record(
-                now,
-                envelope.receiver,
-                "net.deliver",
-                sender=envelope.sender,
-                payload=envelope.payload,
-            )
         process.deliver(envelope.sender, envelope.payload)
 
     def reschedule_held(self) -> None:

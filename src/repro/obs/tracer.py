@@ -5,7 +5,7 @@ A :class:`SpanEvent` is one recorded step of an operation's lifecycle
 ``(trace_id, span_id, parent_id)``. The :class:`Tracer` collects them in
 arrival order; with a ``capacity`` it becomes a ring that drops the
 oldest events and counts the drops — long runs stop accreting unbounded
-telemetry, the same discipline the bounded ``TraceLog`` applies.
+telemetry.
 
 Spans here are *events*, not open/close pairs: each carries the single
 timestamp at which the step happened (sim time on the kernel, wall clock

@@ -54,14 +54,16 @@ class AsyncioTimer(RuntimeTimer):
 
     __slots__ = ("_handle", "_cancelled", "label")
 
-    def __init__(self, handle: asyncio.TimerHandle, label: str) -> None:
-        self._handle = handle
+    def __init__(self, label: str) -> None:
+        #: None while the timer waits for the runtime to start.
+        self._handle: Optional[asyncio.TimerHandle] = None
         self._cancelled = False
         self.label = label
 
     def cancel(self) -> None:
         self._cancelled = True
-        self._handle.cancel()
+        if self._handle is not None:
+            self._handle.cancel()
 
     @property
     def cancelled(self) -> bool:
@@ -110,6 +112,8 @@ class AsyncioRuntime(Runtime):
         self._server: Optional[asyncio.base_events.Server] = None
         self._epoch: Optional[float] = None
         self._stopped = False
+        #: Timers requested before a loop was running; armed by start().
+        self._prestart: List[Tuple[AsyncioTimer, float, Callable[[], None]]] = []
         self._conn_tasks: List[asyncio.Task] = []
         #: Harness hook answering ``rpc`` frames; ``None`` refuses them.
         self.rpc_handler: Optional[RpcHandler] = None
@@ -146,15 +150,20 @@ class AsyncioRuntime(Runtime):
     def schedule(
         self, delay: float, callback: Callable[[], None], *, label: str = ""
     ) -> AsyncioTimer:
-        timer_box: List[AsyncioTimer] = []
+        timer = AsyncioTimer(label)
 
         def guarded() -> None:
-            if not timer_box[0].cancelled:
+            if not timer.cancelled:
                 callback()
 
-        handle = self._loop().call_later(max(0.0, delay), guarded)
-        timer = AsyncioTimer(handle, label)
-        timer_box.append(timer)
+        try:
+            loop = self._loop()
+        except RuntimeError:
+            # No loop is running yet (components arm timers while they are
+            # constructed, before ``asyncio.run``): count from start().
+            self._prestart.append((timer, delay, guarded))
+        else:
+            timer._handle = loop.call_later(max(0.0, delay), guarded)
         return timer
 
     def register(self, process: Any) -> None:
@@ -200,6 +209,9 @@ class AsyncioRuntime(Runtime):
         """Bind our server socket; links dial lazily on first send."""
         host, port = self.peers[self.pid]
         self.now()  # pin the epoch to runtime start
+        prestart, self._prestart = self._prestart, []
+        for timer, delay, guarded in prestart:
+            timer._handle = self._loop().call_later(max(0.0, delay), guarded)
         self._server = await asyncio.start_server(
             self._on_connection, host=host, port=port
         )

@@ -4,10 +4,11 @@ This is the asyncio deployment of the *identical* protocol stack the
 simulator runs: a :class:`~repro.net.node.RoutingNode` hosting the
 dissemination endpoint (RB or anti-entropy), a TOB engine (sequencer or
 Multi-Paxos with Ω) and a :class:`~repro.core.replica.BayouReplica` — all
-constructed exactly as :class:`~repro.core.cluster.BayouCluster` builds
-them, but over an :class:`~repro.runtime.asyncio_net.AsyncioRuntime`
-instead of a :class:`~repro.runtime.sim.SimRuntime`. No protocol file
-knows which one it got.
+assembled by the same :func:`~repro.core.stack.build_replica_stack`
+:class:`~repro.core.cluster.BayouCluster` calls, but over an
+:class:`~repro.runtime.asyncio_net.AsyncioRuntime` instead of a
+:class:`~repro.runtime.sim.SimRuntime`. No protocol file knows which one
+it got.
 
 A cluster is described by a JSON spec file shared by all members::
 
@@ -38,14 +39,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.broadcast.anti_entropy import AntiEntropy
-from repro.broadcast.failure_detector import OmegaFailureDetector
-from repro.broadcast.paxos import PaxosTOB
-from repro.broadcast.reliable import ReliableBroadcast
-from repro.broadcast.sequencer import SequencerTOB
 from repro.core.config import BayouConfig
 from repro.core.durability import open_store
-from repro.core.replica import BayouReplica
 from repro.core.request import Dot, Req
+from repro.core.stack import build_replica_stack
 from repro.datatypes import BankAccounts, Counter, KVStore, Register
 from repro.net.node import RoutingNode
 from repro.obs import Telemetry
@@ -102,9 +99,9 @@ class ClusterSpec:
     def to_config(self) -> BayouConfig:
         """The :class:`BayouConfig` equivalent of this spec.
 
-        Perceived-trace capture and the diagnostic trace log are off: they
-        exist for the formal framework's deterministic checks, and a real
-        deployment pays their O(n²) memory for nothing.
+        Perceived-trace capture is off: it exists for the formal
+        framework's deterministic checks, and a real deployment pays its
+        O(n²) memory for nothing.
         """
         return BayouConfig(
             n_replicas=self.n_replicas,
@@ -120,7 +117,6 @@ class ClusterSpec:
             durability=self.durability,
             durability_dir=self.durability_dir,
             record_perceived_traces=False,
-            enable_trace=False,
             enable_telemetry=self.telemetry,
         )
 
@@ -191,7 +187,7 @@ class ReplicaServer:
             store = open_store("jsonl", directory=os.path.join(root, f"node{pid}"))
         elif config.durability != "none":
             store = open_store(config.durability)
-        self.replica = BayouReplica(
+        self.replica, self.omega = build_replica_stack(
             self.node,
             clock,
             DATATYPES[spec.datatype](),
@@ -200,43 +196,6 @@ class ReplicaServer:
             store=store,
             telemetry=self.telemetry,
         )
-        # Identical component wiring to BayouCluster._build, minus traces.
-        self.omega: Optional[OmegaFailureDetector] = None
-        if config.dissemination == "anti_entropy":
-            self.replica.rb = AntiEntropy(
-                self.node,
-                self.replica.on_rb_deliver,
-                deliver_batch=self.replica.on_rb_deliver_batch,
-                sync_interval=config.ae_sync_interval,
-                store=store,
-                telemetry=self.telemetry,
-            )
-        else:
-            self.replica.rb = ReliableBroadcast(
-                self.node, self.replica.on_rb_deliver, store=store
-            )
-        if config.tob_engine == "sequencer":
-            self.replica.tob = SequencerTOB(
-                self.node,
-                self.replica.on_tob_deliver,
-                sequencer_pid=config.sequencer_pid,
-                store=store,
-                telemetry=self.telemetry,
-            )
-        else:
-            self.omega = OmegaFailureDetector(
-                self.node,
-                heartbeat_interval=config.heartbeat_interval,
-                timeout=config.failure_timeout,
-            )
-            self.replica.tob = PaxosTOB(
-                self.node,
-                self.replica.on_tob_deliver,
-                self.omega,
-                retry_interval=config.paxos_retry_interval,
-                store=store,
-                telemetry=self.telemetry,
-            )
         self.replica.commit_listener = self._on_commit
         self.runtime.rpc_handler = self._handle_rpc
         #: dot -> futures resolved at first response / at commit.

@@ -51,7 +51,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TYPE_CHECKING,
     Union,
 )
 
@@ -68,7 +67,11 @@ from repro.core.config import BayouConfig
 from repro.core.request import Dot
 from repro.core.session import OpFuture, Session, resolve_operation
 from repro.datatypes.base import DataType, Operation, PlainDb
-from repro.errors import PendingResponseError, ReplicaUnavailableError
+from repro.errors import (
+    MultiShardError,
+    PendingResponseError,
+    ReplicaUnavailableError,
+)
 from repro.framework.builder import build_abstract_execution
 from repro.framework.guarantees import check_bec, check_fec, check_seq
 from repro.framework.history import History, STRONG, WEAK
@@ -83,9 +86,10 @@ from repro.net.faults import (
     tob_delay_rule,
 )
 from repro.net.partition import PartitionSchedule
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.shard.scenario import ShardedLiveRun, ShardedRunResult
+from repro.shard.control import PlacementController
+from repro.shard.deployment import ShardedCluster
+from repro.shard.migration import Migration, MigrationCheck
+from repro.shard.router import ShardedSession, ShardRouter
 
 
 @dataclass
@@ -177,13 +181,13 @@ class Scenario:
         self._crash_plans: List[
             Tuple[int, float, Optional[float], Optional[str], Optional[int]]
         ] = []
-        #: (builder, shard) — shard is None outside sharded mode (and
-        #: means "every shard" inside it).
-        self._filter_builders: List[
-            Tuple[Callable[[MessageFilter], None], Optional[int]]
+        #: (rule, shard) — shard is None outside sharded mode (and means
+        #: "every shard" inside it).
+        self._filter_rules: List[Tuple[FilterRule, Optional[int]]] = []
+        #: (at, description, step) — ``step(deployment)`` starts the migration.
+        self._reshardings: List[
+            Tuple[float, str, Callable[[ShardedCluster], Migration]]
         ] = []
-        #: (at, kind, params, pid, transfer_delay) resharding steps.
-        self._reshardings: List[Tuple[float, str, Tuple[Any, ...], int, float]] = []
         #: PlacementController kwargs when autoscale() armed one.
         self._autoscale: Optional[Dict[str, Any]] = None
         self._scripted: List[_ScriptedOp] = []
@@ -219,8 +223,8 @@ class Scenario:
         Each shard is a full cluster (``.replicas(k)`` replicas *per
         shard*) on one shared simulator; operations route to the shard
         owning their keys (``partitioner`` defaults to the stable
-        :class:`~repro.shard.partitioner.HashPartitioner`). ``run()``
-        then returns a :class:`~repro.shard.scenario.ShardedRunResult`.
+        :class:`~repro.shard.partitioner.HashPartitioner`). The
+        :class:`RunResult` then carries one history per shard.
         ``.partition()``/``.heal()``/``.crash()`` accept a ``shard=``
         scope in this mode.
         """
@@ -320,21 +324,6 @@ class Scenario:
             self._config_kwargs["trace_capacity"] = capacity
         return self
 
-    def tracelog(
-        self, enabled: bool = True, *, capacity: Optional[int] = None
-    ) -> "Scenario":
-        """Configure the diagnostic :class:`~repro.sim.trace.TraceLog`.
-
-        ``capacity`` turns it into a bounded ring (oldest entries evicted,
-        evictions counted) — long runs keep a sliding window instead of
-        accreting per-event records without bound. ``tracelog(False)``
-        disables it entirely, as scale benchmarks do.
-        """
-        self._config_kwargs["enable_trace"] = enabled
-        if capacity is not None:
-            self._config_kwargs["trace_capacity"] = capacity
-        return self
-
     def config(self, **overrides: Any) -> "Scenario":
         """Escape hatch: raw :class:`BayouConfig` field overrides."""
         self._config_kwargs.update(overrides)
@@ -428,9 +417,9 @@ class Scenario:
         keep running; ``transfer_delay`` models the data movement time.
         The resulting :class:`~repro.shard.migration.Migration` records
         land on the run (``live.migrations`` /
-        :attr:`~repro.shard.scenario.ShardedRunResult.migrations`).
+        :attr:`RunResult.migrations`).
         """
-        chosen = [name for name, value in (
+        chosen = [f"{name}={value!r}" for name, value in (
             ("split", split), ("merge", merge), ("move", move)
         ) if value is not None]
         if len(chosen) != 1:
@@ -438,21 +427,22 @@ class Scenario:
                 "resharding() needs exactly one of split=/merge=/move=, "
                 f"got {chosen or 'none'}"
             )
+        options = dict(pid=pid, transfer_delay=transfer_delay)
         if split is not None:
-            step = ("split", (split,))
+            step = lambda d: d.split(split, **options)
         elif merge is not None:
-            step = ("merge", tuple(merge))
-            if len(step[1]) != 2:
+            if len(merge) != 2:
                 raise ValueError(
                     f"merge expects a (dst, src) pair, got {merge!r}"
                 )
+            step = lambda d: d.merge(*merge, **options)
         else:
-            step = ("move", tuple(move))
-            if len(step[1]) != 3:
+            if len(move) != 3:
                 raise ValueError(
                     f"move expects an (lo, hi, dst) triple, got {move!r}"
                 )
-        self._reshardings.append((at, step[0], step[1], pid, transfer_delay))
+            step = lambda d: d.move(move[:2], move[2], **options)
+        self._reshardings.append((at, chosen[0], step))
         return self
 
     def autoscale(
@@ -478,7 +468,7 @@ class Scenario:
         knobs (``hysteresis``, ``lookback``, ``decay``,
         ``transfer_delay``, ...) pass through to the controller. The
         controller lands on the result
-        (:attr:`~repro.shard.scenario.ShardedRunResult.controller`).
+        (:attr:`RunResult.controller`).
         """
         self._autoscale = dict(
             policy=policy,
@@ -499,7 +489,7 @@ class Scenario:
         (e.g. "drop the first 3"): each shard compiles its *own*
         :class:`MessageFilter`, so per-rule state is per shard.
         """
-        self._filter_builders.append((lambda filters: filters.add(rule), shard))
+        self._filter_rules.append((rule, shard))
         return self
 
     def tob_extra_delay(
@@ -704,98 +694,44 @@ class Scenario:
                 kwargs[key] = merged
         return BayouConfig(**kwargs)
 
-    def _compile_filters(
-        self, shard: Optional[int] = None
-    ) -> Optional[MessageFilter]:
-        """A fresh MessageFilter for one deployment target.
+    def _shard_targets(self, shard: Optional[int], verb: str) -> Sequence[Any]:
+        """The deployment targets one fault declaration applies to.
 
-        ``shard`` is None for unsharded builds (any shard-scoped rule is
-        an error there); in sharded builds every shard gets its own
-        instance carrying the unscoped rules plus its scoped ones, so
-        stateful rules never share state across shards.
+        Unsharded builds have the single target ``None`` (a shard scope is
+        an error there); sharded builds fan an unscoped declaration out to
+        every shard.
         """
-        selected = []
-        for build_filter, rule_shard in self._filter_builders:
-            if shard is None and rule_shard is not None:
+        if self._n_shards is None:
+            if shard is not None:
                 raise ValueError(
-                    "filter(..., shard=...) needs a sharded scenario "
+                    f"{verb}(..., shard=...) needs a sharded scenario "
                     "(call .shards(n) first)"
                 )
-            if rule_shard is None or rule_shard == shard:
-                selected.append(build_filter)
-        if not selected:
-            return None
-        filters = MessageFilter()
-        for build_filter in selected:
-            build_filter(filters)
-        return filters
+            return (None,)
+        return range(self._n_shards) if shard is None else (shard,)
 
-    def build(self) -> Union["LiveRun", "ShardedLiveRun"]:
+    def build(self) -> "LiveRun":
         """Compile to a live cluster (or sharded deployment), scheduled."""
         if self._datatype is None:
             raise ValueError("Scenario needs a datatype (pass one or .datatype())")
-        if self._n_shards is not None:
-            return self._build_sharded()
-        if self._reshardings:
-            raise ValueError(
-                "resharding(...) needs a sharded scenario (call .shards(n) "
-                "first)"
-            )
-        if self._autoscale is not None:
-            raise ValueError(
-                "autoscale(...) needs a sharded scenario (call .shards(n) "
-                "first)"
-            )
+        sharded = self._n_shards is not None
+        if not sharded:
+            for verb, used in (
+                ("resharding", self._reshardings),
+                ("autoscale", self._autoscale is not None),
+            ):
+                if used:
+                    raise ValueError(
+                        f"{verb}(...) needs a sharded scenario (call "
+                        ".shards(n) first)"
+                    )
         config = self._compile_config()
 
-        partitions = None
-        if self._partition_events:
-            partitions = PartitionSchedule(config.n_replicas)
-            for kind, at, groups, shard in self._partition_events:
-                if shard is not None:
-                    raise ValueError(
-                        "partition(..., shard=...) needs a sharded scenario "
-                        "(call .shards(n) first)"
-                    )
-                if kind == "split":
-                    partitions.split(at, groups)
-                else:
-                    partitions.heal(at)
-
-        crashes = None
-        if self._crash_plans:
-            crashes = CrashSchedule()
-            for pid, at, recover_at, mode, shard in self._crash_plans:
-                if shard is not None:
-                    raise ValueError(
-                        "crash(..., shard=...) needs a sharded scenario "
-                        "(call .shards(n) first)"
-                    )
-                crashes.add(pid, at, recover_at, mode=mode)
-
-        cluster = BayouCluster(
-            self._datatype,
-            config,
-            protocol=self._protocol,
-            partitions=partitions,
-            filters=self._compile_filters(),
-            crashes=crashes,
-        )
-        return LiveRun(self, cluster)
-
-    def _build_sharded(self) -> "ShardedLiveRun":
-        """Compile to N shards on one simulator, faults scoped per shard."""
-        from repro.shard.deployment import ShardedCluster
-        from repro.shard.scenario import ShardedLiveRun
-
-        config = self._compile_config()
-        n_shards = self._n_shards
-        assert n_shards is not None
-
-        partitions: Dict[int, PartitionSchedule] = {}
+        # Faults compile per target: None for the one unsharded cluster,
+        # the shard index otherwise.
+        partitions: Dict[Optional[int], PartitionSchedule] = {}
         for kind, at, groups, shard in self._partition_events:
-            targets = range(n_shards) if shard is None else (shard,)
-            for target in targets:
+            for target in self._shard_targets(shard, "partition"):
                 schedule = partitions.setdefault(
                     target, PartitionSchedule(config.n_replicas)
                 )
@@ -803,31 +739,43 @@ class Scenario:
                     schedule.split(at, groups)
                 else:
                     schedule.heal(at)
-
-        crashes: Dict[int, CrashSchedule] = {}
+        crashes: Dict[Optional[int], CrashSchedule] = {}
         for pid, at, recover_at, mode, shard in self._crash_plans:
-            targets = range(n_shards) if shard is None else (shard,)
-            for target in targets:
+            for target in self._shard_targets(shard, "crash"):
                 crashes.setdefault(target, CrashSchedule()).add(
                     pid, at, recover_at, mode=mode
                 )
+        # Every target gets its own MessageFilter instance.
+        filters: Dict[Optional[int], MessageFilter] = {}
+        for rule, shard in self._filter_rules:
+            for target in self._shard_targets(shard, "filter"):
+                filters.setdefault(target, MessageFilter()).add(rule)
 
-        filters: Dict[int, MessageFilter] = {}
-        for index in range(n_shards):
-            compiled = self._compile_filters(index)
-            if compiled is not None:
-                filters[index] = compiled
-        deployment = ShardedCluster(
-            self._datatype,
-            config,
-            n_shards=n_shards,
-            partitioner=self._partitioner,
-            protocol=self._protocol,
-            partitions=partitions or None,
-            filters=filters or None,
-            crashes=crashes or None,
+        if sharded:
+            return LiveRun(
+                self,
+                ShardedCluster(
+                    self._datatype,
+                    config,
+                    n_shards=self._n_shards,
+                    partitioner=self._partitioner,
+                    protocol=self._protocol,
+                    partitions=partitions or None,
+                    filters=filters or None,
+                    crashes=crashes or None,
+                ),
+            )
+        return LiveRun(
+            self,
+            BayouCluster(
+                self._datatype,
+                config,
+                protocol=self._protocol,
+                partitions=partitions.get(None),
+                filters=filters.get(None),
+                crashes=crashes.get(None),
+            ),
         )
-        return ShardedLiveRun(self, deployment)
 
     def run(
         self,
@@ -835,7 +783,7 @@ class Scenario:
         until: Optional[float] = None,
         well_formed: bool = True,
         max_time: float = 100_000.0,
-    ) -> "Union[RunResult, ShardedRunResult]":
+    ) -> "RunResult":
         """Build, run to completion, probe, check — the one-call pipeline.
 
         With the Paxos engine the run goes through ``run_until_stable`` and
@@ -855,13 +803,48 @@ class Scenario:
         )
 
 
-class LiveRun:
-    """A compiled, running scenario: the mid-flight control handle."""
+#: The per-level guarantee checkers ``Scenario.checks()`` can request.
+_LEVEL_CHECKS = {"fec": check_fec, "bec": check_bec, "seq": check_seq}
 
-    def __init__(self, scenario: Scenario, cluster: BayouCluster) -> None:
+
+def _only(items: Sequence[Any], what: str) -> Any:
+    """The single element behind a single-cluster accessor."""
+    if len(items) != 1:
+        raise MultiShardError(
+            f"{what} names the one cluster of a run, but this run has "
+            f"{len(items)} shards; read the per-shard list instead"
+        )
+    return items[0]
+
+
+class LiveRun:
+    """A compiled, running scenario: the mid-flight control handle.
+
+    One class serves any shard count. ``deployment`` and ``router`` are
+    the :class:`~repro.shard.deployment.ShardedCluster` and its
+    :class:`~repro.shard.router.ShardRouter` in a ``.shards(n)`` build and
+    ``None`` otherwise; ``cluster`` is the run's one
+    :class:`~repro.core.cluster.BayouCluster`. The driving verbs go to
+    whichever of the two was deployed — they expose ``run`` / ``settle`` /
+    ``shutdown`` / ``converged`` identically — and submissions to the
+    router or the cluster, which share ``connect`` / ``submit``.
+    """
+
+    def __init__(
+        self, scenario: Scenario, target: Union[BayouCluster, ShardedCluster]
+    ) -> None:
         self.scenario = scenario
-        self.cluster = cluster
-        #: label -> OpFuture for every labelled scripted/client operation.
+        sharded = isinstance(target, ShardedCluster)
+        self.deployment: Optional[ShardedCluster] = target if sharded else None
+        self.router: Optional[ShardRouter] = (
+            ShardRouter(target) if sharded else None
+        )
+        #: What is driven (the cluster or the deployment) and what takes
+        #: submissions (the cluster or the router).
+        self._target = target
+        self._client = self.router if sharded else target
+        #: label -> OpFuture for every labelled scripted/client operation
+        #: (across all shards, cross-shard parents included).
         self.futures: Dict[str, OpFuture] = {}
         #: label -> simulated time of scripted invocations refused because
         #: their target replica was crashed (a crashed replica ceases all
@@ -869,20 +852,47 @@ class LiveRun:
         self.refused: Dict[str, float] = {}
         #: Sessions of the scripted clients, in declaration order (a pid
         #: may appear more than once).
-        self.sessions: List[Session] = []
+        self.sessions: List[Union[Session, ShardedSession]] = []
         self.workloads: List[RandomWorkload] = []
+        #: The autonomous placement controller (``autoscale()`` only).
+        self.controller: Optional[PlacementController] = None
         self._schedule_everything()
+
+    @property
+    def clusters(self) -> List[BayouCluster]:
+        """Every cluster of the run (one per shard slot, spawned included)."""
+        if self.deployment is not None:
+            return self.deployment.shards
+        return [self._target]
+
+    @property
+    def cluster(self) -> BayouCluster:
+        """The run's one cluster; a named error on a multi-shard run."""
+        return _only(self.clusters, "cluster")
 
     # -- wiring --------------------------------------------------------
     def _schedule_everything(self) -> None:
-        for scripted in self.scenario._scripted:
-            self.cluster.sim.schedule_at(
+        scenario = self.scenario
+        sim = self._target.sim
+        if scenario._autoscale is not None:
+            self.controller = PlacementController(
+                self.router, **scenario._autoscale
+            )
+            self.controller.start()
+        for at, what, step in scenario._reshardings:
+            sim.schedule_at(
+                at,
+                lambda step=step: step(self.deployment),
+                label=f"scenario resharding {what}",
+            )
+        for scripted in scenario._scripted:
+            sim.schedule_at(
                 scripted.at,
                 lambda s=scripted: self._fire_scripted(s),
                 label=f"scenario invoke R{scripted.pid} {scripted.op}",
             )
-        for client in self.scenario._clients:
-            session = self.cluster.connect(
+        for client in scenario._clients:
+            session = self._client.connect(
                 client.pid, think_time=client.think_time
             )
             self.sessions.append(session)
@@ -890,9 +900,9 @@ class LiveRun:
                 future = session.submit(op, strong=strong)
                 if op_label is not None:
                     self.futures[op_label] = future
-        for spec in self.scenario._workloads:
+        for spec in scenario._workloads:
             workload = RandomWorkload(
-                self.cluster,
+                self._client,
                 spec.profile,
                 ops_per_session=spec.ops_per_session,
                 think_time=spec.think_time,
@@ -901,15 +911,13 @@ class LiveRun:
             )
             workload.start()
             self.workloads.append(workload)
-        for time, hook in self.scenario._hooks:
-            self.cluster.sim.schedule_at(
-                time, lambda h=hook: h(self), label="scenario hook"
-            )
+        for time, hook in scenario._hooks:
+            sim.schedule_at(time, lambda h=hook: h(self), label="scenario hook")
 
     # -- driving -------------------------------------------------------
     @property
     def now(self) -> float:
-        return self.cluster.sim.now
+        return self._target.sim.now
 
     def submit(
         self,
@@ -929,7 +937,7 @@ class LiveRun:
             label in self.futures or label in self.scenario._labels
         ):
             raise ValueError(f"duplicate scenario label {label!r}")
-        future = self.cluster.submit(pid, op, strong=strong)
+        future = self._client.submit(pid, op, strong=strong)
         if label is not None:
             self.futures[label] = future
         return future
@@ -942,51 +950,81 @@ class LiveRun:
         observation (recorded in :attr:`refused`), not a harness error.
         """
         try:
-            self.futures[scripted.label] = self.cluster.submit(
+            self.futures[scripted.label] = self._client.submit(
                 scripted.pid, scripted.op, strong=scripted.strong
             )
         except ReplicaUnavailableError:
-            self.refused[scripted.label] = self.cluster.sim.now
+            self.refused[scripted.label] = self.now
 
     def run(self, until: Optional[float] = None) -> None:
-        self.cluster.run(until=until)
+        self._target.run(until=until)
 
     def run_until_quiescent(self) -> float:
-        return self.cluster.run_until_quiescent()
+        return self._target.run_until_quiescent()
 
     def run_until_stable(self, **kwargs: Any) -> bool:
-        return self.cluster.run_until_stable(**kwargs)
+        return self._target.run_until_stable(**kwargs)
 
     def settle(self, *, max_time: float = 100_000.0) -> None:
         """Run until the workload is done, whatever the TOB engine.
 
         The sequencer engine quiesces naturally; the Paxos engine keeps
         heartbeat/retry timers alive forever, so it is driven to a stable
-        state bounded by ``max_time`` instead.
+        state bounded by ``max_time`` instead. Stability only looks at
+        requests already invoked, so the drive repeats while any
+        closed-loop session still has its next invocation scheduled (it is
+        merely thinking); sessions that are idle, refused or paused on a
+        crashed replica hold nothing back.
         """
-        if self.cluster.config.tob_engine == "paxos":
-            self.cluster.run_until_stable(max_time=max_time)
-        else:
-            self.cluster.run_until_quiescent()
+        if self._target.config.tob_engine != "paxos":
+            self._target.run_until_quiescent()
+            return
+        sessions = self.sessions + [
+            session
+            for workload in self.workloads
+            for session in workload.sessions
+        ]
+        while True:
+            self._target.run_until_stable(max_time=max_time)
+            if self.now >= max_time or not any(
+                session.launch_pending for session in sessions
+            ):
+                return
 
     def shutdown(self) -> None:
-        self.cluster.shutdown()
+        self._target.shutdown()
 
     def converged(self) -> bool:
-        return self.cluster.converged()
+        return self._target.converged()
 
     def history(self, *, well_formed: bool = True) -> History:
         """Freeze the current staged records into a checkable history."""
-        return self.cluster.build_history(well_formed=well_formed)
+        return _only(self.clusters, "history()").build_history(
+            well_formed=well_formed
+        )
+
+    @property
+    def migrations(self) -> List[Migration]:
+        """Every resharding step this run has executed (or is executing)."""
+        return self.deployment.migrations if self.deployment is not None else []
 
     # -- finishing -----------------------------------------------------
     def add_probes(self, *, max_time: float = 100_000.0) -> None:
-        """Issue the configured horizon probes and run them to completion."""
+        """Issue the configured horizon probes (on every serving shard)
+        and run them to completion."""
         if self.scenario._probe_op is None:
             return
-        self.cluster.add_horizon_probes(
-            self.scenario._probe_op, spacing=self.scenario._probe_spacing
-        )
+        if self.deployment is not None:
+            probed = [
+                self.deployment.shards[index]
+                for index in self.deployment.live_shard_indexes()
+            ]
+        else:
+            probed = self.clusters
+        for cluster in probed:
+            cluster.add_horizon_probes(
+                self.scenario._probe_op, spacing=self.scenario._probe_spacing
+            )
         self.settle(max_time=max_time)
 
     def finish(
@@ -996,7 +1034,7 @@ class LiveRun:
         max_time: float = 100_000.0,
         settle: bool = True,
     ) -> "RunResult":
-        """Probe, freeze the history, run the configured checks.
+        """Probe, freeze each cluster's history, run the configured checks.
 
         With ``settle`` (the default) this is terminal: probes are issued
         and, for Paxos runs, the engine's perpetual timers are shut down so
@@ -1005,53 +1043,108 @@ class LiveRun:
         """
         if settle:
             self.add_probes(max_time=max_time)
-            if self.cluster.config.tob_engine == "paxos":
+            if self._target.config.tob_engine == "paxos":
                 self.shutdown()
-                self.cluster.run_until_quiescent()
-        history = self.history(well_formed=well_formed)
-        execution = build_abstract_execution(history)
+                self._target.run_until_quiescent()
+        clusters = list(self.clusters)
+        histories = [
+            cluster.build_history(well_formed=well_formed)
+            for cluster in clusters
+        ]
+        executions = [build_abstract_execution(h) for h in histories]
+        sharded = self.deployment is not None
+
+        def per_shard(reports: List[Any]) -> Any:
+            # A sharded run reports per shard; an unsharded one, the report.
+            return reports if sharded else reports[0]
+
         checks: Dict[str, Any] = {}
-        session_guarantees: Optional[Dict[str, Any]] = None
+        session_guarantees: Any = None
         for kind, level in self.scenario._checks:
-            if kind == "fec":
-                checks[f"fec:{level}"] = check_fec(execution, level)
-            elif kind == "bec":
-                checks[f"bec:{level}"] = check_bec(execution, level)
-            elif kind == "seq":
-                checks[f"seq:{level}"] = check_seq(execution, level)
+            if kind in _LEVEL_CHECKS:
+                checks[f"{kind}:{level}"] = per_shard(
+                    [_LEVEL_CHECKS[kind](x, level) for x in executions]
+                )
             elif kind == "ncc":
-                checks["ncc"] = check_ncc(execution)
+                checks["ncc"] = per_shard([check_ncc(x) for x in executions])
             elif kind == "sessions":
-                session_guarantees = check_all_session_guarantees(execution)
+                session_guarantees = per_shard(
+                    [check_all_session_guarantees(x) for x in executions]
+                )
+        if self.migrations:
+            checks["migrations"] = [
+                MigrationCheck(
+                    name=migration.describe(),
+                    ok=migration.complete,
+                    state=migration.state,
+                    error=migration.error,
+                )
+                for migration in self.migrations
+            ]
         return RunResult(
             name=self.scenario.name,
-            protocol=self.cluster.protocol,
-            cluster=self.cluster,
-            history=history,
-            execution=execution,
+            protocol=self._target.protocol,
+            clusters=clusters,
+            histories=histories,
+            executions=executions,
             futures=dict(self.futures),
             checks=checks,
             session_guarantees=session_guarantees,
-            convergence=self.cluster.convergence_report(),
+            convergence=self._target.convergence_report(),
             refused=dict(self.refused),
+            deployment=self.deployment,
+            router=self.router,
+            migrations=list(self.migrations),
+            controller=self.controller,
         )
 
 
 @dataclass
 class RunResult:
-    """Everything one scenario run produced, structured for assertions."""
+    """Everything one scenario run produced, structured for assertions.
+
+    One class serves any shard count: ``clusters`` / ``histories`` /
+    ``executions`` hold one entry per shard (one entry when unsharded),
+    and ``cluster`` / ``history`` / ``execution`` are the single-cluster
+    accessors, raising :class:`~repro.errors.MultiShardError` on a
+    multi-shard result. The sharded extras (``deployment``, ``router``,
+    ``migrations``, ``controller``) are ``None``/empty when unsharded.
+    """
 
     name: str
     protocol: str
-    cluster: BayouCluster = field(repr=False)
-    history: History = field(repr=False)
-    execution: Any = field(repr=False)
+    clusters: List[BayouCluster] = field(repr=False)
+    #: One frozen history per cluster, indexed by shard id.
+    histories: List[History] = field(repr=False)
+    executions: List[Any] = field(repr=False)
+    #: label -> future, across all shards (cross-shard parents included).
     futures: Dict[str, OpFuture] = field(repr=False)
+    #: check name -> the report (unsharded) or per-shard reports (sharded).
     checks: Dict[str, Any] = field(repr=False)
-    session_guarantees: Optional[Dict[str, Any]] = field(repr=False)
+    session_guarantees: Any = field(repr=False)
     convergence: Dict[str, Any] = field(repr=False)
     #: label -> time of scripted invocations refused at a crashed replica.
     refused: Dict[str, float] = field(repr=False, default_factory=dict)
+    deployment: Optional[ShardedCluster] = field(repr=False, default=None)
+    router: Optional[ShardRouter] = field(repr=False, default=None)
+    #: Resharding steps the run executed, in start order.
+    migrations: List[Migration] = field(repr=False, default_factory=list)
+    #: The autonomous placement controller, when ``autoscale()`` armed
+    #: one (its ``actions`` log is the experiment read surface).
+    controller: Optional[PlacementController] = field(repr=False, default=None)
+
+    # -- single-cluster accessors --------------------------------------
+    @property
+    def cluster(self) -> BayouCluster:
+        return _only(self.clusters, "cluster")
+
+    @property
+    def history(self) -> History:
+        return _only(self.histories, "history")
+
+    @property
+    def execution(self) -> Any:
+        return _only(self.executions, "execution")
 
     # -- responses -----------------------------------------------------
     @property
@@ -1085,35 +1178,60 @@ class RunResult:
 
     # -- verdicts ------------------------------------------------------
     @property
+    def n_shards(self) -> Optional[int]:
+        """Shard slots of the deployment (None when unsharded)."""
+        return self.deployment.n_shards if self.deployment is not None else None
+
+    @property
+    def epoch(self) -> Optional[int]:
+        """The placement epoch the deployment finished on (None when
+        unsharded)."""
+        return self.deployment.epoch if self.deployment is not None else None
+
+    @property
     def converged(self) -> bool:
         return bool(self.convergence["converged"])
 
-    def check(self, name: str) -> Any:
-        """A requested guarantee report, e.g. ``check("fec:weak")``."""
-        return self.checks[name]
+    def _reports(self, name: str) -> List[Any]:
+        reports = self.checks[name]
+        return reports if isinstance(reports, list) else [reports]
+
+    def check(self, name: str, shard: Optional[int] = None) -> Any:
+        """A requested guarantee report, e.g. ``check("fec:weak")`` —
+        per shard on a sharded result, or one shard's with ``shard``."""
+        return self.checks[name] if shard is None else self._reports(name)[shard]
 
     def ok(self, name: str) -> bool:
-        return bool(self.checks[name].ok)
+        """True when the named check holds (on *every* shard)."""
+        return all(bool(report.ok) for report in self._reports(name))
 
     # -- state and metrics ---------------------------------------------
     def query(self, op: Operation) -> Any:
-        """Execute a read-only ``op`` against replica 0's converged state."""
-        snapshot = PlainDb(self.cluster.replicas[0].state.snapshot())
+        """Execute a read-only ``op`` against replica 0's converged state
+        (of the shard owning the op's keys)."""
+        if self.router is not None:
+            return self.router.query(op)
+        snapshot = PlainDb(self.shard_snapshot(0))
         return self.history.datatype.execute(op, snapshot)
+
+    def shard_snapshot(self, shard: int) -> Dict[Any, Any]:
+        """Replica 0's register snapshot of one shard."""
+        return self.clusters[shard].replicas[0].state.snapshot()
 
     def latencies(
         self, level: Optional[str] = None, *, session: Optional[int] = None
     ) -> List[float]:
-        """Response latencies from the history (optionally filtered)."""
+        """Response latencies from the histories (optionally filtered)."""
         samples = []
-        for event in self.history.events:
-            if event.return_time is None:
-                continue
-            if level is not None and event.level != level:
-                continue
-            if session is not None and event.session != session:
-                continue
-            samples.append(event.return_time - event.invoke_time)
+        for history in self.histories:
+            for event in history.events:
+                if event.return_time is None:
+                    continue
+                if level is not None and event.level != level:
+                    continue
+                if session is not None and event.session != session:
+                    continue
+                samples.append(event.return_time - event.invoke_time)
         return samples
 
     @property
@@ -1127,8 +1245,9 @@ class RunResult:
     # -- telemetry -----------------------------------------------------
     @property
     def telemetry(self):
-        """The run's telemetry plane (``None`` unless ``.telemetry()``)."""
-        return self.cluster.telemetry
+        """The run's telemetry plane (``None`` unless ``.telemetry()``);
+        the shards of a deployment share one."""
+        return self.clusters[0].telemetry
 
     def op_timestamps(self) -> Dict[str, Dict[str, Optional[float]]]:
         """label -> submit/invoke/response/stable times of labelled ops."""

@@ -52,7 +52,6 @@ from repro.shard.partitioner import (
     VersionedShardMap,
 )
 from repro.shard.router import ShardedSession, ShardRouter
-from repro.shard.scenario import ShardedLiveRun, ShardedRunResult
 
 __all__ = [
     "CrossShardCoordinator",
@@ -71,8 +70,6 @@ __all__ = [
     "ShardRouter",
     "ShardStats",
     "ShardedCluster",
-    "ShardedLiveRun",
-    "ShardedRunResult",
     "ShardedSession",
     "SpaceSavingSketch",
     "VersionedShardMap",

@@ -50,6 +50,7 @@ the hazard entirely.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, TYPE_CHECKING
 
 from repro.core.durability import register_codec
@@ -524,3 +525,20 @@ class Migration:
         callbacks, self._completion_callbacks = self._completion_callbacks, []
         for callback in callbacks:
             callback()
+
+
+@dataclass
+class MigrationCheck:
+    """Per-migration protocol-completion verdict (``checks["migrations"]``).
+
+    ``ok`` is True only for a migration whose epoch activated. A stranded
+    migration (an endpoint lost every replica to crash-stop mid-handoff)
+    carries its named :class:`~repro.errors.MigrationStrandedError` in
+    ``error`` — the run *finishes* and the failure is a first-class check
+    result, where it previously wedged the deployment silently.
+    """
+
+    name: str
+    ok: bool
+    state: str
+    error: Optional[MigrationStrandedError] = None

@@ -331,12 +331,10 @@ class ShardRouter:
         return self._submit_routed(shard, pid, op, strong=strong)
 
     def connect(
-        self, pid: int = 0, *, think_time: float = 0.0, on_response=None
+        self, pid: int = 0, *, think_time: float = 0.0
     ) -> "ShardedSession":
         """Open a closed-loop keyspace-wide session (replica index ``pid``)."""
-        return ShardedSession(
-            self, pid, think_time=think_time, on_response=on_response
-        )
+        return ShardedSession(self, pid, think_time=think_time)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -386,12 +384,10 @@ class ShardedSession:
         pid: int,
         *,
         think_time: float = 0.0,
-        on_response=None,
     ) -> None:
         self.router = router
         self.pid = pid
         self.think_time = think_time
-        self.on_response = on_response
         self._queue: Deque[OpFuture] = deque()
         self._outstanding: Optional[OpFuture] = None
         self._pump_scheduled = False
@@ -457,6 +453,11 @@ class ShardedSession:
     @property
     def idle(self) -> bool:
         return self._outstanding is None and not self._queue
+
+    @property
+    def launch_pending(self) -> bool:
+        """True while the next invocation is a pending simulation event."""
+        return self._pump_scheduled
 
     # -- the pump --------------------------------------------------------
     def _maybe_schedule_pump(self) -> None:
@@ -585,8 +586,6 @@ class ShardedSession:
             # before its final position committed. Sampled at stability
             # so the controller sees the freshness price of its moves.
             future.add_stable_callback(self._record_staleness)
-        if self.on_response is not None:
-            self.on_response(future.op, future.strong, future.rval, latency)
         self._maybe_schedule_pump()
 
     def _record_staleness(self, future: OpFuture) -> None:

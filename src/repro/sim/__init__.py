@@ -9,7 +9,6 @@ It provides:
   configurable offset and rate, used for Bayou's timestamps.
 - :class:`~repro.sim.process.Process`: a base class for protocol state
   machines that react to scheduled events.
-- :class:`~repro.sim.trace.TraceLog`: structured, queryable event traces.
 - :class:`~repro.sim.rng.SeededRngRegistry`: independent, reproducible random
   streams per component.
 
@@ -22,7 +21,6 @@ from repro.sim.clock import DriftingClock, PerfectClock
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.process import Process
 from repro.sim.rng import SeededRngRegistry
-from repro.sim.trace import TraceEntry, TraceLog
 
 __all__ = [
     "DriftingClock",
@@ -31,6 +29,4 @@ __all__ = [
     "ScheduledEvent",
     "SeededRngRegistry",
     "Simulator",
-    "TraceEntry",
-    "TraceLog",
 ]

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.client import ClientSession
 from repro.core.cluster import BayouCluster, MODIFIED, ORIGINAL
 from repro.core.config import BayouConfig
+from repro.core.session import Session
 from repro.datatypes.counter import Counter
 from repro.datatypes.rlist import RList
 from repro.framework.history import PENDING
@@ -101,7 +101,7 @@ def test_probe_spacing_accounts_for_clock_offsets():
 
 def test_session_runs_operations_sequentially():
     cluster = make_cluster()
-    session = ClientSession(cluster, 0, think_time=0.5)
+    session = Session(cluster, 0, think_time=0.5)
     for index in range(5):
         session.submit(Counter.increment(1))
     cluster.run_until_quiescent()
@@ -111,21 +111,19 @@ def test_session_runs_operations_sequentially():
     assert len(history) == 5
 
 
-def test_session_on_response_callback():
+def test_session_done_callbacks():
     cluster = make_cluster()
     seen = []
-    session = ClientSession(
-        cluster, 0, on_response=lambda op, strong, rval, lat: seen.append(rval)
-    )
-    session.submit(Counter.increment(5))
-    session.submit(Counter.read())
+    session = Session(cluster, 0)
+    for op in (Counter.increment(5), Counter.read()):
+        session.submit(op).add_done_callback(lambda f: seen.append(f.rval))
     cluster.run_until_quiescent()
     assert seen == [5, 5]
 
 
 def test_session_latencies_recorded():
     cluster = make_cluster(protocol=MODIFIED)
-    session = ClientSession(cluster, 1)
+    session = Session(cluster, 1)
     session.submit(Counter.increment(1))          # weak: immediate
     session.submit(Counter.increment(1), True)    # strong: waits for TOB
     cluster.run_until_quiescent()
@@ -136,7 +134,7 @@ def test_session_latencies_recorded():
 
 def test_mixed_sessions_multiple_replicas_converge():
     cluster = make_cluster(datatype=RList())
-    sessions = [ClientSession(cluster, pid, think_time=0.3) for pid in range(3)]
+    sessions = [Session(cluster, pid, think_time=0.3) for pid in range(3)]
     for index, session in enumerate(sessions):
         for op_index in range(4):
             session.submit(

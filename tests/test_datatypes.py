@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.datatypes.base import PlainDb, UnknownOperationError
+from repro.datatypes.base import PlainDb
 from repro.datatypes.bank import BankAccounts
 from repro.datatypes.counter import Counter
 from repro.datatypes.kvstore import KVStore
 from repro.datatypes.orset import SetType
 from repro.datatypes.register import Register
 from repro.datatypes.rlist import RList
+from repro.errors import UnknownOperationError
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ import asyncio
 
 import pytest
 
+from repro.broadcast.failure_detector import OmegaFailureDetector
+from repro.broadcast.paxos import PaxosTOB
 from repro.net.network import Network
 from repro.net.node import RoutingNode
 from repro.runtime.asyncio_net import AsyncioRuntime
@@ -209,3 +211,34 @@ def test_asyncio_runtime_is_a_runtime():
     assert isinstance(runtime, Runtime)
     assert isinstance(runtime.timeview, RuntimeTimeView)
     assert runtime.n_processes == 1
+
+
+def test_paxos_stack_builds_before_the_loop_exists_and_runs_after():
+    """``python -m repro serve`` constructs its replica before
+    ``asyncio.run``: building Ω + Paxos must read no clock, and the timer
+    Paxos arms at construction must fire once the runtime starts."""
+    runtime = _loopback_runtime()
+    with pytest.raises(RuntimeError):
+        runtime.now()  # the runtime has no clock until a loop runs
+    node = RoutingNode(runtime, 0)
+    delivered = []
+    omega = OmegaFailureDetector(node, heartbeat_interval=0.05, timeout=0.2)
+    tob = PaxosTOB(
+        node, lambda key, payload: delivered.append(key), omega,
+        retry_interval=0.1,
+    )
+
+    async def scenario():
+        await runtime.start()  # arms the prewarm timer held since construction
+        omega.start()
+        tob.tob_cast("k", "v")
+        for _ in range(200):
+            if delivered:
+                break
+            await asyncio.sleep(0.01)
+        tob.stop()
+        omega.stop()
+        await runtime.stop()
+        return delivered
+
+    assert asyncio.run(scenario()) == ["k"]

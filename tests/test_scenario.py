@@ -5,11 +5,13 @@ import pytest
 from repro import (
     BayouConfig,
     Counter,
+    KVStore,
     PENDING,
     RList,
     Scenario,
 )
 from repro.analysis.experiments.figure1 import figure1_scenario, run_figure1
+from repro.errors import MultiShardError
 from repro.framework.history import STRONG, WEAK
 
 
@@ -382,3 +384,77 @@ class TestScenarioReorderKnob:
         assert result.converged
         for replica in result.cluster.replicas:
             assert replica.state.checkpoint_interval == 16
+
+
+# ----------------------------------------------------------------------
+# One facade for any shard count
+# ----------------------------------------------------------------------
+def _three_line_program(shards):
+    scenario = Scenario(KVStore()).replicas(3).checks(fec="weak", seq="strong")
+    if shards is not None:
+        scenario.shards(shards)
+    return (
+        scenario
+        .invoke(1.0, 0, KVStore.put("a", 1), label="put")
+        .invoke(3.0, 1, KVStore.put_if_absent("a", 2), strong=True, label="pia")
+        .invoke(6.0, 2, KVStore.get("a"), label="get")
+    )
+
+
+class TestOneFacade:
+    @pytest.mark.parametrize("shards", [None, 1])
+    def test_one_shard_is_the_unsharded_run(self, shards):
+        reference = _three_line_program(None).run()
+        result = _three_line_program(shards).run()
+        assert type(result) is type(reference)
+        committed = [req.dot for req in result.cluster.replicas[0].committed]
+        assert committed == [
+            req.dot for req in reference.cluster.replicas[0].committed
+        ]
+        assert result.shard_snapshot(0) == reference.shard_snapshot(0)
+        assert result.responses == reference.responses
+        assert result.query(KVStore.get("a")) == 1
+        assert result.converged
+        for name in ("fec:weak", "seq:strong"):
+            assert result.ok(name) and reference.ok(name)
+            assert result.check(name, shard=0).ok
+        assert len(result.history) == len(reference.history) == 3
+        # The sharded extras are filled in exactly when .shards(n) was called.
+        assert (result.deployment is None) == (shards is None)
+        assert (result.router is None) == (shards is None)
+        assert result.n_shards == shards and result.migrations == []
+
+    def test_single_cluster_accessors_refuse_a_multi_shard_run(self):
+        live = _three_line_program(2).build()
+        with pytest.raises(MultiShardError, match="2 shards"):
+            live.cluster
+        result = live.finish()
+        assert len(result.histories) == len(result.clusters) == 2
+        for accessor in ("history", "execution", "cluster"):
+            with pytest.raises(MultiShardError, match="2 shards"):
+                getattr(result, accessor)
+
+
+# ----------------------------------------------------------------------
+# settle() on Paxos runs: thinking sessions are not "done"
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shards", [None, 2])
+@pytest.mark.parametrize("think_time", [2.0, 60.0])
+def test_settle_drives_closed_loop_sessions_to_the_end(shards, think_time):
+    """Stability looks at invoked requests only; a session between two
+    operations used to let settle() return with most of its queue unsent
+    (72 of 180 futures stable at think 2.0, 3 of 180 at think 60)."""
+    scenario = Scenario(KVStore()).replicas(3).tob("paxos")
+    if shards is not None:
+        scenario.shards(shards)
+    for pid in range(3):
+        client = scenario.client(pid, think_time=think_time)
+        for index in range(60):
+            client.weak(KVStore.put(f"k{pid}-{index % 7}", index))
+    live = scenario.build()
+    live.settle()
+    futures = [future for session in live.sessions for future in session.futures]
+    assert len(futures) == 180
+    assert all(future.stable for future in futures)
+    assert all(session.idle for session in live.sessions)
+    assert live.converged()

@@ -297,8 +297,8 @@ class TestOperationRegistry:
             public = {
                 name
                 for name in vars(host)
-                if not name.startswith("_") and name != "on_response"
-            } | {"on_response"}
+                if not name.startswith("_")
+            }
             missing = public - RESERVED_OPERATION_NAMES
             assert not missing, f"{host.__name__} attrs not reserved: {missing}"
 

@@ -1,7 +1,6 @@
-"""Unit tests for seeded RNG streams and the trace log."""
+"""Unit tests for seeded RNG streams."""
 
 from repro.sim.rng import SeededRngRegistry
-from repro.sim.trace import TraceLog
 
 
 def test_same_seed_same_stream():
@@ -39,25 +38,3 @@ def test_fork_is_deterministic_and_distinct():
     assert base.stream("s").random() != SeededRngRegistry(1).fork(
         "other"
     ).stream("s").random()
-
-
-def test_trace_record_and_filters():
-    log = TraceLog()
-    log.record(1.0, 0, "send", to=1)
-    log.record(2.0, 1, "recv", source=0)
-    log.record(3.0, 0, "send", to=2)
-    assert len(log) == 3
-    assert log.count(kind="send") == 2
-    assert log.count(process=1) == 1
-    sends_from_zero = log.entries(kind="send", process=0)
-    assert [entry.time for entry in sends_from_zero] == [1.0, 3.0]
-
-
-def test_trace_predicate_filter_and_last():
-    log = TraceLog()
-    log.record(1.0, 0, "exec", dot=(0, 1))
-    log.record(2.0, 0, "exec", dot=(0, 2))
-    assert log.last(kind="exec").data["dot"] == (0, 2)
-    assert log.last(kind="missing") is None
-    only_second = log.entries(predicate=lambda e: e.data["dot"] == (0, 2))
-    assert len(only_second) == 1
