@@ -37,6 +37,7 @@ from repro.broadcast.paxos import PaxosTOB
 from repro.broadcast.sequencer import SequencerTOB
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
+from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
 N_NODES = 3
@@ -76,7 +77,8 @@ class _Rig:
     def __init__(self, engine: str) -> None:
         self.sim = Simulator()
         self.network = Network(self.sim, N_NODES, latency=FixedLatency(1.0))
-        self.nodes = [RoutingNode(self.sim, self.network, pid) for pid in range(N_NODES)]
+        runtime = SimRuntime(self.sim, self.network)
+        self.nodes = [RoutingNode(runtime, pid) for pid in range(N_NODES)]
         self.delivered: List[List[Hashable]] = [[] for _ in range(N_NODES)]
         self.endpoints = []
         self.omegas = []

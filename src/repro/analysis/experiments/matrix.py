@@ -129,7 +129,7 @@ def _smr_row() -> MatrixRow:
     blocked.schedule_invoke(1.0, 2, Counter.increment(1))
     blocked.run(until=200.0)
     minority_answered = any(
-        record.responded for record in blocked._staged.values()
+        future.done for future in blocked.ops.futures.values()
     )
     return MatrixRow(
         system="SMR",

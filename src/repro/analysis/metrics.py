@@ -9,9 +9,10 @@ Two quantifications of *temporary operation reordering*:
   trace whose order contradicts the final TOB order (the observer saw a
   state the final serialisation never passes through).
 
-Plus the shared throughput/staleness folds every sharded experiment
-(E12–E15) reduces its futures with: :func:`rate`,
-:func:`committed_op_rate` and :func:`weak_staleness_samples`. One
+Plus the shared throughput/latency/staleness folds that
+:class:`~repro.scenario.RunResult` and every sharded experiment (E12–E15)
+reduce their futures with: :func:`rate`, :func:`committed_op_rate`,
+:func:`commit_latency_samples` and :func:`weak_staleness_samples`. One
 definition, one set of edge-case conventions (empty window → the
 caller's default; half-open ``start <= t < end`` windows).
 """
@@ -99,6 +100,11 @@ def committed_op_rate(
     return rate(len(stable), max(stable) - min(invoked), default=default)
 
 
+def commit_latency_samples(futures: Iterable) -> List[float]:
+    """``stable − invoke`` of every op that stabilised."""
+    return [f.commit_latency for f in futures if f.commit_latency is not None]
+
+
 def weak_staleness_samples(futures: Iterable) -> List[float]:
     """``stable − response`` of every weak op holding both timestamps.
 
@@ -106,11 +112,7 @@ def weak_staleness_samples(futures: Iterable) -> List[float]:
     acting on a weak response waited before that response became final.
     """
     return [
-        f.stable_time - f.response_time
-        for f in futures
-        if not f.strong
-        and f.stable_time is not None
-        and f.response_time is not None
+        f.staleness for f in futures if not f.strong and f.staleness is not None
     ]
 
 

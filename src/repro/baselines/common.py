@@ -1,42 +1,27 @@
-"""Shared plumbing for baseline clusters: staging, history construction.
+"""Shared plumbing for baseline clusters: request minting, op records.
 
 Baselines mirror the relevant slice of :class:`repro.core.cluster.
 BayouCluster`'s API (``invoke``/``schedule_invoke``/``run*``/
-``build_history``/``converged``) so experiments can swap systems freely.
+``build_history``/``converged``) so experiments can swap systems freely,
+and keep the same per-operation record (an
+:class:`~repro.core.session.OpFuture` in an
+:class:`~repro.core.session.OpLedger`) frozen by the same function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.request import Dot, Req
+from repro.core.session import OpFuture, OpLedger
 from repro.datatypes.base import DataType, Operation
-from repro.framework.history import PENDING, History, HistoryEvent
+from repro.framework.history import History, freeze_history
 from repro.net.faults import MessageFilter
 from repro.net.network import FixedLatency, Network
 from repro.net.partition import PartitionSchedule
+from repro.runtime.sim import SimRuntime
 from repro.sim.clock import DriftingClock
 from repro.sim.kernel import Simulator
-
-
-@dataclass
-class StagedRecord:
-    """Mutable invocation record, frozen into a HistoryEvent at the end."""
-
-    dot: Dot
-    session: int
-    op: Operation
-    level: str
-    timestamp: float
-    invoke_time: float
-    readonly: bool
-    tob_cast: bool
-    rval: Any = PENDING
-    return_time: Optional[float] = None
-    perceived: Optional[Tuple[Dot, ...]] = None
-    responded: bool = False
-    seq: int = 0
 
 
 class BaselineCluster:
@@ -66,48 +51,36 @@ class BaselineCluster:
             partitions=self.partitions,
             filters=self.filters,
         )
+        #: The runtime every baseline node runs against.
+        self.runtime = SimRuntime(self.sim, self.network)
         self.clocks = [
             DriftingClock(self.sim) for _ in range(n_replicas)
         ]
-        self._staged: Dict[Dot, StagedRecord] = {}
-        self._invocation_seq = 0
+        #: Every operation ever invoked here, by dot.
+        self.ops = OpLedger(self.runtime.now)
+        self._event_numbers = [0] * n_replicas
         self._horizon: Optional[float] = None
 
     # ------------------------------------------------------------------
-    # Staging helpers used by subclasses
+    # Record helpers used by subclasses
     # ------------------------------------------------------------------
-    def _stage(
-        self,
-        req: Req,
-        level: str,
-        *,
-        tob_cast: bool,
-    ) -> StagedRecord:
-        self._invocation_seq += 1
-        record = StagedRecord(
-            dot=req.dot,
-            session=req.dot[0],
-            op=req.op,
-            level=level,
-            timestamp=req.timestamp,
-            invoke_time=self.sim.now,
-            readonly=self.datatype.is_readonly(req.op),
-            tob_cast=tob_cast,
-            seq=self._invocation_seq,
+    def _begin(
+        self, pid: int, op: Operation, *, strong: bool, tob_cast: bool
+    ) -> Req:
+        """Mint the request for ``op`` on ``pid`` and open its record; the
+        subclass reports the (first and only) response to
+        ``self.ops.on_response``."""
+        self._event_numbers[pid] += 1
+        req = Req(
+            timestamp=self.clocks[pid].now(),
+            dot=(pid, self._event_numbers[pid]),
+            strong=strong,
+            op=op,
         )
-        self._staged[req.dot] = record
-        return record
-
-    def _record_response(
-        self, dot: Dot, response: Any, perceived: Tuple[Dot, ...]
-    ) -> None:
-        record = self._staged[dot]
-        if record.responded:
-            return
-        record.responded = True
-        record.rval = response
-        record.return_time = self.sim.now
-        record.perceived = perceived
+        future = self.ops.open(req.dot, OpFuture(op, strong=strong, pid=pid))
+        future.request = req
+        future.tob_cast = tob_cast
+        return req
 
     # ------------------------------------------------------------------
     # Run control
@@ -143,26 +116,10 @@ class BaselineCluster:
         return []
 
     def build_history(self, *, well_formed: bool = True) -> History:
-        tob_index = {dot: i for i, dot in enumerate(self._tob_order())}
-        events = []
-        for record in self._staged.values():
-            events.append(
-                HistoryEvent(
-                    eid=record.dot,
-                    session=record.session,
-                    op=record.op,
-                    level=record.level,
-                    invoke_time=record.invoke_time,
-                    return_time=record.return_time,
-                    rval=record.rval if record.responded else PENDING,
-                    timestamp=record.timestamp,
-                    readonly=record.readonly,
-                    tob_cast=record.tob_cast,
-                    tob_no=tob_index.get(record.dot),
-                    perceived_trace=record.perceived,
-                    seq=record.seq,
-                )
-            )
-        return History(
-            events, self.datatype, horizon=self._horizon, well_formed=well_formed
+        return freeze_history(
+            self.ops.futures.values(),
+            self.datatype,
+            self._tob_order(),
+            horizon=self._horizon,
+            well_formed=well_formed,
         )

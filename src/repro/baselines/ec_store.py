@@ -19,7 +19,6 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 from repro.baselines.common import BaselineCluster
 from repro.core.request import Dot, Req
 from repro.datatypes.base import DataType, DbView, Operation
-from repro.framework.history import WEAK
 from repro.net.node import RoutingNode
 
 _TAG = "ec"
@@ -104,9 +103,8 @@ class ECStoreCluster(BaselineCluster):
     ) -> None:
         super().__init__(datatype, n_replicas, **kwargs)
         self.replicas: List[_ECReplica] = []
-        self._event_numbers = [0] * n_replicas
         for pid in range(n_replicas):
-            node = RoutingNode(self.sim, self.network, pid, name=f"EC{pid}")
+            node = RoutingNode(self.runtime, pid, name=f"EC{pid}")
             self.replicas.append(_ECReplica(node, self))
 
     def invoke(self, pid: int, op: Operation, *, strong: bool = False) -> Req:
@@ -115,19 +113,12 @@ class ECStoreCluster(BaselineCluster):
             raise UnsupportedOperationError(
                 "an eventually consistent store has no strong operations"
             )
-        self._event_numbers[pid] += 1
-        req = Req(
-            timestamp=self.clocks[pid].now(),
-            dot=(pid, self._event_numbers[pid]),
-            strong=False,
-            op=op,
-        )
-        record = self._stage(req, WEAK, tob_cast=False)
+        req = self._begin(pid, op, strong=False, tob_cast=False)
         replica = self.replicas[pid]
         response = replica.apply(req)
         # Perceived trace: updates applied here, in LWW order, before us.
         trace = tuple(dot for dot in replica.trace() if dot != req.dot)
-        self._record_response(req.dot, response, trace)
+        self.ops.on_response(req, response, trace, False)
         if req.dot in replica.applied_dots:
             replica.node.broadcast_component(_TAG, req)
         return req

@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.baselines.common import BaselineCluster
 from repro.core.request import Dot, Req
 from repro.datatypes.base import DataType, Operation, PlainDb
-from repro.framework.history import WEAK
 from repro.net.node import RoutingNode
 
 _TAG = "gsp"
@@ -103,14 +102,11 @@ class GSPCluster(BaselineCluster):
     ) -> None:
         super().__init__(datatype, n_replicas, extra_processes=1, **kwargs)
         self.cloud_pid = n_replicas
-        cloud_node = RoutingNode(
-            self.sim, self.network, self.cloud_pid, name="cloud"
-        )
+        cloud_node = RoutingNode(self.runtime, self.cloud_pid, name="cloud")
         self.cloud = _GSPCloud(cloud_node, n_replicas)
         self.clients: List[_GSPClient] = []
-        self._event_numbers = [0] * n_replicas
         for pid in range(n_replicas):
-            node = RoutingNode(self.sim, self.network, pid, name=f"GSP{pid}")
+            node = RoutingNode(self.runtime, pid, name=f"GSP{pid}")
             self.clients.append(_GSPClient(node, self, self.cloud_pid))
 
     def invoke(self, pid: int, op: Operation, *, strong: bool = False) -> Req:
@@ -120,16 +116,9 @@ class GSPCluster(BaselineCluster):
                 "GSP has no strong operations; its prefix is totally ordered "
                 "but clients never wait for it"
             )
-        self._event_numbers[pid] += 1
-        req = Req(
-            timestamp=self.clocks[pid].now(),
-            dot=(pid, self._event_numbers[pid]),
-            strong=False,
-            op=op,
-        )
-        self._stage(req, WEAK, tob_cast=True)
+        req = self._begin(pid, op, strong=False, tob_cast=True)
         response, trace = self.clients[pid].submit(req)
-        self._record_response(req.dot, response, trace)
+        self.ops.on_response(req, response, trace, False)
         return req
 
     def _tob_order(self) -> List[Dot]:

@@ -18,7 +18,6 @@ from repro.broadcast.sequencer import SequencerTOB
 from repro.core.request import Dot, Req
 from repro.core.state_object import StateObject
 from repro.datatypes.base import DataType, Operation
-from repro.framework.history import STRONG
 from repro.net.node import RoutingNode
 
 
@@ -44,7 +43,7 @@ class _SMRReplica:
         response = self.state.execute(req)
         self.log.append(req)
         if req.dot[0] == self.node.pid:
-            self.cluster._record_response(req.dot, response, trace)
+            self.cluster.ops.on_response(req, response, trace, False)
 
 
 class SMRCluster(BaselineCluster):
@@ -60,21 +59,13 @@ class SMRCluster(BaselineCluster):
     ) -> None:
         super().__init__(datatype, n_replicas, **kwargs)
         self.replicas: List[_SMRReplica] = []
-        self._event_numbers = [0] * n_replicas
         for pid in range(n_replicas):
-            node = RoutingNode(self.sim, self.network, pid, name=f"SMR{pid}")
+            node = RoutingNode(self.runtime, pid, name=f"SMR{pid}")
             self.replicas.append(_SMRReplica(node, self, sequencer_pid))
 
     def invoke(self, pid: int, op: Operation, *, strong: bool = True) -> Req:
         """Submit ``op``; the response arrives when TOB commits it here."""
-        self._event_numbers[pid] += 1
-        req = Req(
-            timestamp=self.clocks[pid].now(),
-            dot=(pid, self._event_numbers[pid]),
-            strong=True,
-            op=op,
-        )
-        self._stage(req, STRONG, tob_cast=True)
+        req = self._begin(pid, op, strong=True, tob_cast=True)
         self.replicas[pid].submit(req)
         return req
 

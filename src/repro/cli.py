@@ -14,116 +14,28 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import Callable, Dict, List
+from typing import Dict, List, Tuple
 
-
-def _run_figure1() -> None:
-    from repro.analysis.experiments import figure1
-
-    figure1.main()
-
-
-def _run_figure2() -> None:
-    from repro.analysis.experiments import figure2
-
-    figure2.main()
-
-
-def _run_progress() -> None:
-    from repro.analysis.experiments import progress
-
-    progress.main()
-
-
-def _run_theorem1() -> None:
-    from repro.analysis.experiments import theorem1
-
-    theorem1.main()
-
-
-def _run_theorems() -> None:
-    from repro.analysis.experiments import theorems
-
-    theorems.main()
-
-
-def _run_matrix() -> None:
-    from repro.analysis.experiments import matrix
-
-    matrix.main()
-
-
-def _run_performance() -> None:
-    from repro.analysis.experiments import performance
-
-    performance.main()
-
-
-def _run_reorder() -> None:
-    from repro.analysis.experiments import reorder
-
-    reorder.main()
-
-
-def _run_sessions() -> None:
-    from repro.analysis.experiments import sessions
-
-    sessions.main()
-
-
-def _run_recovery() -> None:
-    from repro.analysis.experiments import recovery
-
-    recovery.main([])
-
-
-def _run_shard() -> None:
-    from repro.analysis.experiments import sharding
-
-    sharding.main([])
-
-
-def _run_reshard() -> None:
-    from repro.analysis.experiments import resharding
-
-    resharding.main([])
-
-
-def _run_rebalance() -> None:
-    from repro.analysis.experiments import rebalancing
-
-    rebalancing.main([])
-
-
-def _run_realtime() -> None:
-    from repro.analysis.experiments import realtime
-
-    realtime.main([])
-
-
-def _run_batch() -> None:
-    from repro.analysis.experiments import batching
-
-    batching.main([])
-
-
-EXPERIMENTS: Dict[str, tuple] = {
-    "figure1": ("E1: Figure 1 — temporary operation reordering", _run_figure1),
-    "figure2": ("E2: Figure 2 — circular causality", _run_figure2),
-    "progress": ("E3: Section 2.3 — unbounded waits, rollback storm", _run_progress),
-    "theorem1": ("E4: Theorem 1 — live schedule + exhaustive search", _run_theorem1),
-    "theorems": ("E5/E6: Theorems 2 & 3 — FEC ∧ Seq checked on runs", _run_theorems),
-    "matrix": ("E7: guarantee matrix across systems", _run_matrix),
-    "performance": ("E8: latency/throughput envelope", _run_performance),
-    "sessions": ("E9: session-guarantee cost of Algorithm 2", _run_sessions),
-    "reorder": ("E10: checkpointed reorder engine at scale", _run_reorder),
-    "recovery": ("E11: crash-recovery — durable state, catch-up, convergence", _run_recovery),
-    "shard": ("E12: sharded scaling, key skew, cross-shard strong transfers", _run_shard),
-    "reshard": ("E13: live resharding — split under traffic, dip, conservation", _run_reshard),
-    "rebalance": ("E14: autonomous rebalancing — controller vs oracle under a moving hotspot", _run_rebalance),
-    "realtime": ("E15: realtime deployment over TCP cross-checked against the sim", _run_realtime),
-    "batch": ("E16: batched pipelined Multi-Paxos — ops per message round across engines", _run_batch),
+#: name -> (description, module under ``repro.analysis.experiments``, the
+#: arguments its ``main`` takes: none, or an empty argv).
+EXPERIMENTS: Dict[str, Tuple[str, str, tuple]] = {
+    "figure1": ("E1: Figure 1 — temporary operation reordering", "figure1", ()),
+    "figure2": ("E2: Figure 2 — circular causality", "figure2", ()),
+    "progress": ("E3: Section 2.3 — unbounded waits, rollback storm", "progress", ()),
+    "theorem1": ("E4: Theorem 1 — live schedule + exhaustive search", "theorem1", ()),
+    "theorems": ("E5/E6: Theorems 2 & 3 — FEC ∧ Seq checked on runs", "theorems", ()),
+    "matrix": ("E7: guarantee matrix across systems", "matrix", ()),
+    "performance": ("E8: latency/throughput envelope", "performance", ()),
+    "sessions": ("E9: session-guarantee cost of Algorithm 2", "sessions", ()),
+    "reorder": ("E10: checkpointed reorder engine at scale", "reorder", ()),
+    "recovery": ("E11: crash-recovery — durable state, catch-up, convergence", "recovery", ([],)),
+    "shard": ("E12: sharded scaling, key skew, cross-shard strong transfers", "sharding", ([],)),
+    "reshard": ("E13: live resharding — split under traffic, dip, conservation", "resharding", ([],)),
+    "rebalance": ("E14: autonomous rebalancing — controller vs oracle under a moving hotspot", "rebalancing", ([],)),
+    "realtime": ("E15: realtime deployment over TCP cross-checked against the sim", "realtime", ([],)),
+    "batch": ("E16: batched pipelined Multi-Paxos — ops per message round across engines", "batching", ([],)),
 }
 
 #: Experiments excluded from ``all``: they spawn real OS processes and bind
@@ -164,8 +76,7 @@ def main(argv: List[str] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):
-            description, _ = EXPERIMENTS[name]
-            print(f"  {name:12s} {description}")
+            print(f"  {name:12s} {EXPERIMENTS[name][0]}")
         return 0
     selected = (
         sorted(set(EXPERIMENTS) - NOT_IN_ALL)
@@ -173,9 +84,10 @@ def main(argv: List[str] = None) -> int:
         else [args.experiment]
     )
     for name in selected:
-        description, runner = EXPERIMENTS[name]
+        description, module, main_args = EXPERIMENTS[name]
         print(f"== {description} ==")
-        runner()
+        experiment = importlib.import_module(f"repro.analysis.experiments.{module}")
+        experiment.main(*main_args)
         print()
     return 0
 

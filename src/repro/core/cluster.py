@@ -18,28 +18,29 @@ Typical experiment shape::
 
 from __future__ import annotations
 
-import os
 import tempfile
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.broadcast.anti_entropy import AntiEntropy
 from repro.broadcast.failure_detector import OmegaFailureDetector
 from repro.core.config import BayouConfig
-from repro.core.durability import DurableStore, open_store
+from repro.core.durability import DurableStore
 from repro.core.modified_replica import ModifiedBayouReplica
 from repro.core.replica import BayouReplica
 from repro.core.request import Dot, Req
-from repro.core.session import OpFuture, Session
-from repro.core.stack import build_replica_stack
+from repro.core.session import OpFuture, OpLedger, Session
+from repro.core.stack import (
+    build_replica_stack,
+    open_replica_store,
+    stop_replica_stack,
+)
 from repro.datatypes.base import DataType, Operation
 from repro.errors import DivergedOrderError, ReplicaUnavailableError
-from repro.framework.history import PENDING, STRONG, WEAK, History, HistoryEvent
+from repro.framework.history import History, freeze_history
 from repro.net.faults import CrashSchedule, MessageFilter
 from repro.net.network import FixedLatency, Network, UniformLatency
 from repro.net.node import RoutingNode
 from repro.net.partition import PartitionSchedule
-from repro.obs import Telemetry, TelemetryScope
+from repro.obs import Telemetry
 from repro.runtime.sim import SimRuntime
 from repro.sim.clock import DriftingClock
 from repro.sim.kernel import Simulator
@@ -48,26 +49,6 @@ from repro.sim.rng import SeededRngRegistry
 #: Protocol selector values.
 ORIGINAL = "original"
 MODIFIED = "modified"
-
-
-@dataclass
-class _StagedEvent:
-    """Mutable per-request record, frozen into a HistoryEvent at the end."""
-
-    dot: Dot
-    session: int
-    op: Operation
-    level: str
-    timestamp: float
-    invoke_time: float
-    readonly: bool
-    tob_cast: bool
-    rval: Any = PENDING
-    return_time: Optional[float] = None
-    perceived: Optional[Tuple[Dot, ...]] = None
-    stable: bool = False
-    responded: bool = False
-    seq: int = 0
 
 
 class BayouCluster:
@@ -103,19 +84,6 @@ class BayouCluster:
         if telemetry is None and self.config.enable_telemetry:
             telemetry = Telemetry(trace_capacity=self.config.trace_capacity)
         self.telemetry = telemetry
-        #: The cluster's scoped view (prefixes op trace ids with the
-        #: deployment name, labels instruments with the shard).
-        self._tscope: Optional[TelemetryScope] = (
-            telemetry.scoped(self.name) if telemetry is not None else None
-        )
-        if self._tscope:
-            self._h_commit_latency = self._tscope.histogram(
-                "repro_op_commit_latency"
-            )
-            self._h_weak_staleness = self._tscope.histogram(
-                "repro_weak_staleness"
-            )
-            self._c_submitted = self._tscope.counter("repro_ops_submitted")
         self.rngs = SeededRngRegistry(self.config.seed)
         self.partitions = partitions or PartitionSchedule(self.config.n_replicas)
         self.filters = filters or MessageFilter()
@@ -147,9 +115,16 @@ class BayouCluster:
         #: Per-replica stable storage (None entries when durability="none").
         self.stores: List[Optional[DurableStore]] = []
         self.crashes = crashes
-        self._staged: Dict[Dot, _StagedEvent] = {}
-        self._futures: Dict[Dot, OpFuture] = {}
-        self._invocation_seq = 0
+        #: Stabilisation horizon marked by :meth:`add_horizon_probes`.
+        self._horizon: Optional[float] = None
+        #: Every operation ever submitted here: the one per-op record that
+        #: sessions, the response pipeline, telemetry and the frozen
+        #: History all share. Its telemetry view is scoped to this
+        #: deployment (op trace ids carry the name, instruments the shard).
+        self.ops = OpLedger(
+            self.runtime.now,
+            telemetry.scoped(self.name) if telemetry is not None else None,
+        )
         self._build()
         if crashes is not None:
             crashes.arm(self.sim, {node.pid: node for node in self.nodes})
@@ -157,29 +132,17 @@ class BayouCluster:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _make_store(self, pid: int) -> Optional[DurableStore]:
-        """One replica's stable storage, per the configured backend."""
-        if self.config.durability == "jsonl":
-            if self._durability_root is None:
-                self._durability_root = (
-                    self.config.durability_dir
-                    or tempfile.mkdtemp(prefix="repro-durable-")
-                )
-            return open_store(
-                "jsonl",
-                directory=os.path.join(self._durability_root, f"node{pid}"),
-            )
-        return open_store(self.config.durability)
-
     def _build(self) -> None:
         config = self.config
         replica_class = (
             ModifiedBayouReplica if self.protocol == MODIFIED else BayouReplica
         )
-        self._durability_root: Optional[str] = None
+        durability_root = config.durability_dir
+        if config.durability == "jsonl" and durability_root is None:
+            durability_root = tempfile.mkdtemp(prefix="repro-durable-")
         for pid in range(config.n_replicas):
             node = RoutingNode(self.runtime, pid, name=f"{self.name}R{pid}")
-            store = self._make_store(pid)
+            store = open_replica_store(config, pid, durability_root)
             clock = DriftingClock(
                 self.sim,
                 offset=config.clock_offsets.get(pid, 0.0),
@@ -190,15 +153,14 @@ class BayouCluster:
                 clock,
                 self.datatype,
                 config,
+                self.ops,
                 replica_class=replica_class,
-                responder=self._make_responder(pid),
                 store=store,
-                telemetry=self._tscope,
+                telemetry=self.ops.telemetry,
             )
             if omega is not None:
                 self.omegas.append(omega)
                 self.sim.schedule(0.0, omega.start, label=f"omega start {pid}")
-            replica.commit_listener = self._on_commit
             # Registered last, so it runs after every component on this node
             # rebuilt its own state: the replica's uncommitted requests are
             # re-advertised only once the endpoints can carry them.
@@ -216,29 +178,6 @@ class BayouCluster:
             self.clocks.append(clock)
             self.replicas.append(replica)
             self.stores.append(store)
-
-    def _make_responder(self, pid: int):
-        def responder(
-            req: Req, response: Any, perceived: Tuple[Dot, ...], stable: bool
-        ) -> None:
-            staged = self._staged.get(req.dot)
-            if staged is not None and not staged.responded:
-                staged.responded = True
-                staged.rval = response
-                staged.return_time = self.sim.now
-                staged.perceived = perceived
-                staged.stable = stable
-            future = self._futures.get(req.dot)
-            if future is not None:
-                future._resolve(req, response, self.sim.now, stable=stable)
-
-        return responder
-
-    def _on_commit(self, req: Req) -> None:
-        """First TOB delivery of a request fixes its final position."""
-        future = self._futures.get(req.dot)
-        if future is not None:
-            future._mark_stable(self.sim.now)
 
     # ------------------------------------------------------------------
     # Invocation API
@@ -271,90 +210,7 @@ class BayouCluster:
                 "a crashed replica ceases all communication, so clients "
                 "cannot reach it"
             )
-        invoke_time = self.sim.now
-        # Stage the history record *before* invoking: the modified protocol
-        # responds to weak operations synchronously inside invoke().
-        placeholder_dot = (pid, replica.curr_event_no + 1)
-        self._invocation_seq += 1
-        staged = _StagedEvent(
-            dot=placeholder_dot,
-            session=pid,
-            op=op,
-            level=STRONG if strong else WEAK,
-            timestamp=0.0,  # patched below once the request exists
-            invoke_time=invoke_time,
-            readonly=self.datatype.is_readonly(op),
-            tob_cast=True,  # patched below for modified-protocol weak reads
-            seq=self._invocation_seq,
-        )
-        self._staged[placeholder_dot] = staged
-        if future is None:
-            future = OpFuture(op, strong=strong, pid=pid)
-        future._mark_invoked(placeholder_dot, invoke_time)
-        self._futures[placeholder_dot] = future
-        req = replica.invoke(op, strong=strong)
-        assert req.dot == placeholder_dot, "event numbering out of sync"
-        if future.request is None:
-            future.request = req
-        staged.timestamp = req.timestamp
-        staged.tob_cast = self._was_tob_cast(req)
-        if self._tscope:
-            self._instrument_submit(staged, future, req, pid)
-        if not staged.tob_cast and future.done:
-            # Never-broadcast operations (the modified protocol's invisible
-            # reads) hold no position in the final order; their synchronous
-            # response is as final as it will ever be.
-            future._mark_stable(self.sim.now)
-        return future
-
-    def _instrument_submit(
-        self, staged: _StagedEvent, future: OpFuture, req: Req, pid: int
-    ) -> None:
-        """Record the op's client-side spans and lifecycle histograms.
-
-        The respond/stable spans ride the future's callbacks: those fire
-        exactly once at the actual transition regardless of which path
-        resolved the future (async responder, synchronous modified-weak
-        response, origin commit fast path). Registered *after*
-        ``staged.tob_cast`` is patched, so a never-broadcast op that is
-        already done stabilises with its span parented on the root rather
-        than a commit span that will never exist.
-        """
-        tscope = self._tscope
-        assert tscope is not None
-        dot = req.dot
-        self._c_submitted.inc()
-        tscope.op_span(
-            staged.invoke_time,
-            pid,
-            "submit",
-            dot,
-            "submit",
-            "root",
-            strong=req.strong,
-        )
-
-        def on_respond(f: OpFuture) -> None:
-            tscope.op_span(
-                self.sim.now, pid, "respond", dot, "respond", "root",
-                stable=f.stable,
-            )
-
-        def on_stable(f: OpFuture) -> None:
-            parent = "commit" if staged.tob_cast else "root"
-            tscope.op_span(
-                self.sim.now, pid, "stable", dot, "stable", parent
-            )
-            latency = f.commit_latency
-            if latency is not None:
-                self._h_commit_latency.observe(latency)
-            if not f.strong:
-                staleness = f.staleness
-                if staleness is not None:
-                    self._h_weak_staleness.observe(staleness)
-
-        future.add_done_callback(on_respond)
-        future.add_stable_callback(on_stable)
+        return self.ops.invoke(replica, op, strong=strong, future=future)
 
     def invoke(self, pid: int, op: Operation, *, strong: bool = False) -> Req:
         """Invoke ``op`` on replica ``pid`` right now; returns the request."""
@@ -365,12 +221,6 @@ class BayouCluster:
     def connect(self, pid: int, *, think_time: float = 0.0) -> Session:
         """Open a closed-loop :class:`Session` against replica ``pid``."""
         return Session(self, pid, think_time=think_time)
-
-    def _was_tob_cast(self, req: Req) -> bool:
-        """Whether the request was disseminated through TOB at all."""
-        if self.protocol == MODIFIED and not req.strong:
-            return not self.datatype.is_readonly(req.op)
-        return True
 
     def schedule_invoke(
         self, at: float, pid: int, op: Operation, *, strong: bool = False
@@ -410,8 +260,8 @@ class BayouCluster:
     ) -> bool:
         """Run until converged-and-idle or ``max_time`` (for Paxos runs).
 
-        Returns True if the cluster converged: every non-pending staged
-        request answered, replicas agree on ``committed · tentative`` and
+        Returns True if the cluster converged: every request a crash did
+        not write off answered, replicas agree on ``committed · tentative`` and
         have empty backlogs.
         """
         while self.sim.now < max_time:
@@ -425,9 +275,9 @@ class BayouCluster:
     def _only_periodic_work_left(self) -> bool:
         """Heuristic: all client requests answered and replicas drained."""
         unanswered = [
-            staged
-            for staged in self._staged.values()
-            if not staged.responded and not self._response_lost(staged)
+            future
+            for future in self.ops.futures.values()
+            if not future.done and not self._response_lost(future)
         ]
         backlogs = any(
             replica.backlog
@@ -436,7 +286,7 @@ class BayouCluster:
         )
         return not unanswered and not backlogs
 
-    def _response_lost(self, staged: _StagedEvent) -> bool:
+    def _response_lost(self, future: OpFuture) -> bool:
         """Whether a crash made this request permanently unanswerable.
 
         With stable storage, a replica that crashes drops its volatile
@@ -449,9 +299,9 @@ class BayouCluster:
         way such events stay PENDING in the history; stability detection
         must not wait for them.
         """
-        replica = self.replicas[staged.session]
+        replica = self.replicas[future.pid]
         crashed_after_invoke = any(
-            at >= staged.invoke_time for at in replica.crash_times
+            at >= future.invoke_time for at in replica.crash_times
         )
         if replica.store is not None:
             return crashed_after_invoke
@@ -464,11 +314,7 @@ class BayouCluster:
     def shutdown(self) -> None:
         """Stop all periodic activity so in-flight events can drain."""
         for replica in self.replicas:
-            replica.stop()
-            if replica.tob is not None:
-                replica.tob.stop()
-            if isinstance(replica.rb, AntiEntropy):
-                replica.rb.stop()
+            stop_replica_stack(replica)
         for omega in self.omegas:
             omega.stop()
 
@@ -505,36 +351,12 @@ class BayouCluster:
     def build_history(
         self, *, horizon: Optional[float] = None, well_formed: bool = True
     ) -> History:
-        """Freeze the staged records into a checkable History."""
-        tob_order = self._consistent_tob_order()
-        tob_index = {dot: index for index, dot in enumerate(tob_order)}
-        events = []
-        for staged in self._staged.values():
-            events.append(
-                HistoryEvent(
-                    eid=staged.dot,
-                    session=staged.session,
-                    op=staged.op,
-                    level=staged.level,
-                    invoke_time=staged.invoke_time,
-                    return_time=staged.return_time,
-                    rval=staged.rval if staged.responded else PENDING,
-                    timestamp=staged.timestamp,
-                    readonly=staged.readonly,
-                    tob_cast=staged.tob_cast,
-                    tob_no=tob_index.get(staged.dot),
-                    perceived_trace=staged.perceived,
-                    stable=staged.stable,
-                    seq=staged.seq,
-                )
-            )
-        effective_horizon = horizon if horizon is not None else getattr(
-            self, "_horizon", None
-        )
-        return History(
-            events,
+        """Freeze the per-operation records into a checkable History."""
+        return freeze_history(
+            self.ops.futures.values(),
             self.datatype,
-            horizon=effective_horizon,
+            self._consistent_tob_order(),
+            horizon=horizon if horizon is not None else self._horizon,
             well_formed=well_formed,
         )
 

@@ -31,15 +31,12 @@ class BayouConfig:
         pairwise sessions, syncing every ``ae_sync_interval``).
     sequencer_pid:
         The fixed sequencer for the sequencer engine.
-    paxos_max_batch / paxos_max_inflight / paxos_dual_2b / paxos_max_gap /
-    paxos_catchup_batch / paxos_catchup_rate / paxos_catchup_burst:
-        Knobs of the batched, pipelined Multi-Paxos engine (see
-        ``broadcast/paxos.py``): entries per instance, outstanding 2A
-        instances (``None`` = unbounded), dual 2B multicast, concurrent
-        gap NOOPs (``None`` = follow ``paxos_max_inflight``) and the
-        token-bucket limits of batched catch-up repair. Setting
-        ``paxos_max_batch=1, paxos_max_inflight=None, paxos_dual_2b=False``
-        reproduces the seed engine's one-instance-per-op message pattern.
+    paxos_retry_interval:
+        Retry/drive period of the Multi-Paxos engine. Its batching,
+        pipelining and catch-up limits are not deployment settings: they
+        are :class:`~repro.broadcast.paxos.PaxosTOB` keyword parameters
+        (every deployment runs the defaults; experiments that sweep them
+        construct the engine directly).
     clock_offsets / clock_rates:
         Per-replica local-clock parameters (Section 2.3's slowed clock).
     optimize_tail_execution:
@@ -110,13 +107,6 @@ class BayouConfig:
     heartbeat_interval: float = 5.0
     failure_timeout: float = 20.0
     paxos_retry_interval: float = 15.0
-    paxos_max_batch: int = 32
-    paxos_max_inflight: Optional[int] = 8
-    paxos_dual_2b: bool = True
-    paxos_max_gap: Optional[int] = None
-    paxos_catchup_batch: int = 64
-    paxos_catchup_rate: float = 32.0
-    paxos_catchup_burst: float = 64.0
     retransmit_interval: Optional[float] = None
     clock_offsets: Dict[int, float] = field(default_factory=dict)
     clock_rates: Dict[int, float] = field(default_factory=dict)
@@ -159,25 +149,6 @@ class BayouConfig:
             "failure_timeout",
             "paxos_retry_interval",
         ):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        if self.paxos_max_batch < 1:
-            raise ValueError(
-                f"paxos_max_batch must be >= 1, got {self.paxos_max_batch!r}"
-            )
-        for name in ("paxos_max_inflight", "paxos_max_gap"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(
-                    f"{name} must be >= 1 when set, got {value!r}"
-                )
-        if self.paxos_catchup_batch < 1:
-            raise ValueError(
-                "paxos_catchup_batch must be >= 1, "
-                f"got {self.paxos_catchup_batch!r}"
-            )
-        for name in ("paxos_catchup_rate", "paxos_catchup_burst"):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")

@@ -22,7 +22,7 @@ available via ``BayouConfig.optimize_tail_execution``.
 
 from __future__ import annotations
 
-from repro.core.replica import BayouReplica
+from repro.core.replica import _NO_RESPONSE, BayouReplica
 from repro.core.request import Req
 from repro.datatypes.base import Operation
 
@@ -32,28 +32,10 @@ class ModifiedBayouReplica(BayouReplica):
 
     def invoke(self, op: Operation, strong: bool = False) -> Req:
         """Submit an operation per Algorithm 2."""
-        assert self.rb is not None and self.tob is not None, "endpoints not attached"
-        self.curr_event_no += 1
-        req = Req(
-            timestamp=self.clock.now(),
-            dot=(self.pid, self.curr_event_no),
-            strong=strong,
-            op=op,
-        )
-        if self.telemetry:
-            self.telemetry.op_span(
-                self.node.now,
-                self.pid,
-                "op",
-                req.dot,
-                "root",
-                None,
-                op=str(op),
-                strong=strong,
-            )
+        req = self._mint_request(op, strong)
         if strong:
             # Lines 13-14: await the committed execution; TOB only.
-            self._awaiting[req.dot] = self._no_response_sentinel()
+            self._awaiting[req.dot] = _NO_RESPONSE
             self._persist_invoke(req)
             self.tob.tob_cast(req.dot, req)
             return req
@@ -107,6 +89,10 @@ class ModifiedBayouReplica(BayouReplica):
             self._arm_retransmit()
         return req
 
+    def tob_casts(self, req: Req) -> bool:
+        """Everything but the invisible weak reads (change 3)."""
+        return req.strong or not self.datatype.is_readonly(req.op)
+
     def _joins_tentative(self, req: Req) -> bool:
         """Strong requests never join the tentative list in Algorithm 2, so
         a recovery rebuild must keep them off it too (they are re-announced
@@ -120,10 +106,3 @@ class ModifiedBayouReplica(BayouReplica):
         if self.to_be_rolled_back or self.to_be_executed:
             return False
         return all(r < req for r in self.tentative)
-
-    @staticmethod
-    def _no_response_sentinel():
-        # Reuse the parent's private sentinel without re-exporting it.
-        from repro.core.replica import _NO_RESPONSE
-
-        return _NO_RESPONSE

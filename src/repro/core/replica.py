@@ -174,6 +174,17 @@ class BayouReplica:
     # ------------------------------------------------------------------
     def invoke(self, op: Operation, strong: bool = False) -> Req:
         """Submit an operation; returns the request identifying it."""
+        req = self._mint_request(op, strong)
+        self._persist_invoke(req)
+        self.rb.rb_cast(req.dot, req)
+        self.tob.tob_cast(req.dot, req)
+        self.adjust_tentative_order(req)
+        self._awaiting[req.dot] = _NO_RESPONSE
+        self._arm_retransmit()
+        return req
+
+    def _mint_request(self, op: Operation, strong: bool) -> Req:
+        """Stamp ``op`` with the local clock and a fresh dot (lines 10-11)."""
         assert self.rb is not None and self.tob is not None, "endpoints not attached"
         self.curr_event_no += 1
         req = Req(
@@ -195,13 +206,11 @@ class BayouReplica:
                 op=str(op),
                 strong=strong,
             )
-        self._persist_invoke(req)
-        self.rb.rb_cast(req.dot, req)
-        self.tob.tob_cast(req.dot, req)
-        self.adjust_tentative_order(req)
-        self._awaiting[req.dot] = _NO_RESPONSE
-        self._arm_retransmit()
         return req
+
+    def tob_casts(self, req: Req) -> bool:
+        """Whether ``req`` is disseminated through TOB at all."""
+        return True
 
     # ------------------------------------------------------------------
     # Ordering (lines 16-21)

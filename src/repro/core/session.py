@@ -1,7 +1,12 @@
 """Sessions and operation futures — the unified client-side pipeline.
 
-Every invocation on a :class:`~repro.core.cluster.BayouCluster` is
-represented by an :class:`OpFuture` that moves through three states:
+Every invocation — on a simulated :class:`~repro.core.cluster.BayouCluster`,
+on a baseline cluster or on a TCP :class:`~repro.runtime.serve.ReplicaServer`
+— is one :class:`OpFuture`, the only per-operation record there is. An
+:class:`OpLedger` keeps a deployment's futures by dot and drives them from
+the replicas' response and commit callbacks; histories, latencies,
+staleness samples and telemetry spans all read that one object. A future
+moves through three states:
 
 ``pending``
     invoked (or queued by a session), no response yet — the paper's ∇;
@@ -37,7 +42,7 @@ Sessions expose the data type's declared operations as bound proxies::
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.request import Dot, Req
 from repro.datatypes.base import Operation
@@ -98,6 +103,14 @@ class OpFuture:
         self.invoke_time: Optional[float] = None
         self.response_time: Optional[float] = None
         self.stable_time: Optional[float] = None
+        #: ``exec(e)``: the state trace the response was computed on
+        #: (``None`` when capture is off or no replica answered).
+        self.perceived: Optional[Tuple[Dot, ...]] = None
+        #: Whether the request went through TOB at all (False only for the
+        #: modified protocol's invisible reads and the LWW baseline).
+        self.tob_cast = True
+        #: Whether the first response was already final.
+        self.responded_stable = False
         self._value: Any = _pending_sentinel()
         self._done_callbacks: List[Callable[["OpFuture"], None]] = []
         self._stable_callbacks: List[Callable[["OpFuture"], None]] = []
@@ -206,7 +219,15 @@ class OpFuture:
             # Open-loop submissions skip the session queue entirely.
             self.submit_time = invoke_time
 
-    def _resolve(self, req: Req, value: Any, at: float, *, stable: bool) -> None:
+    def _resolve(
+        self,
+        req: Req,
+        value: Any,
+        at: float,
+        *,
+        stable: bool,
+        perceived: Optional[Tuple[Dot, ...]] = None,
+    ) -> None:
         """Record the response. Idempotent: later calls only upgrade state."""
         if self.done:
             if stable:
@@ -215,6 +236,8 @@ class OpFuture:
         self.request = req
         self.dot = req.dot
         self._value = value
+        self.perceived = perceived
+        self.responded_stable = stable
         self.response_time = at
         self.state = FUTURE_RESPONDED
         callbacks, self._done_callbacks = self._done_callbacks, []
@@ -251,17 +274,164 @@ class OpFuture:
             callback(self)
 
 
+class OpLedger:
+    """One deployment's operations by dot: submit → respond → stabilise.
+
+    The replicas report through :meth:`on_response` (their ``responder``)
+    and :meth:`on_commit` (their ``commit_listener``); both look the
+    operation's :class:`OpFuture` up here and advance it. ``now`` is the
+    deployment's clock — simulated time or runtime seconds.
+    """
+
+    def __init__(
+        self, now: Callable[[], float], telemetry: Optional[Any] = None
+    ) -> None:
+        self.now = now
+        #: dot -> future, in invocation order.
+        self.futures: Dict[Dot, OpFuture] = {}
+        #: Telemetry plane or scope; ``None`` or disabled records nothing.
+        self.telemetry = telemetry
+        if telemetry:
+            self._h_commit_latency = telemetry.histogram("repro_op_commit_latency")
+            self._h_weak_staleness = telemetry.histogram("repro_weak_staleness")
+            self._c_submitted = telemetry.counter("repro_ops_submitted")
+
+    def open(self, dot: Dot, future: OpFuture) -> OpFuture:
+        """Register ``future`` as the record of the invocation ``dot``."""
+        future._mark_invoked(dot, self.now())
+        self.futures[dot] = future
+        return future
+
+    def forget(self, future: OpFuture) -> None:
+        """Release a record nobody will read again (long-lived servers)."""
+        self.futures.pop(future.dot, None)
+
+    def invoke(
+        self,
+        replica: Any,
+        op: Operation,
+        *,
+        strong: bool = False,
+        future: Optional[OpFuture] = None,
+    ) -> OpFuture:
+        """Invoke ``op`` on ``replica`` right now; returns its future.
+
+        The future is registered under the dot the replica is about to
+        mint *before* ``replica.invoke`` runs: the modified protocol
+        answers weak operations synchronously inside it, so the future may
+        already be resolved when this returns.
+        """
+        if future is None:
+            future = OpFuture(op, strong=strong, pid=replica.pid)
+        dot = (replica.pid, replica.curr_event_no + 1)
+        self.open(dot, future)
+        req = replica.invoke(op, strong=strong)
+        assert req.dot == dot, "event numbering out of sync"
+        if future.request is None:
+            future.request = req
+        future.tob_cast = replica.tob_casts(req)
+        if self.telemetry:
+            self._instrument(future, replica.pid)
+        if not future.tob_cast and future.done:
+            # Never-broadcast operations hold no position in the final
+            # order; their synchronous response is as final as it gets.
+            future._mark_stable(self.now())
+        return future
+
+    def on_response(
+        self,
+        req: Req,
+        response: Any,
+        perceived: Optional[Tuple[Dot, ...]],
+        stable: bool,
+    ) -> None:
+        """A replica computed ``req``'s response (the ``Responder`` hook)."""
+        future = self.futures.get(req.dot)
+        if future is not None:
+            future._resolve(
+                req, response, self.now(), stable=stable, perceived=perceived
+            )
+
+    def on_commit(self, req: Req) -> None:
+        """First TOB delivery of a request fixes its final position."""
+        future = self.futures.get(req.dot)
+        if future is not None:
+            future._mark_stable(self.now())
+
+    def _instrument(self, future: OpFuture, pid: int) -> None:
+        """Record the op's client-side spans and lifecycle histograms.
+
+        The respond/stable spans ride the future's callbacks: those fire
+        exactly once at the actual transition regardless of which path
+        resolved the future (async responder, synchronous modified-weak
+        response, origin commit fast path). Registered *after*
+        ``tob_cast`` is known, so a never-broadcast op that is already done
+        stabilises with its span parented on the root rather than a commit
+        span that will never exist.
+        """
+        telemetry, now, dot = self.telemetry, self.now, future.dot
+        self._c_submitted.inc()
+        # Stamped now, not at ``invoke_time``: on a wall clock the replica's
+        # root span was recorded in between, and a child never precedes it.
+        telemetry.op_span(
+            now(), pid, "submit", dot, "submit", "root", strong=future.strong
+        )
+
+        def on_respond(f: OpFuture) -> None:
+            telemetry.op_span(
+                now(), pid, "respond", dot, "respond", "root", stable=f.stable
+            )
+
+        def on_stable(f: OpFuture) -> None:
+            parent = "commit" if f.tob_cast else "root"
+            telemetry.op_span(now(), pid, "stable", dot, "stable", parent)
+            self._h_commit_latency.observe(f.commit_latency)
+            if not f.strong:
+                self._h_weak_staleness.observe(f.staleness)
+
+        future.add_done_callback(on_respond)
+        future.add_stable_callback(on_stable)
+
+
 class _StrongProxy:
     """``session.strong``: the same bound operations, issued strongly."""
 
-    def __init__(self, session: "Session") -> None:
+    def __init__(self, session: "TypedOperations") -> None:
         self._session = session
 
     def __getattr__(self, name: str):
         return self._session._bound_operation(name, strong=True)
 
 
-class Session:
+class TypedOperations:
+    """The data type's declared operations as bound proxies on a session.
+
+    A mixin for closed-loop sessions: the host provides ``datatype`` and
+    ``submit(op, strong=)``.
+    """
+
+    @property
+    def strong(self) -> _StrongProxy:
+        """A view of this session that issues every operation strongly."""
+        return _StrongProxy(self)
+
+    def _bound_operation(self, name: str, *, strong: bool):
+        constructor = resolve_operation(self.datatype, name)
+
+        def bound(*args: Any, strong: bool = strong, **kwargs: Any) -> OpFuture:
+            return self.submit(constructor(*args, **kwargs), strong=strong)
+
+        bound.__name__ = name
+        bound.__doc__ = constructor.__doc__
+        return bound
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return self._bound_operation(name, strong=False)
+
+
+class Session(TypedOperations):
     """A sequential client bound to one replica of a cluster.
 
     Operations are queued and issued one at a time (closed loop): a new
@@ -278,6 +448,7 @@ class Session:
         think_time: float = 0.0,
     ) -> None:
         self.cluster = cluster
+        self.datatype = cluster.datatype
         self.pid = pid
         self.think_time = think_time
         self._queue: Deque[OpFuture] = deque()
@@ -293,29 +464,6 @@ class Session:
         #: never invoked; their state stays pending forever).
         self.refused: List[OpFuture] = []
         self._resume_on_recovery_registered = False
-
-    # ------------------------------------------------------------------
-    # Typed operation proxies
-    # ------------------------------------------------------------------
-    @property
-    def strong(self) -> _StrongProxy:
-        """A view of this session that issues every operation strongly."""
-        return _StrongProxy(self)
-
-    def _bound_operation(self, name: str, *, strong: bool):
-        constructor = resolve_operation(self.cluster.datatype, name)
-
-        def bound(*args: Any, strong: bool = strong, **kwargs: Any) -> OpFuture:
-            return self.submit(constructor(*args, **kwargs), strong=strong)
-
-        bound.__name__ = name
-        bound.__doc__ = constructor.__doc__
-        return bound
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return self._bound_operation(name, strong=False)
 
     # ------------------------------------------------------------------
     # Submission

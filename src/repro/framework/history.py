@@ -16,7 +16,7 @@ Pending events (a strong operation stuck in an asynchronous run) have
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.datatypes.base import DataType, Operation
@@ -74,12 +74,6 @@ class HistoryEvent:
     def req_key(self) -> Tuple[float, Any]:
         """The ``(timestamp, dot)`` request order key."""
         return (self.timestamp, self.eid)
-
-    def with_result(
-        self, rval: Any, return_time: float, **updates: Any
-    ) -> "HistoryEvent":
-        """A copy with the response filled in."""
-        return replace(self, rval=rval, return_time=return_time, **updates)
 
 
 class MalformedHistoryError(ValueError):
@@ -207,3 +201,41 @@ class History:
         if self.horizon is None:
             return []
         return [event for event in self.events if event.invoke_time > self.horizon]
+
+
+def freeze_history(
+    records: Iterable[Any],
+    datatype: DataType,
+    tob_order: Sequence[Any],
+    *,
+    horizon: Optional[float] = None,
+    well_formed: bool = True,
+) -> History:
+    """Freeze a deployment's per-operation records into a History.
+
+    ``records`` are its :class:`~repro.core.session.OpFuture` objects in
+    invocation order (their position is the event's ``seq``); ``tob_order``
+    is the final TOB delivery order of dots, empty for systems without one.
+    Unanswered operations freeze as pending (``rval = ∇``).
+    """
+    tob_index = {dot: index for index, dot in enumerate(tob_order)}
+    events = [
+        HistoryEvent(
+            eid=record.dot,
+            session=record.pid,
+            op=record.op,
+            level=STRONG if record.strong else WEAK,
+            invoke_time=record.invoke_time,
+            return_time=record.response_time,
+            rval=record.rval,
+            timestamp=record.request.timestamp,
+            readonly=datatype.is_readonly(record.op),
+            tob_cast=record.tob_cast,
+            tob_no=tob_index.get(record.dot),
+            perceived_trace=record.perceived,
+            stable=record.responded_stable,
+            seq=seq,
+        )
+        for seq, record in enumerate(records, start=1)
+    ]
+    return History(events, datatype, horizon=horizon, well_formed=well_formed)

@@ -14,19 +14,13 @@ length-prefixed frames over TCP. Components built on the node (everything
 under :mod:`repro.broadcast`, the replica itself) are therefore
 backend-agnostic: they see ``send_component`` / ``broadcast_component`` /
 ``set_timer`` / ``now`` and nothing else.
-
-The historical constructor ``RoutingNode(sim, network, pid)`` still works —
-it wraps the pair in a :class:`SimRuntime` — so existing deterministic
-tests and harnesses are untouched.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional
 
 from repro.runtime.base import Runtime
-from repro.runtime.sim import SimRuntime
-from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 
 ComponentHandler = Callable[[int, Any], None]
@@ -36,26 +30,8 @@ class RoutingNode(Process):
     """A process that routes tagged messages to registered components."""
 
     def __init__(
-        self,
-        runtime: Union[Runtime, Simulator],
-        network: Any = None,
-        pid: Optional[int] = None,
-        name: Optional[str] = None,
+        self, runtime: Runtime, pid: int, name: Optional[str] = None
     ) -> None:
-        if isinstance(runtime, Runtime):
-            # Runtime-first signature: RoutingNode(runtime, pid, name=...).
-            if pid is None:
-                pid, network = network, None
-            if network is not None:
-                raise TypeError(
-                    "pass either a Runtime or a (Simulator, Network) pair, "
-                    "not both"
-                )
-        else:
-            # Legacy signature: RoutingNode(sim, network, pid, name=...).
-            runtime = SimRuntime(runtime, network)
-        if pid is None:
-            raise TypeError("RoutingNode needs a pid")
         super().__init__(runtime, pid, name)
         self._components: Dict[str, ComponentHandler] = {}
         self.runtime.register(self)

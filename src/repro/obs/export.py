@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, Iterable, List, Optional, Tuple, Union
 
-from repro.obs.tracer import SpanEvent, Tracer
+from repro.obs.tracer import SpanEvent
 
 
 def span_to_jsonable(event: SpanEvent) -> Dict[str, Any]:
@@ -257,12 +257,3 @@ def render_metrics_summary(metrics: Dict[str, Any]) -> str:
                 f"max={stats['max'] if stats['max'] is not None else 0:.4g}"
             )
     return "\n".join(lines)
-
-
-def export_tracer(
-    tracer: Tracer,
-    target: Union[str, IO[str]],
-    metrics: Optional[Dict[str, Any]] = None,
-) -> int:
-    """Dump a tracer's events (plus optional metrics snapshot) to JSONL."""
-    return write_jsonl(target, tracer, metrics)

@@ -32,17 +32,18 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import signal
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.broadcast.anti_entropy import AntiEntropy
 from repro.core.config import BayouConfig
-from repro.core.durability import open_store
-from repro.core.request import Dot, Req
-from repro.core.stack import build_replica_stack
+from repro.core.session import OpLedger
+from repro.core.stack import (
+    build_replica_stack,
+    open_replica_store,
+    stop_replica_stack,
+)
 from repro.datatypes import BankAccounts, Counter, KVStore, Register
 from repro.net.node import RoutingNode
 from repro.obs import Telemetry
@@ -124,27 +125,21 @@ class ClusterSpec:
         return {pid: (self.host, self.ports[pid]) for pid in range(self.n_replicas)}
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "n_replicas": self.n_replicas,
-            "host": self.host,
-            "ports": list(self.ports),
-            "datatype": self.datatype,
-            "tob_engine": self.tob_engine,
-            "dissemination": self.dissemination,
-            "sequencer_pid": self.sequencer_pid,
-            "exec_delay": self.exec_delay,
-            "ae_sync_interval": self.ae_sync_interval,
-            "heartbeat_interval": self.heartbeat_interval,
-            "failure_timeout": self.failure_timeout,
-            "paxos_retry_interval": self.paxos_retry_interval,
-            "retransmit_interval": self.retransmit_interval,
-            "durability": self.durability,
-            "durability_dir": self.durability_dir,
-            "telemetry": self.telemetry,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "ClusterSpec":
+        """Build and validate a spec from a parsed spec file.
+
+        The file is input from outside the program: an unknown or misspelt
+        key is reported by name, next to the keys that exist.
+        """
+        known = [spec_field.name for spec_field in fields(cls)]
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown cluster-spec key(s) {unknown}; valid keys: {known}"
+            )
         spec = cls(**data)
         spec.validate()
         return spec
@@ -179,59 +174,21 @@ class ReplicaServer:
         )
         self.node = RoutingNode(self.runtime, pid, name=f"rt-R{pid}")
         clock = DriftingClock(self.runtime.timeview)
-        store = None
-        if config.durability == "jsonl":
-            root = config.durability_dir
-            if root is None:
-                raise ValueError("jsonl durability needs durability_dir in the spec")
-            store = open_store("jsonl", directory=os.path.join(root, f"node{pid}"))
-        elif config.durability != "none":
-            store = open_store(config.durability)
+        #: Every operation being served, by dot: the same per-op record the
+        #: simulator keeps, released once the op is stable (a server lives
+        #: long; a History is never frozen here).
+        self.ops = OpLedger(self.runtime.now, self.telemetry)
         self.replica, self.omega = build_replica_stack(
             self.node,
             clock,
             DATATYPES[spec.datatype](),
             config,
-            responder=self._on_response,
-            store=store,
+            self.ops,
+            store=open_replica_store(config, pid, config.durability_dir),
             telemetry=self.telemetry,
         )
-        self.replica.commit_listener = self._on_commit
         self.runtime.rpc_handler = self._handle_rpc
-        #: dot -> futures resolved at first response / at commit.
-        self._response_waiters: Dict[Dot, List[asyncio.Future]] = {}
-        self._stable_waiters: Dict[Dot, List[asyncio.Future]] = {}
-        self._responses: Dict[Dot, Any] = {}
         self._done: Optional[asyncio.Future] = None
-
-    # ------------------------------------------------------------------
-    # Replica plumbing
-    # ------------------------------------------------------------------
-    def _on_response(
-        self, req: Req, response: Any, perceived: Tuple[Dot, ...], stable: bool
-    ) -> None:
-        self._responses[req.dot] = response
-        if self.telemetry and req.dot[0] == self.pid:
-            self.telemetry.op_span(
-                self.runtime.now(), self.pid, "respond", req.dot,
-                "respond", "root", stable=stable,
-            )
-        for future in self._response_waiters.pop(req.dot, []):
-            if not future.done():
-                future.set_result(response)
-
-    def _on_commit(self, req: Req) -> None:
-        if self.telemetry and req.dot[0] == self.pid:
-            # Every served op is TOB-broadcast (base protocol), so its
-            # stabilisation always hangs off the commit — the same edge
-            # the simulator's cluster surface records for broadcast ops.
-            self.telemetry.op_span(
-                self.runtime.now(), self.pid, "stable", req.dot,
-                "stable", "commit",
-            )
-        for future in self._stable_waiters.pop(req.dot, []):
-            if not future.done():
-                future.set_result(True)
 
     # ------------------------------------------------------------------
     # RPC surface
@@ -263,30 +220,26 @@ class ReplicaServer:
         wait = args.get("wait", "response")
         if wait not in ("none", "response", "stable"):
             raise ValueError(f"unknown wait mode {wait!r}")
-        loop = asyncio.get_running_loop()
-        response_future: asyncio.Future = loop.create_future()
-        stable_future: asyncio.Future = loop.create_future()
-        req = self.replica.invoke(op, strong=strong)
-        if self.telemetry:
-            self.telemetry.op_span(
-                self.runtime.now(), self.pid, "submit", req.dot,
-                "submit", "root", strong=strong,
-            )
-        if req.dot in self._responses:
-            response_future.set_result(self._responses[req.dot])
-        else:
-            self._response_waiters.setdefault(req.dot, []).append(response_future)
-        if req.dot in self.replica._committed_dots:
-            stable_future.set_result(True)
-        else:
-            self._stable_waiters.setdefault(req.dot, []).append(stable_future)
-        reply: Dict[str, Any] = {"dot": req.dot, "timestamp": req.timestamp}
-        if wait == "response":
-            reply["value"] = await response_future
-        elif wait == "stable":
-            await stable_future
-            reply["value"] = await response_future
-            reply["stable"] = True
+        future = self.ops.invoke(self.replica, op, strong=strong)
+        future.add_stable_callback(self.ops.forget)
+        reply: Dict[str, Any] = {
+            "dot": future.dot,
+            "timestamp": future.request.timestamp,
+        }
+        if wait != "none":
+            reached: asyncio.Future = asyncio.get_running_loop().create_future()
+
+            def wake(_future: Any) -> None:
+                if not reached.done():  # the RPC task may have been cancelled
+                    reached.set_result(None)
+
+            if wait == "stable":
+                future.add_stable_callback(wake)
+                reply["stable"] = True
+            else:
+                future.add_done_callback(wake)
+            await reached
+            reply["value"] = future.value
         return reply
 
     def _rpc_status(self) -> Dict[str, Any]:
@@ -310,11 +263,7 @@ class ReplicaServer:
             self.runtime.spawn(self.omega.start, label="omega start")
 
     async def stop(self) -> None:
-        self.replica.stop()
-        if self.replica.tob is not None:
-            self.replica.tob.stop()
-        if isinstance(self.replica.rb, AntiEntropy):
-            self.replica.rb.stop()
+        stop_replica_stack(self.replica)
         if self.omega is not None:
             self.omega.stop()
         await self.runtime.stop()

@@ -33,9 +33,8 @@ class SimRuntime(Runtime):
     """Deterministic runtime over a :class:`Simulator` and its network.
 
     The ``network`` is optional: a bare ``SimRuntime(sim)`` supports
-    clock + timers only, which is what a standalone
-    :class:`~repro.sim.process.Process` constructed from a simulator
-    (the legacy signature) needs.
+    clock + timers only, which is all a standalone
+    :class:`~repro.sim.process.Process` needs.
     """
 
     def __init__(self, sim: "Simulator", network: Optional["Network"] = None) -> None:

@@ -54,6 +54,7 @@ from typing import (
     Union,
 )
 
+from repro.analysis.metrics import commit_latency_samples, weak_staleness_samples
 from repro.analysis.workload import (
     KEYED_PROFILES,
     PROFILES,
@@ -1258,17 +1259,9 @@ class RunResult:
 
     def commit_latencies(self) -> List[float]:
         """Stable-minus-invoke times of every labelled op that stabilised."""
-        return [
-            future.commit_latency
-            for future in self.futures.values()
-            if future.commit_latency is not None
-        ]
+        return commit_latency_samples(self.futures.values())
 
     def weak_staleness(self) -> List[float]:
         """Stable-minus-response times of labelled weak ops (how long each
         tentative response floated before its position became final)."""
-        return [
-            future.staleness
-            for future in self.futures.values()
-            if not future.strong and future.staleness is not None
-        ]
+        return weak_staleness_samples(self.futures.values())

@@ -33,9 +33,9 @@ expects, so random keyed workloads drive sharded deployments unchanged.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Hashable, List, Optional, TYPE_CHECKING, Tuple
+from typing import Any, Deque, Dict, Hashable, List, Optional, TYPE_CHECKING
 
-from repro.core.session import OpFuture, resolve_operation
+from repro.core.session import OpFuture, TypedOperations
 from repro.datatypes.base import Operation
 from repro.errors import CrossShardError, MigrationInProgress
 from repro.shard.coordinator import CrossShardCoordinator, CrossShardFuture
@@ -196,13 +196,6 @@ class ShardRouter:
             self._check_migration(key, owner)
         return owner
 
-    def owners_of(self, op: Operation) -> Tuple[int, ...]:
-        """The owner shards of ``op`` (home shard for unkeyed types)."""
-        keys = self.datatype.keys_of(op)
-        if not keys:
-            return (self.shard_map.HOME_SHARD,)
-        return self.shard_map.owners(keys)
-
     def plan_route(self, op: Operation, *, strong: bool):
         """Resolve ``op`` to ``(shard, plan)``: exactly one is not None.
 
@@ -323,13 +316,6 @@ class ShardRouter:
         )
         return future
 
-    def submit_to_owner(
-        self, key: Any, op: Operation, *, strong: bool, pid: int = 0
-    ) -> OpFuture:
-        """Submit one staged sub-operation directly to ``key``'s shard."""
-        shard = self.resolve_owner(key)
-        return self._submit_routed(shard, pid, op, strong=strong)
-
     def connect(
         self, pid: int = 0, *, think_time: float = 0.0
     ) -> "ShardedSession":
@@ -352,17 +338,7 @@ class ShardRouter:
         return self.datatype.execute(op, snapshot)
 
 
-class _StrongShardProxy:
-    """``session.strong``: the same bound operations, issued strongly."""
-
-    def __init__(self, session: "ShardedSession") -> None:
-        self._session = session
-
-    def __getattr__(self, name: str):
-        return self._session._bound_operation(name, strong=True)
-
-
-class ShardedSession:
+class ShardedSession(TypedOperations):
     """A sequential client over the whole keyspace.
 
     Mirrors :class:`~repro.core.session.Session` (closed loop, one
@@ -386,6 +362,7 @@ class ShardedSession:
         think_time: float = 0.0,
     ) -> None:
         self.router = router
+        self.datatype = router.datatype
         self.pid = pid
         self.think_time = think_time
         self._queue: Deque[OpFuture] = deque()
@@ -400,26 +377,6 @@ class ShardedSession:
         #: because an epoch bump made a queued weak multi-key operation
         #: cross-shard (weak operations may never span shards).
         self.refused: List[OpFuture] = []
-
-    # -- typed proxies ---------------------------------------------------
-    @property
-    def strong(self) -> _StrongShardProxy:
-        return _StrongShardProxy(self)
-
-    def _bound_operation(self, name: str, *, strong: bool):
-        constructor = resolve_operation(self.router.datatype, name)
-
-        def bound(*args: Any, strong: bool = strong, **kwargs: Any) -> OpFuture:
-            return self.submit(constructor(*args, **kwargs), strong=strong)
-
-        bound.__name__ = name
-        bound.__doc__ = constructor.__doc__
-        return bound
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return self._bound_operation(name, strong=False)
 
     # -- submission ------------------------------------------------------
     def submit(self, op: Operation, strong: bool = False) -> OpFuture:

@@ -3,10 +3,8 @@
 A :class:`Process` is a named participant that reacts to messages and
 timers. It interacts with the world only through an injected
 :class:`~repro.runtime.base.Runtime`, so the same process runs on the
-deterministic simulation kernel or on an asyncio event loop over real
-sockets; constructing it from a bare :class:`Simulator` (the historical
-signature) wraps the simulator in a timer-only
-:class:`~repro.runtime.sim.SimRuntime`.
+deterministic simulation kernel (``Process(SimRuntime(sim), pid)`` for a
+timer-only process) or on an asyncio event loop over real sockets.
 
 A process matches the paper's replica model (Appendix A.2.1): a state automaton
 executing atomic steps in reaction to events. Crashing a process makes it
@@ -40,10 +38,9 @@ through :meth:`set_timer`:
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.runtime.base import Runtime, RuntimeTimer
-from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
 #: Crash mode constants (also accepted as plain strings).
@@ -107,14 +104,8 @@ class Process:
     """
 
     def __init__(
-        self,
-        runtime: Union[Runtime, Simulator],
-        pid: int,
-        name: Optional[str] = None,
+        self, runtime: Runtime, pid: int, name: Optional[str] = None
     ) -> None:
-        if not isinstance(runtime, Runtime):
-            # Legacy signature: a bare Simulator (timers + clock only).
-            runtime = SimRuntime(runtime)
         self.runtime = runtime
         self.pid = pid
         self.name = name if name is not None else f"p{pid}"

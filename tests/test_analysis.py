@@ -199,6 +199,16 @@ def test_cli_list(capsys):
         assert name in out
 
 
+def test_cli_experiment_table_resolves_every_module():
+    """The table names modules as strings; a misspelt one must fail here,
+    not the first time someone runs that experiment."""
+    import importlib
+
+    for _, module, _ in EXPERIMENTS.values():
+        experiment = importlib.import_module(f"repro.analysis.experiments.{module}")
+        assert callable(experiment.main)
+
+
 def test_cli_runs_single_experiment(capsys):
     assert main(["sessions"]) == 0
     out = capsys.readouterr().out

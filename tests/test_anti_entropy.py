@@ -13,13 +13,14 @@ from repro.framework.history import STRONG, WEAK
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
 from repro.net.partition import PartitionSchedule
+from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
 
 def build_endpoints(n=3, partitions=None, sync_interval=1.0):
     sim = Simulator()
     network = Network(sim, n, latency=FixedLatency(0.3), partitions=partitions)
-    nodes = [RoutingNode(sim, network, pid) for pid in range(n)]
+    nodes = [RoutingNode(SimRuntime(sim, network), pid) for pid in range(n)]
     inboxes = {pid: [] for pid in range(n)}
     endpoints = [
         AntiEntropy(
@@ -85,7 +86,7 @@ def test_transitive_spread_without_direct_link():
     filters.drop_between(2, 0)
     sim = Simulator()
     network = Network(sim, 3, latency=FixedLatency(0.3), filters=filters)
-    nodes = [RoutingNode(sim, network, pid) for pid in range(3)]
+    nodes = [RoutingNode(SimRuntime(sim, network), pid) for pid in range(3)]
     inboxes = {pid: [] for pid in range(3)}
     endpoints = [
         AntiEntropy(

@@ -6,13 +6,14 @@ from repro.broadcast.failure_detector import OmegaFailureDetector
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
 from repro.net.partition import PartitionSchedule
+from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
 
 def build(n=3, partitions=None, heartbeat=2.0, timeout=7.0):
     sim = Simulator()
     network = Network(sim, n, latency=FixedLatency(0.5), partitions=partitions)
-    nodes = [RoutingNode(sim, network, pid) for pid in range(n)]
+    nodes = [RoutingNode(SimRuntime(sim, network), pid) for pid in range(n)]
     detectors = [
         OmegaFailureDetector(
             node, heartbeat_interval=heartbeat, timeout=timeout
@@ -73,7 +74,7 @@ def test_leader_change_callback_fires():
 def test_timeout_must_exceed_heartbeat():
     sim = Simulator()
     network = Network(sim, 1)
-    node = RoutingNode(sim, network, 0)
+    node = RoutingNode(SimRuntime(sim, network), 0)
     with pytest.raises(ValueError):
         OmegaFailureDetector(node, heartbeat_interval=5.0, timeout=5.0)
 

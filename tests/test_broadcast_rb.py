@@ -4,13 +4,14 @@ from repro.broadcast.reliable import ReliableBroadcast
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
 from repro.net.partition import PartitionSchedule
+from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
 
 def build(n=3, partitions=None, deliver_own=False):
     sim = Simulator()
     network = Network(sim, n, latency=FixedLatency(1.0), partitions=partitions)
-    nodes = [RoutingNode(sim, network, pid) for pid in range(n)]
+    nodes = [RoutingNode(SimRuntime(sim, network), pid) for pid in range(n)]
     inboxes = {pid: [] for pid in range(n)}
     endpoints = []
     for node in nodes:

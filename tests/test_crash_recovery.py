@@ -30,6 +30,7 @@ from repro.net.faults import CrashSchedule
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
 from repro.net.partition import PartitionSchedule
+from repro.runtime.sim import SimRuntime
 from repro.scenario import Scenario
 from repro.sim.kernel import Simulator
 
@@ -39,7 +40,7 @@ def build_nodes(n=2, latency=1.0, partitions=None):
     network = Network(
         sim, n, latency=FixedLatency(latency), partitions=partitions
     )
-    nodes = [RoutingNode(sim, network, pid) for pid in range(n)]
+    nodes = [RoutingNode(SimRuntime(sim, network), pid) for pid in range(n)]
     return sim, network, nodes
 
 
@@ -348,7 +349,7 @@ class TestClusterRecovery:
         cluster.schedule_invoke(30.0, 2, Counter.increment(1))
         cluster.run_until_quiescent()
         dots = sorted(
-            staged.dot for staged in cluster._staged.values() if staged.session == 2
+            future.dot for future in cluster.ops.futures.values() if future.pid == 2
         )
         assert dots == [(2, 1), (2, 2), (2, 3)]  # no dot reuse
         assert cluster.replicas[2].curr_event_no == 3

@@ -1,0 +1,184 @@
+"""Frozen histories are pinned field by field.
+
+``BayouCluster.build_history`` freezes the per-operation records of a run
+into the :class:`~repro.framework.history.History` every guarantee check
+reads. The values below were recorded from seeded runs; a refactor of the
+record plumbing must reproduce every field of every event exactly
+(including ``stable`` = "the first response was already final", ``seq``,
+the perceived trace, ``tob_cast`` for the modified protocol's invisible
+reads and ``rval = ∇`` for an operation a crash left unanswered).
+
+Re-record (``python tests/test_history_golden.py``) only in a change that
+*means* to alter behaviour.
+"""
+
+from __future__ import annotations
+
+from typing import Any, List, Tuple
+
+import pytest
+
+from repro.core.cluster import BayouCluster, MODIFIED, ORIGINAL
+from repro.core.config import BayouConfig
+from repro.datatypes.rlist import RList
+from repro.net.faults import CrashSchedule
+
+FIELDS = (
+    "eid", "session", "op", "level", "invoke_time", "return_time", "rval",
+    "timestamp", "readonly", "tob_cast", "tob_no", "perceived_trace",
+    "stable", "seq",
+)
+
+
+def _mixed_run(protocol: str, tob_engine: str) -> BayouCluster:
+    """Weak and strong updates and reads racing across three replicas with
+    skewed clocks, a slow replica and jittered links."""
+    config = BayouConfig(
+        n_replicas=3,
+        exec_delay=0.05,
+        exec_delay_overrides={2: 0.4},
+        message_delay=0.5,
+        latency_jitter=0.3,
+        tob_engine=tob_engine,
+        clock_offsets={1: -0.7, 2: 0.25},
+        seed=7,
+    )
+    cluster = BayouCluster(RList(), config, protocol=protocol)
+    cluster.schedule_invoke(1.0, 0, RList.append("a"))
+    cluster.schedule_invoke(1.1, 1, RList.append("b"))
+    cluster.schedule_invoke(1.2, 2, RList.read())
+    cluster.schedule_invoke(1.3, 1, RList.duplicate(), strong=True)
+    cluster.schedule_invoke(1.4, 2, RList.append("c"))
+    cluster.schedule_invoke(1.5, 0, RList.read())
+    cluster.schedule_invoke(2.6, 0, RList.read(), strong=True)
+    cluster.schedule_invoke(9.0, 1, RList.read())
+    if tob_engine == "paxos":
+        assert cluster.run_until_stable(max_time=400.0)
+        cluster.shutdown()
+    cluster.run_until_quiescent()
+    return cluster
+
+
+def _crash_recovery_run() -> BayouCluster:
+    """Replica 2 crashes holding an unanswered strong op and recovers from
+    in-memory stable storage; the op commits but is never answered."""
+    config = BayouConfig(
+        n_replicas=3, exec_delay=0.05, message_delay=0.5, durability="memory"
+    )
+    crashes = CrashSchedule()
+    crashes.add(2, 3.2, 12.0, mode="recover")
+    cluster = BayouCluster(RList(), config, crashes=crashes)
+    cluster.schedule_invoke(1.0, 0, RList.append("a"))
+    cluster.schedule_invoke(2.0, 2, RList.append("b"))
+    cluster.schedule_invoke(3.0, 2, RList.duplicate(), strong=True)
+    cluster.schedule_invoke(5.0, 1, RList.append("c"))
+    cluster.schedule_invoke(20.0, 2, RList.read(), strong=True)
+    cluster.run_until_quiescent()
+    return cluster
+
+
+RUNS = {
+    "original-sequencer": lambda: _mixed_run(ORIGINAL, "sequencer"),
+    "original-paxos": lambda: _mixed_run(ORIGINAL, "paxos"),
+    "modified-sequencer": lambda: _mixed_run(MODIFIED, "sequencer"),
+    "modified-paxos": lambda: _mixed_run(MODIFIED, "paxos"),
+    "crash-recovery": _crash_recovery_run,
+}
+
+
+def _frozen(cluster: BayouCluster) -> List[Tuple[Any, ...]]:
+    """Every event as a tuple of plain values, in ``FIELDS`` order."""
+    rows = []
+    for event in cluster.build_history(well_formed=False).events:
+        row = [getattr(event, name) for name in FIELDS]
+        row[FIELDS.index("op")] = repr(event.op)
+        row[FIELDS.index("rval")] = repr(event.rval)
+        rows.append(tuple(row))
+    return rows
+
+
+# One row per event, FIELDS order; recorded at the commit before the
+# per-operation records were merged.
+GOLDEN = {
+    'crash-recovery': [
+        ((0, 1), 0, "append('a')", 'weak', 1.0, 1.05, "'a'", 1.0, False, True, 0, (), False, 1),
+        ((2, 1), 2, "append('b')", 'weak', 2.0, 2.05, "'ab'", 2.0, False, True, 1, ((0, 1),), False, 2),
+        ((2, 2), 2, 'duplicate()', 'strong', 3.0, None, '∇', 3.0, False, True, 2, None, False, 3),
+        ((1, 1), 1, "append('c')", 'weak', 5.0, 5.05, "'ababc'", 5.0, False, True, 3, ((0, 1), (2, 1), (2, 2)), False, 4),
+        ((2, 3), 2, 'read()', 'strong', 20.0, 21.000000001, "'ababc'", 20.0, True, True, 4, ((0, 1), (2, 1), (2, 2), (1, 1)), True, 5),
+    ],
+    'modified-paxos': [
+        ((0, 1), 0, "append('a')", 'weak', 1.0, 1.0, "'a'", 1.0, False, True, 0, (), False, 1),
+        ((1, 1), 1, "append('b')", 'weak', 1.1, 1.1, "'b'", 0.40000000000000013, False, True, 1, (), False, 2),
+        ((2, 1), 2, 'read()', 'weak', 1.2, 1.2, "''", 1.45, True, False, None, (), False, 3),
+        ((1, 2), 1, 'duplicate()', 'strong', 1.3, 3.52914464374466, "'abcabc'", 0.6000000000000001, False, True, 3, ((0, 1), (1, 1), (2, 2)), True, 4),
+        ((2, 2), 2, "append('c')", 'weak', 1.4, 1.4, "'c'", 1.65, False, True, 2, (), False, 5),
+        ((0, 2), 0, 'read()', 'weak', 1.5, 1.5, "'a'", 1.5, True, False, None, ((0, 1),), False, 6),
+        ((0, 3), 0, 'read()', 'strong', 2.6, 3.754507314696615, "'abcabc'", 2.6, True, True, 4, ((0, 1), (1, 1), (2, 2), (1, 2)), True, 7),
+        ((1, 3), 1, 'read()', 'weak', 9.0, 9.0, "'abcabc'", 8.3, True, False, None, ((0, 1), (1, 1), (2, 2), (1, 2), (0, 3)), False, 8),
+    ],
+    'modified-sequencer': [
+        ((0, 1), 0, "append('a')", 'weak', 1.0, 1.0, "'a'", 1.0, False, True, 0, (), False, 1),
+        ((1, 1), 1, "append('b')", 'weak', 1.1, 1.1, "'b'", 0.40000000000000013, False, True, 1, (), False, 2),
+        ((2, 1), 2, 'read()', 'weak', 1.2, 1.2, "''", 1.45, True, False, None, (), False, 3),
+        ((1, 2), 1, 'duplicate()', 'strong', 1.3, 2.7743964206287615, "'abab'", 0.6000000000000001, False, True, 2, ((0, 1), (1, 1)), True, 4),
+        ((2, 2), 2, "append('c')", 'weak', 1.4, 1.4, "'c'", 1.65, False, True, 3, (), False, 5),
+        ((0, 2), 0, 'read()', 'weak', 1.5, 1.5, "'a'", 1.5, True, False, None, ((0, 1),), False, 6),
+        ((0, 3), 0, 'read()', 'strong', 2.6, 4.050697287937747, "'ababc'", 2.6, True, True, 4, ((0, 1), (1, 1), (1, 2), (2, 2)), True, 7),
+        ((1, 3), 1, 'read()', 'weak', 9.0, 9.0, "'ababc'", 8.3, True, False, None, ((0, 1), (1, 1), (1, 2), (2, 2), (0, 3)), False, 8),
+    ],
+    'original-paxos': [
+        ((0, 1), 0, "append('a')", 'weak', 1.0, 1.05, "'a'", 1.0, False, True, 0, (), False, 1),
+        ((1, 1), 1, "append('b')", 'weak', 1.1, 1.1500000000000001, "'b'", 0.40000000000000013, False, True, 2, (), False, 2),
+        ((2, 1), 2, 'read()', 'weak', 1.2, 1.6, "''", 1.45, True, True, 3, (), False, 3),
+        ((1, 2), 1, 'duplicate()', 'strong', 1.3, 3.509813298303472, "'abab'", 0.6000000000000001, False, True, 4, ((0, 1), (0, 2), (1, 1), (2, 1)), True, 4),
+        ((2, 2), 2, "append('c')", 'weak', 1.4, 5.2, "'ababc'", 1.65, False, True, 5, ((0, 1), (0, 2), (1, 1), (2, 1), (1, 2)), True, 5),
+        ((0, 2), 0, 'read()', 'weak', 1.5, 1.55, "'a'", 1.5, True, True, 1, ((0, 1),), False, 6),
+        ((0, 3), 0, 'read()', 'strong', 2.6, 3.904914346317507, "'ababc'", 2.6, True, True, 6, ((0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)), True, 7),
+        ((1, 3), 1, 'read()', 'weak', 9.0, 9.05, "'ababc'", 8.3, True, True, 7, ((0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2), (0, 3)), False, 8),
+    ],
+    'original-sequencer': [
+        ((0, 1), 0, "append('a')", 'weak', 1.0, 1.05, "'a'", 1.0, False, True, 0, (), False, 1),
+        ((1, 1), 1, "append('b')", 'weak', 1.1, 1.1500000000000001, "'b'", 0.40000000000000013, False, True, 1, (), False, 2),
+        ((2, 1), 2, 'read()', 'weak', 1.2, 1.6, "''", 1.45, True, True, 2, (), False, 3),
+        ((1, 2), 1, 'duplicate()', 'strong', 1.3, 2.9051206054348424, "'abab'", 0.6000000000000001, False, True, 3, ((0, 1), (1, 1), (2, 1)), True, 4),
+        ((2, 2), 2, "append('c')", 'weak', 1.4, 4.8, "'ababc'", 1.65, False, True, 4, ((0, 1), (1, 1), (2, 1), (1, 2)), True, 5),
+        ((0, 2), 0, 'read()', 'weak', 1.5, 1.55, "'a'", 1.5, True, True, 5, ((0, 1),), False, 6),
+        ((0, 3), 0, 'read()', 'strong', 2.6, 3.704847219919101, "'ababc'", 2.6, True, True, 6, ((0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (0, 2)), True, 7),
+        ((1, 3), 1, 'read()', 'weak', 9.0, 9.05, "'ababc'", 8.3, True, True, 7, ((0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (0, 3)), False, 8),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_frozen_history_matches_recorded_values(name):
+    rows = _frozen(RUNS[name]())
+    golden = GOLDEN[name]
+    assert len(rows) == len(golden)
+    for row, expected in zip(rows, golden):
+        for field, got, want in zip(FIELDS, row, expected):
+            assert got == want, f"{name}: event {row[0]} field {field!r}"
+
+
+def test_golden_runs_cover_the_fields_the_refactor_could_lose():
+    """The recorded runs exercise every non-default value of the fields a
+    record merge could silently drop."""
+    every = [dict(zip(FIELDS, row)) for rows in GOLDEN.values() for row in rows]
+    assert any(event["stable"] for event in every)
+    assert any(not event["stable"] for event in every)
+    assert any(not event["tob_cast"] for event in every)
+    assert any(event["perceived_trace"] for event in every)
+    # The op the crash left unanswered still committed.
+    assert any(
+        event["rval"] == "∇" and event["tob_no"] is not None for event in every
+    )
+
+
+if __name__ == "__main__":  # pragma: no cover - re-recording entry point
+    print("GOLDEN = {")
+    for run_name, run in sorted(RUNS.items()):
+        print(f"    {run_name!r}: [")
+        for frozen_row in _frozen(run()):
+            print(f"        {frozen_row!r},")
+        print("    ],")
+    print("}")

@@ -5,6 +5,7 @@ import pytest
 from repro.net.faults import MessageFilter
 from repro.net.network import FixedLatency, Network, UniformLatency
 from repro.net.partition import PartitionSchedule
+from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import SeededRngRegistry
@@ -24,7 +25,7 @@ class Recorder(Process):
 def build(n=2, **kwargs):
     sim = Simulator()
     network = Network(sim, n, **kwargs)
-    processes = [Recorder(sim, pid) for pid in range(n)]
+    processes = [Recorder(SimRuntime(sim), pid) for pid in range(n)]
     for process in processes:
         network.register(process)
     return sim, network, processes

@@ -5,13 +5,14 @@ import pytest
 from repro.net.faults import CrashSchedule, MessageFilter
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
+from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
 
 def build(n=2):
     sim = Simulator()
     network = Network(sim, n, latency=FixedLatency(1.0))
-    nodes = [RoutingNode(sim, network, pid) for pid in range(n)]
+    nodes = [RoutingNode(SimRuntime(sim, network), pid) for pid in range(n)]
     return sim, network, nodes
 
 

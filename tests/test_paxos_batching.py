@@ -14,6 +14,7 @@ from repro.net.faults import MessageFilter
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
 from repro.core.durability import JsonLinesStore
+from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
 
@@ -24,7 +25,7 @@ class Rig:
         knobs.setdefault("retry_interval", 8.0)
         self.sim = Simulator()
         self.network = Network(self.sim, n, latency=FixedLatency(1.0))
-        self.nodes = [RoutingNode(self.sim, self.network, pid) for pid in range(n)]
+        self.nodes = [RoutingNode(SimRuntime(self.sim, self.network), pid) for pid in range(n)]
         self.delivered = {pid: [] for pid in range(n)}
         self.endpoints = []
         self.omegas = []

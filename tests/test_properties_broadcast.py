@@ -16,6 +16,7 @@ from repro.broadcast.sequencer import SequencerTOB
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
 from repro.net.partition import PartitionSchedule
+from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
 SLOW = settings(
@@ -28,7 +29,7 @@ SLOW = settings(
 def build_rig(endpoint_factory, n=3, partitions=None):
     sim = Simulator()
     network = Network(sim, n, latency=FixedLatency(0.4), partitions=partitions)
-    nodes = [RoutingNode(sim, network, pid) for pid in range(n)]
+    nodes = [RoutingNode(SimRuntime(sim, network), pid) for pid in range(n)]
     inboxes = {pid: [] for pid in range(n)}
     endpoints = [
         endpoint_factory(

@@ -20,6 +20,7 @@ from repro.broadcast.paxos import PaxosTOB
 from repro.broadcast.sequencer import SequencerTOB
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
+from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
 SLOW = settings(
@@ -45,7 +46,7 @@ class Rig:
     def __init__(self, knobs=None):
         self.sim = Simulator()
         self.network = Network(self.sim, 3, latency=FixedLatency(1.0))
-        self.nodes = [RoutingNode(self.sim, self.network, pid) for pid in range(3)]
+        self.nodes = [RoutingNode(SimRuntime(self.sim, self.network), pid) for pid in range(3)]
         self.delivered = {pid: [] for pid in range(3)}
         self.endpoints = []
         self.omegas = []

@@ -15,10 +15,12 @@ import pytest
 
 from repro.broadcast.failure_detector import OmegaFailureDetector
 from repro.broadcast.paxos import PaxosTOB
+from repro.datatypes import KVStore
 from repro.net.network import Network
 from repro.net.node import RoutingNode
 from repro.runtime.asyncio_net import AsyncioRuntime
 from repro.runtime.base import Runtime, RuntimeTimeView
+from repro.runtime.serve import ClusterSpec, ReplicaServer
 from repro.runtime.sim import SimRuntime
 from repro.sim.clock import DriftingClock
 from repro.sim.kernel import Simulator
@@ -77,7 +79,7 @@ def test_runtime_timeview_feeds_drifting_clock():
 
 def test_timer_cancelled_after_crash_stop_never_fires_sim():
     sim = Simulator()
-    process = Process(sim, 0)
+    process = Process(SimRuntime(sim), 0)
     fired = []
     timer = process.set_timer(1.0, lambda: fired.append("boom"), resurrect=True)
     process.crash("stop")
@@ -94,7 +96,7 @@ def test_timer_cancelled_after_crash_stop_never_fires_sim():
 
 def test_suppressed_timer_resurrects_but_cancelled_one_does_not():
     sim = Simulator()
-    process = Process(sim, 0)
+    process = Process(SimRuntime(sim), 0)
     fired = []
     keep = process.set_timer(1.0, lambda: fired.append("keep"), resurrect=True)
     dead = process.set_timer(1.0, lambda: fired.append("dead"), resurrect=True)
@@ -242,3 +244,63 @@ def test_paxos_stack_builds_before_the_loop_exists_and_runs_after():
         return delivered
 
     assert asyncio.run(scenario()) == ["k"]
+
+
+# ---------------------------------------------------------------------------
+# ReplicaServer: per-operation state is released, spec files are validated
+# ---------------------------------------------------------------------------
+
+
+def test_replica_server_releases_per_op_state_once_stable():
+    """A server lives long: every served operation's record must go once
+    the op is stable and its waiters are answered. (The three waiter dicts
+    this replaced kept one ``_responses`` entry per op forever.)"""
+    async def scenario():
+        server = ReplicaServer(ClusterSpec(n_replicas=1, ports=[0]), 0)
+        await server.start()
+        try:
+            for index in range(20):
+                reply = await asyncio.wait_for(
+                    server._handle_rpc(
+                        "invoke",
+                        {
+                            "op": KVStore.put(f"k{index}", index),
+                            "strong": index % 2 == 0,
+                            "wait": "stable",
+                        },
+                    ),
+                    5,
+                )
+                assert reply["stable"] and reply["dot"] == (0, index + 1)
+            assert len(server.ops.futures) == 0
+
+            # Fire-and-forget: held while in flight, released at commit.
+            reply = await server._handle_rpc(
+                "invoke", {"op": KVStore.put("k", "v"), "wait": "none"}
+            )
+            assert "value" not in reply
+            assert len(server.ops.futures) == 1
+            for _ in range(500):
+                if reply["dot"] in server._rpc_status()["committed"]:
+                    break
+                await asyncio.sleep(0.01)
+            assert reply["dot"] in server._rpc_status()["committed"]
+            assert len(server.ops.futures) == 0
+        finally:
+            await server.stop()
+        return True
+
+    assert asyncio.run(scenario())
+
+
+def test_cluster_spec_from_json_names_unknown_keys():
+    """A spec file is outside input: a misspelt key must be reported by
+    name with the valid keys, not as a bare ``TypeError`` from the
+    dataclass constructor."""
+    good = ClusterSpec(n_replicas=2, ports=[9001, 9002]).to_json()
+    assert ClusterSpec.from_json(good).to_json() == good
+    with pytest.raises(ValueError) as raised:
+        ClusterSpec.from_json({**good, "tob_engin": "paxos", "zzz": 1})
+    message = str(raised.value)
+    assert "tob_engin" in message and "zzz" in message
+    assert "tob_engine" in message and "durability_dir" in message

@@ -13,6 +13,7 @@ from repro.broadcast.sequencer import SequencerTOB
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
 from repro.net.partition import PartitionSchedule
+from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
 
@@ -24,7 +25,7 @@ class Harness:
         self.network = Network(
             self.sim, n, latency=FixedLatency(1.0), partitions=partitions
         )
-        self.nodes = [RoutingNode(self.sim, self.network, pid) for pid in range(n)]
+        self.nodes = [RoutingNode(SimRuntime(self.sim, self.network), pid) for pid in range(n)]
         self.delivered = {pid: [] for pid in range(n)}
         self.endpoints = []
         self.omegas = []
