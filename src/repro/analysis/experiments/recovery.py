@@ -41,6 +41,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.analysis.metrics import replica_fingerprint
 from repro.analysis.report import format_table
 from repro.datatypes.rlist import RList
 from repro.scenario import Scenario
@@ -75,15 +76,6 @@ class RecoveryRun:
     committed_length: int
     #: Every node's Ω leader after recovery (Paxos leg only).
     leaders: Optional[List[int]] = None
-
-
-def _fingerprint(replica) -> Tuple[Any, ...]:
-    """The bit-identity fingerprint of one replica's converged state."""
-    return (
-        tuple(sorted(replica.state.snapshot().items(), key=repr)),
-        tuple(req.dot for req in replica.committed),
-        tuple(req.dot for req in replica.executed),
-    )
 
 
 def _populate(scenario: Scenario, crashed_pid: int) -> Scenario:
@@ -138,7 +130,7 @@ def run_recovery_case(
     scenario.invoke(CRASH_AT + 8.0, 0, RList.duplicate(), strong=True)
     result = scenario.run(well_formed=False)
     replicas = result.cluster.replicas
-    fingerprints = [_fingerprint(replica) for replica in replicas]
+    fingerprints = [replica_fingerprint(replica) for replica in replicas]
     return RecoveryRun(
         dissemination=dissemination,
         reorder_engine=reorder_engine,
@@ -188,7 +180,7 @@ def run_recovery_omega(protocol: str = "original") -> RecoveryRun:
     leaders = [omega.leader() for omega in live.cluster.omegas]
     result = live.finish(well_formed=False)
     replicas = result.cluster.replicas
-    fingerprints = [_fingerprint(replica) for replica in replicas]
+    fingerprints = [replica_fingerprint(replica) for replica in replicas]
     return RecoveryRun(
         dissemination="rb",
         reorder_engine="batched",

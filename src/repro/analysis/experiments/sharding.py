@@ -43,9 +43,13 @@ import argparse
 import json
 from dataclasses import asdict, dataclass
 from statistics import mean
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.analysis.metrics import committed_op_rate, weak_staleness_samples
+from repro.analysis.metrics import (
+    committed_op_rate,
+    replica_fingerprint,
+    weak_staleness_samples,
+)
 from repro.analysis.report import format_table
 from repro.datatypes.bank import BankAccounts
 from repro.datatypes.kvstore import KVStore
@@ -190,15 +194,6 @@ INITIAL_BALANCE = 100
 CONSERVATION_SHARDS = 4
 
 
-def _fingerprint(replica) -> Tuple[Any, ...]:
-    """Bit-identity fingerprint (as in E11): snapshot + orders."""
-    return (
-        tuple(sorted(replica.state.snapshot().items(), key=repr)),
-        tuple(req.dot for req in replica.committed),
-        tuple(req.dot for req in replica.executed),
-    )
-
-
 def run_conservation(tob_engine: str = "sequencer") -> ConservationRun:
     """Strong transfers across 4 shards must conserve total money."""
     accounts = [f"acct{i}" for i in range(N_ACCOUNTS)]
@@ -258,7 +253,7 @@ def run_conservation(tob_engine: str = "sequencer") -> ConservationRun:
         result.query(BankAccounts.balance(account)) for account in accounts
     )
     bit_identical = all(
-        _fingerprint(replica) == _fingerprint(shard.replicas[0])
+        replica_fingerprint(replica) == replica_fingerprint(shard.replicas[0])
         for shard in result.deployment.shards
         for replica in shard.replicas
     )

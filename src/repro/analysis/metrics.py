@@ -14,13 +14,15 @@ Plus the shared throughput/latency/staleness folds that
 reduce their futures with: :func:`rate`, :func:`committed_op_rate`,
 :func:`commit_latency_samples` and :func:`weak_staleness_samples`. One
 definition, one set of edge-case conventions (empty window → the
-caller's default; half-open ``start <= t < end`` windows).
+caller's default; half-open ``start <= t < end`` windows). And
+:func:`replica_fingerprint`, what the recovery and sharding experiments
+(E11, E12) compare to call two replicas bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.framework.history import History
 
@@ -114,6 +116,16 @@ def weak_staleness_samples(futures: Iterable) -> List[float]:
     return [
         f.staleness for f in futures if not f.strong and f.staleness is not None
     ]
+
+
+def replica_fingerprint(replica) -> Tuple[Any, ...]:
+    """The bit-identity fingerprint of one replica's converged state:
+    snapshot, committed order and executed sequence."""
+    return (
+        tuple(sorted(replica.state.snapshot().items(), key=repr)),
+        tuple(req.dot for req in replica.committed),
+        tuple(req.dot for req in replica.executed),
+    )
 
 
 def _pair_orders(trace: Sequence) -> Dict[Tuple, bool]:

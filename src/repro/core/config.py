@@ -39,10 +39,6 @@ class BayouConfig:
         construct the engine directly).
     clock_offsets / clock_rates:
         Per-replica local-clock parameters (Section 2.3's slowed clock).
-    optimize_tail_execution:
-        Modified protocol only (footnote 8): skip the immediate rollback when
-        the freshly executed weak request lands at the very tail of the
-        current order anyway.
     reorder_engine:
         How rollback/replay work is scheduled. ``"stepwise"`` (default, the
         paper's literal reading) processes one rollback or execution per
@@ -110,7 +106,6 @@ class BayouConfig:
     retransmit_interval: Optional[float] = None
     clock_offsets: Dict[int, float] = field(default_factory=dict)
     clock_rates: Dict[int, float] = field(default_factory=dict)
-    optimize_tail_execution: bool = False
     reorder_engine: str = "stepwise"
     checkpoint_interval: Optional[int] = None
     durability: str = "none"

@@ -16,8 +16,10 @@ Three changes relative to Algorithm 1, each with a stated purpose:
    are neither RB- nor TOB-cast and never enter the tentative list.
 
 Footnote 8's optimisation — skip the immediate rollback when the request
-lands at the tail of the current order and the engine is idle — is
-available via ``BayouConfig.optimize_tail_execution``.
+lands at the tail of the current order and the engine is idle — is not
+implemented. It is observable: a local weak operation invoked before the
+re-execution would read the kept state instead of the rolled-back one, so
+its response depends on the switch.
 """
 
 from __future__ import annotations
@@ -41,20 +43,17 @@ class ModifiedBayouReplica(BayouReplica):
             return req
 
         # Lines 4-7: immediate execution on the current state, immediate
-        # (tentative) response, then rollback. Whether footnote 8 keeps the
-        # execution is decided *before* executing: a kept execution takes
-        # its due checkpoint, while one about to be reverted suppresses the
-        # capture — a snapshot of a state about to be undone is wasted work
-        # under BayouConfig.checkpoint_interval.
+        # (tentative) response, then rollback. The execution suppresses its
+        # due checkpoint: a snapshot of a state about to be undone is
+        # wasted work under BayouConfig.checkpoint_interval.
         readonly = self.datatype.is_readonly(op)
         if readonly and self.store is not None:
             # Invisible reads leave no replicated state, but their event
             # numbers must still survive a crash: dots key the history, so
             # a recovered replica may never mint a dot twice.
             self.store.put("replica.curr_event_no", self.curr_event_no)
-        keep = not readonly and self._may_keep_execution(req)
         perceived = self._capture_perceived()
-        response = self.state.execute(req, checkpoint=keep)
+        response = self.state.execute(req, checkpoint=False)
         self.execution_count += 1
         if self.telemetry:
             self._m_execs.inc()
@@ -68,15 +67,10 @@ class ModifiedBayouReplica(BayouReplica):
             )
         self._respond(req, response, perceived, stable=False)
 
-        if keep:
-            # Footnote 8: the request would be re-executed at the very same
-            # position; keep it and skip the rollback/re-execution churn.
-            self._append_executed(req)
-        else:
-            self.state.rollback(req)
-            self.rollback_count += 1
-            if self.telemetry:
-                self._m_rollbacks.inc()
+        self.state.rollback(req)
+        self.rollback_count += 1
+        if self.telemetry:
+            self._m_rollbacks.inc()
 
         if not readonly:
             # Lines 8-11: disseminate and speculate only updating requests.
@@ -98,11 +92,3 @@ class ModifiedBayouReplica(BayouReplica):
         a recovery rebuild must keep them off it too (they are re-announced
         through TOB instead)."""
         return not req.strong
-
-    def _may_keep_execution(self, req: Req) -> bool:
-        """True when the immediate execution already sits at the tail."""
-        if not self.config.optimize_tail_execution:
-            return False
-        if self.to_be_rolled_back or self.to_be_executed:
-            return False
-        return all(r < req for r in self.tentative)

@@ -1,34 +1,42 @@
 """The Bayou replica — Algorithm 1 of the paper.
 
-Every structure and handler below maps line-for-line onto the pseudocode:
+The handlers below map line-for-line onto the pseudocode:
 
 - ``invoke`` (lines 9–15): stamp the operation with the local clock and a
   fresh dot, RB-cast and TOB-cast it, simulate immediate local RB-delivery
   by inserting it into the tentative order, and register it as awaiting a
   response.
 - ``adjust_tentative_order`` (lines 16–21): keep ``tentative`` sorted by
-  ``(timestamp, dot)`` and recompute the execution schedule.
+  ``(timestamp, dot)`` and adjust the execution schedule.
 - ``on_rb_deliver`` (lines 22–26) and ``on_tob_deliver`` (lines 27–34).
-- ``adjust_execution`` (lines 35–40): diff the executed prefix against the
-  new order; everything after the longest common prefix is rolled back (in
-  reverse) and re-executed.
 - the two ``upon`` internal events (lines 41–55) run as *schedulable
   simulation steps* with a per-replica processing delay, which is what makes
   the paper's "local execution is for some reason delayed" (Figure 1) and
   the slow replica of Section 2.3 expressible.
+
+``adjustExecution`` (lines 35–40) is the one place that does not: the
+pseudocode recomputes the longest common prefix of ``executed`` and the new
+order and stores ``toBeExecuted``; the replica does neither, because of
+
+**the cursor invariant** — ``executed`` is always a prefix of ``committed ·
+tentative``. What is still to run is therefore *by definition* the rest of
+that order (the next request is ``order[len(executed)]``; no list of it is
+kept), and every change to the order happens at one known position: the
+slot a request is inserted at, the lowest such slot of a batch, or the
+commit boundary a request is moved (or, if unknown, inserted) to. Only
+requests executed at or beyond that position ran in the wrong place, so
+``adjust_execution(position)`` cuts ``executed`` there, queues the cut
+suffix on ``to_be_rolled_back`` in reverse, and is not even called when the
+position is beyond ``executed`` (a tail arrival) or the order did not
+change (a commit of the tentative head). The paper's literal lines 35–40
+live on in ``tests/test_reorder_engine.py`` (``PaperSchedule``), where a
+hypothesis test holds this rule to them after every call.
 
 Responses: weak operations return at their first execution (line 50); strong
 operations return once executed *and* committed (line 49 or lines 32–33).
 
 Engine invariants (shared by both reorder engines, see ``docs/PERFORMANCE.md``):
 
-- ``executed`` is always a *prefix* of the most recently adjusted order, and
-  ``executed ++ to_be_executed`` equals that order as a sequence. This is
-  what lets the hot paths below (tail insertion, head commit) skip the full
-  O(n) ``adjust_execution`` diff: an insertion at the very tail of
-  ``committed · tentative`` extends the schedule by exactly that request,
-  and a TOB commit of the current tentative head leaves the concatenated
-  sequence — and therefore the schedule — untouched.
 - the state object's live trace equals ``executed ++
   reversed(to_be_rolled_back)`` at all times, so draining the rollback queue
   is equivalent to ``StateObject.revert_to(len(executed))`` — the batched
@@ -46,7 +54,7 @@ Engine invariants (shared by both reorder engines, see ``docs/PERFORMANCE.md``):
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.broadcast.reliable import ReliableBroadcast
@@ -122,7 +130,6 @@ class BayouReplica:
         #: is a C-level tuple copy instead of an O(n) comprehension per
         #: response (a hot path: every weak response snapshots the trace).
         self._executed_dots: List[Dot] = []
-        self.to_be_executed: List[Req] = []
         self.to_be_rolled_back: List[Req] = []
         #: dot -> (response, trace at computation); _NO_RESPONSE if not yet.
         self._awaiting: Dict[Dot, Any] = {}
@@ -160,6 +167,10 @@ class BayouReplica:
         # — nor the event counter guarding against dot reuse — is lost.
         self._wal_dots: Set[Dot] = set()
         self._persisted_checkpoint = 0
+        #: Known-but-uncommitted requests outside the tentative list after a
+        #: rebuild from the store (the modified protocol's strong requests);
+        #: :meth:`reannounce` re-casts them.
+        self._recovered_nontentative: List[Req] = []
         self.restored_from_store = False
         if store is not None and len(store.log("replica.wal")):
             self.restored_from_store = True
@@ -216,32 +227,23 @@ class BayouReplica:
     # Ordering (lines 16-21)
     # ------------------------------------------------------------------
     def adjust_tentative_order(self, req: Req) -> None:
-        """Insert ``req`` into the timestamp-sorted tentative list.
+        """Insert ``req`` into the timestamp-sorted tentative list."""
+        self._order_changed(self._insert_tentative(req))
 
-        Hot path: most requests arrive in timestamp order and land at the
-        very tail of ``committed · tentative``. The executed prefix is then
-        untouched, nothing rolls back, and the execution schedule simply
-        grows by ``req`` — no O(n) re-diff needed. Out-of-order arrivals
-        (drifting clocks, healed partitions) take the full
-        :meth:`adjust_execution` path.
-        """
-        if self._insert_tentative(req):
-            self._schedule_step()
-        else:
-            self.adjust_execution(self.committed + self.tentative)
-
-    def _insert_tentative(self, req: Req) -> bool:
-        """Insert ``req``; True if the tail fast path applied (no re-diff)."""
+    def _insert_tentative(self, req: Req) -> int:
+        """Insert ``req``; returns its position in ``committed · tentative``."""
         self._tentative_dots.add(req.dot)
-        if not self.tentative or self.tentative[-1] < req:
-            self.tentative.append(req)
-            if not (self.executed and self.executed[-1].dot == req.dot):
-                # Not already executed (the modified protocol's footnote-8
-                # path keeps its immediate tail execution): schedule it.
-                self.to_be_executed.append(req)
-            return True
-        insort(self.tentative, req)
-        return False
+        slot = bisect_left(self.tentative, req)
+        self.tentative.insert(slot, req)
+        return len(self.committed) + slot
+
+    def _order_changed(self, position: int) -> None:
+        """``committed · tentative`` now differs from what it was, from
+        ``position`` on: whatever ran at or beyond it ran in the wrong place."""
+        if position < len(self.executed):
+            self.adjust_execution(position)
+        else:
+            self._schedule_step()
 
     # ------------------------------------------------------------------
     # Deliveries (lines 22-34)
@@ -256,13 +258,13 @@ class BayouReplica:
         self.adjust_tentative_order(req)
 
     def on_rb_deliver_batch(self, items: Iterable[Tuple[Dot, Req]]) -> None:
-        """Deliver a batch of RB messages, recomputing the schedule once.
+        """Deliver a batch of RB messages, adjusting the schedule once.
 
         Used by the anti-entropy substrate, whose sync sessions ship whole
-        log suffixes in one message: inserting every request and *then*
-        diffing the order once turns the O(k·n) per-request delivery into
-        O(n). The resulting tentative order, execution schedule and rollback
-        queue are identical to delivering the requests one at a time.
+        log suffixes in one message: the order changed from the lowest
+        insert position on, so one cut there leaves the tentative order,
+        execution schedule and rollback queue identical to delivering the
+        requests one at a time.
         """
         fresh: List[Req] = []
         for _, req in items:
@@ -275,51 +277,36 @@ class BayouReplica:
             return
         for req in fresh:
             self._persist_request(req)
-        all_tail = True
-        for req in fresh:
-            # Stale fast-path appends to to_be_executed are harmless: the
-            # full adjust below recomputes the schedule wholesale.
-            all_tail = self._insert_tentative(req) and all_tail
-        if all_tail:
-            self._schedule_step()
-        else:
-            self.adjust_execution(self.committed + self.tentative)
+        self._order_changed(min(self._insert_tentative(req) for req in fresh))
 
     def on_tob_deliver(self, key: Dot, req: Req) -> None:
         """TOB-delivery handler (lines 27-34).
 
-        Hot paths: committing the current *tentative head* moves it across
-        the ``committed · tentative`` boundary without changing the
-        concatenated sequence, so the execution schedule is already correct
-        and the O(n) re-diff is skipped — a healed-partition commit flood
-        performs a linear number of re-diffs (zero) instead of a quadratic
-        one. (The ``pop(0)`` below still shifts the tentative list — a
-        C-level memmove, ~40 ms across a 10⁴-commit flood — which profiling
-        shows is dwarfed by the avoided per-commit diffs.) A commit of an
-        unknown request while no tentative requests exist appends to the
-        order tail and extends the schedule in place.
+        ``req`` takes position ``boundary`` — the end of the committed
+        list — in ``committed · tentative``. Committing the current
+        *tentative head* moves it across the boundary without changing the
+        concatenated sequence; any other commit changes the order there.
+        (Deleting slot 0 still shifts the tentative list — a C-level
+        memmove, ~40 ms across a 10⁴-commit flood.)
         """
         if req.dot in self._committed_dots:
             return  # defensive: engines deliver each key once
+        boundary = len(self.committed)
         self.committed.append(req)
         self._committed_dots.add(req.dot)
         self._persist_request(req)
         if self.store is not None:
             self.store.log("replica.commits").append(req.dot)
+        slot = None
         if req.dot in self._tentative_dots:
             self._tentative_dots.discard(req.dot)
-            if self.tentative[0].dot == req.dot:
-                self.tentative.pop(0)  # head commit: order sequence unchanged
-            else:
-                self.tentative = [r for r in self.tentative if r.dot != req.dot]
-                self.adjust_execution(self.committed + self.tentative)
-        elif not self.tentative:
-            # Unknown request, empty tentative list: the order grew at its
-            # tail; executed stays a prefix, the schedule just gains req.
-            self.to_be_executed.append(req)
-            self._schedule_step()
-        else:
-            self.adjust_execution(self.committed + self.tentative)
+            slot = bisect_left(self.tentative, req)
+            assert self.tentative[slot].dot == req.dot, "tentative list out of order"
+            del self.tentative[slot]
+        if slot != 0:
+            # Not the tentative head (or not known at all): req jumped
+            # ahead of whatever stood at the boundary.
+            self._order_changed(boundary)
         if self.telemetry:
             self._m_commits.inc()
             if req.dot[0] == self.pid:
@@ -334,7 +321,8 @@ class BayouReplica:
                     "commit",
                     "tob.deliver",
                 )
-        if req.dot in self._awaiting and any(r.dot == req.dot for r in self.executed):
+        if req.dot in self._awaiting and boundary < len(self.executed):
+            # Executed is a prefix of the order, in which req sits at boundary.
             stored = self._awaiting.pop(req.dot)
             assert stored is not _NO_RESPONSE, "executed request lacks a response"
             response, perceived = stored
@@ -347,7 +335,7 @@ class BayouReplica:
         """Batched TOB delivery: strictly per-entry, in list order.
 
         The batched Paxos engine hands a contiguous decided run over in one
-        call; commit semantics (head-commit fast path, listeners, stability
+        call; commit semantics (head commits, listeners, stability
         responses) must be *identical* to one delivery per entry — that is
         the bit-identical-history contract — so this simply loops. The
         entries already share one simulation event, which is where the
@@ -359,20 +347,30 @@ class BayouReplica:
     # ------------------------------------------------------------------
     # Execution scheduling (lines 35-40)
     # ------------------------------------------------------------------
-    def adjust_execution(self, new_order: List[Req]) -> None:
-        """Diff ``executed`` against ``new_order`` (lines 35-40)."""
-        in_order: List[Req] = []
-        for executed_req, ordered_req in zip(self.executed, new_order):
-            if executed_req.dot != ordered_req.dot:
-                break
-            in_order.append(executed_req)
-        out_of_order = self.executed[len(in_order):]
-        self.executed = in_order
-        self._executed_dots = [r.dot for r in in_order]
-        executed_dots = set(self._executed_dots)
-        self.to_be_executed = [r for r in new_order if r.dot not in executed_dots]
-        self.to_be_rolled_back = self.to_be_rolled_back + list(reversed(out_of_order))
+    def adjust_execution(self, position: int) -> None:
+        """Cut ``executed`` at ``position`` (lines 35-40).
+
+        The caller knows where the order changed, so the longest common
+        prefix of ``executed`` and the new order is ``executed[:position]``
+        and need not be searched for; the cut suffix is rolled back in
+        reverse, and what is to be executed is, as always, the order beyond
+        ``executed``. Costs the length of the suffix it cuts.
+        """
+        self.to_be_rolled_back.extend(reversed(self.executed[position:]))
+        del self.executed[position:]
+        del self._executed_dots[position:]
         self._schedule_step()
+
+    def _unexecuted(self) -> int:
+        """How many requests of ``committed · tentative`` are yet to run."""
+        return len(self.committed) + len(self.tentative) - len(self.executed)
+
+    def _next_request(self) -> Req:
+        """The first request of ``committed · tentative`` beyond ``executed``."""
+        index = len(self.executed)
+        if index < len(self.committed):
+            return self.committed[index]
+        return self.tentative[index - len(self.committed)]
 
     # ------------------------------------------------------------------
     # Internal events (lines 41-55), as simulation steps
@@ -380,7 +378,7 @@ class BayouReplica:
     def _schedule_step(self) -> None:
         if self._stopped:
             return
-        if not self.to_be_rolled_back and not self.to_be_executed:
+        if not self.backlog:
             self._maybe_persist_checkpoint()
             return
         if self._batched:
@@ -404,9 +402,8 @@ class BayouReplica:
             self.rollback_count += 1
             if self.telemetry:
                 self._m_rollbacks.inc()
-        elif self.to_be_executed:
-            head = self.to_be_executed.pop(0)
-            self._execute_one(head)
+        elif self._unexecuted():
+            self._execute_one(self._next_request())
         self._schedule_step()
 
     # -- batched engine -------------------------------------------------
@@ -422,7 +419,7 @@ class BayouReplica:
         timer re-arms itself for the remainder when it fires early, so a
         flood of same-time deliveries costs O(1) extra events.
         """
-        backlog = len(self.to_be_rolled_back) + len(self.to_be_executed)
+        backlog = self.backlog
         fresh = backlog - self._batch_charged
         if fresh > 0:
             base = (
@@ -466,16 +463,13 @@ class BayouReplica:
                 self._record_maintenance(
                     "reorder.rollback_batch", count=count, keep=keep
                 )
-        queue = self.to_be_executed
-        #: Drain only what this deadline paid for — a reentrant responder
-        #: may tail-append new requests mid-drain; those wait for their own
-        #: exec_delay via the _schedule_step() at the end.
-        limit = len(queue)
-        index = 0
+        #: Drain only what this deadline paid for. A responder may re-enter
+        #: invoke() mid-drain: its request is stamped later than the one
+        #: being answered, so it joins the order beyond ``executed`` (no
+        #: rollback is queued) and the batch it armed runs what is left.
         replayed = 0
-        while index < limit:
-            head = queue[index]
-            index += 1
+        for _ in range(self._unexecuted()):
+            head = self._next_request()
             if head.dot not in self._awaiting:
                 # Slim replay: no response to compute, no responder to call.
                 # Per-request trace records are replaced by one aggregate
@@ -487,22 +481,9 @@ class BayouReplica:
                 replayed += 1
                 continue
             self._execute_one(head)
-            if self.to_be_executed is not queue:
-                # A reentrant responder triggered a full adjust_execution:
-                # the schedule was recomputed wholesale (consumed requests
-                # are in ``executed`` and excluded) and a new batch armed.
-                return
-            if self.to_be_rolled_back:
-                # A reentrant adjust queued rollbacks mid-drain: stop here
-                # and let the freshly armed batch drain the remainder.
-                del queue[:index]
-                self._schedule_step()
-                return
-        del queue[:index]
-        if replayed:
-            if self.telemetry:
-                self._m_execs.inc(replayed)
-                self._record_maintenance("reorder.execute_batch", count=replayed)
+        if replayed and self.telemetry:
+            self._m_execs.inc(replayed)
+            self._record_maintenance("reorder.execute_batch", count=replayed)
         self._schedule_step()
 
     def _execute_one(self, head: Req) -> None:
@@ -513,6 +494,9 @@ class BayouReplica:
         # request — O(n²) across a long divergent suffix.
         perceived = self._capture_perceived() if awaiting else ()
         response = self.state.execute(head)
+        # Before responding: a responder may re-enter invoke(), which must
+        # find ``executed`` in step with the state it is about to read.
+        self._append_executed(head)
         self.execution_count += 1
         if self.telemetry:
             self._m_execs.inc()
@@ -539,7 +523,6 @@ class BayouReplica:
                 )
             else:
                 self._awaiting[head.dot] = (response, perceived)
-        self._append_executed(head)
 
     def _record_maintenance(self, name: str, **attrs: Any) -> None:
         """One aggregated span per batch drain, on this replica's
@@ -602,7 +585,7 @@ class BayouReplica:
     @property
     def backlog(self) -> int:
         """Requests scheduled but not yet (re-)executed — Section 2.3's lag."""
-        return len(self.to_be_executed) + len(self.to_be_rolled_back)
+        return self._unexecuted() + len(self.to_be_rolled_back)
 
     def stop(self) -> None:
         """Stop scheduling internal steps and retransmissions (shutdown)."""
@@ -754,8 +737,6 @@ class BayouReplica:
         )
         self.tentative = tentative
         self._tentative_dots = {req.dot for req in tentative}
-        #: Known-but-uncommitted requests outside the tentative list (the
-        #: modified protocol's strong requests); reannounce() re-casts them.
         self._recovered_nontentative = [
             req
             for dot, req in sorted(requests.items())
@@ -779,7 +760,6 @@ class BayouReplica:
         self.executed = list(order[:prefix_length])
         self._executed_dots = [req.dot for req in self.executed]
         self.to_be_rolled_back = []
-        self.to_be_executed = list(order[prefix_length:])
         self._schedule_step()
 
     def _joins_tentative(self, req: Req) -> bool:
@@ -802,6 +782,6 @@ class BayouReplica:
             return
         for req in self.tentative:
             self.tob.tob_cast(req.dot, req)
-        for req in getattr(self, "_recovered_nontentative", ()):
+        for req in self._recovered_nontentative:
             self.tob.tob_cast(req.dot, req)
         self._arm_retransmit()

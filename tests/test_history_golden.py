@@ -8,6 +8,11 @@ record plumbing must reproduce every field of every event exactly
 the perceived trace, ``tob_cast`` for the modified protocol's invisible
 reads and ``rval = ∇`` for an operation a crash left unanswered).
 
+Next to the history, every run pins each replica's ``rollback_count`` and
+``execution_count``: two schedules can answer every client identically and
+still differ in how much speculative work they threw away, and a change to
+the reorder path must not move either.
+
 Re-record (``python tests/test_history_golden.py``) only in a change that
 *means* to alter behaviour.
 """
@@ -30,7 +35,7 @@ FIELDS = (
 )
 
 
-def _mixed_run(protocol: str, tob_engine: str) -> BayouCluster:
+def _mixed_run(protocol: str, tob_engine: str, **engine: Any) -> BayouCluster:
     """Weak and strong updates and reads racing across three replicas with
     skewed clocks, a slow replica and jittered links."""
     config = BayouConfig(
@@ -42,6 +47,7 @@ def _mixed_run(protocol: str, tob_engine: str) -> BayouCluster:
         tob_engine=tob_engine,
         clock_offsets={1: -0.7, 2: 0.25},
         seed=7,
+        **engine,
     )
     cluster = BayouCluster(RList(), config, protocol=protocol)
     cluster.schedule_invoke(1.0, 0, RList.append("a"))
@@ -77,8 +83,46 @@ def _crash_recovery_run() -> BayouCluster:
     return cluster
 
 
+def _anti_entropy_heal_run() -> BayouCluster:
+    """Replica 2 is cut off while both sides keep writing; the heal ships
+    each side's log suffix in one sync session — the only driver of
+    ``on_rb_deliver_batch`` — into replicas that already executed theirs."""
+    config = BayouConfig(
+        n_replicas=3,
+        exec_delay=0.05,
+        message_delay=0.5,
+        dissemination="anti_entropy",
+        ae_sync_interval=1.0,
+        sequencer_pid=1,
+        clock_offsets={2: -0.3},
+    )
+    cluster = BayouCluster(RList(), config)
+    cluster.partitions.split(0.5, [[0, 1], [2]])
+    cluster.schedule_invoke(1.0, 0, RList.append("a"))
+    cluster.schedule_invoke(1.4, 2, RList.append("x"))
+    cluster.schedule_invoke(2.0, 1, RList.append("b"))
+    cluster.schedule_invoke(2.2, 2, RList.duplicate(), strong=True)
+    cluster.schedule_invoke(3.0, 2, RList.append("y"))
+    cluster.schedule_invoke(3.1, 0, RList.remove_last())
+    cluster.schedule_invoke(4.0, 2, RList.read())
+    cluster.schedule_invoke(4.5, 1, RList.read(), strong=True)
+    cluster.schedule_invoke(5.7, 0, RList.append("d"))
+    cluster.schedule_invoke(5.9, 2, RList.append("z"))
+    cluster.partitions.heal(6.0)
+    cluster.schedule_invoke(6.1, 1, RList.append("c"))
+    cluster.run_until_quiescent()
+    return cluster
+
+
 RUNS = {
     "original-sequencer": lambda: _mixed_run(ORIGINAL, "sequencer"),
+    "original-sequencer-batched": lambda: _mixed_run(
+        ORIGINAL, "sequencer", reorder_engine="batched", checkpoint_interval=2
+    ),
+    "modified-sequencer-batched": lambda: _mixed_run(
+        MODIFIED, "sequencer", reorder_engine="batched", checkpoint_interval=2
+    ),
+    "anti-entropy-heal": _anti_entropy_heal_run,
     "original-paxos": lambda: _mixed_run(ORIGINAL, "paxos"),
     "modified-sequencer": lambda: _mixed_run(MODIFIED, "sequencer"),
     "modified-paxos": lambda: _mixed_run(MODIFIED, "paxos"),
@@ -97,9 +141,31 @@ def _frozen(cluster: BayouCluster) -> List[Tuple[Any, ...]]:
     return rows
 
 
+def _work_counts(cluster: BayouCluster) -> Tuple[List[int], List[int]]:
+    """Per-replica ``(rollback_count, execution_count)``, replica order."""
+    return (
+        [replica.rollback_count for replica in cluster.replicas],
+        [replica.execution_count for replica in cluster.replicas],
+    )
+
+
 # One row per event, FIELDS order; recorded at the commit before the
-# per-operation records were merged.
+# per-operation records were merged (the batched and anti-entropy runs, and
+# COUNTS, at the commit before the replica's re-diff was replaced).
 GOLDEN = {
+    'anti-entropy-heal': [
+        ((0, 1), 0, "append('a')", 'weak', 1.0, 1.05, "'a'", 1.0, False, True, 0, (), False, 1),
+        ((2, 1), 2, "append('x')", 'weak', 1.4, 1.45, "'x'", 1.0999999999999999, False, True, 4, (), False, 2),
+        ((1, 1), 1, "append('b')", 'weak', 2.0, 2.0999999999999996, "'ab'", 2.0, False, True, 1, ((0, 1),), False, 3),
+        ((2, 2), 2, 'duplicate()', 'strong', 2.2, 6.549999999999998, "'axax'", 1.9000000000000001, False, True, 5, ((0, 1), (1, 1), (0, 2), (1, 2), (2, 1)), True, 4),
+        ((2, 3), 2, "append('y')", 'weak', 3.0, 3.05, "'xxy'", 2.7, False, True, 6, ((2, 1), (2, 2)), False, 5),
+        ((0, 2), 0, 'remove_last()', 'weak', 3.1, 3.15, "'b'", 3.1, False, True, 2, ((0, 1), (1, 1)), False, 6),
+        ((2, 4), 2, 'read()', 'weak', 4.0, 4.05, "'xxy'", 3.7, True, True, 7, ((2, 1), (2, 2), (2, 3)), False, 7),
+        ((1, 2), 1, 'read()', 'strong', 4.5, 5.5, "'a'", 4.5, True, True, 3, ((0, 1), (1, 1), (0, 2)), True, 8),
+        ((0, 3), 0, "append('d')", 'weak', 5.7, 5.75, "'ad'", 5.7, False, True, 8, ((0, 1), (1, 1), (0, 2), (1, 2)), False, 9),
+        ((2, 5), 2, "append('z')", 'weak', 5.9, 5.95, "'xxyz'", 5.6000000000000005, False, True, 9, ((2, 1), (2, 2), (2, 3), (2, 4)), False, 10),
+        ((1, 3), 1, "append('c')", 'weak', 6.1, 6.1499999999999995, "'ac'", 6.1, False, True, 10, ((0, 1), (1, 1), (0, 2), (1, 2)), False, 11),
+    ],
     'crash-recovery': [
         ((0, 1), 0, "append('a')", 'weak', 1.0, 1.05, "'a'", 1.0, False, True, 0, (), False, 1),
         ((2, 1), 2, "append('b')", 'weak', 2.0, 2.05, "'ab'", 2.0, False, True, 1, ((0, 1),), False, 2),
@@ -127,6 +193,16 @@ GOLDEN = {
         ((0, 3), 0, 'read()', 'strong', 2.6, 4.050697287937747, "'ababc'", 2.6, True, True, 4, ((0, 1), (1, 1), (1, 2), (2, 2)), True, 7),
         ((1, 3), 1, 'read()', 'weak', 9.0, 9.0, "'ababc'", 8.3, True, False, None, ((0, 1), (1, 1), (1, 2), (2, 2), (0, 3)), False, 8),
     ],
+    'modified-sequencer-batched': [
+        ((0, 1), 0, "append('a')", 'weak', 1.0, 1.0, "'a'", 1.0, False, True, 0, (), False, 1),
+        ((1, 1), 1, "append('b')", 'weak', 1.1, 1.1, "'b'", 0.40000000000000013, False, True, 1, (), False, 2),
+        ((2, 1), 2, 'read()', 'weak', 1.2, 1.2, "''", 1.45, True, False, None, (), False, 3),
+        ((1, 2), 1, 'duplicate()', 'strong', 1.3, 2.824396420628762, "'abab'", 0.6000000000000001, False, True, 2, ((0, 1), (1, 1)), True, 4),
+        ((2, 2), 2, "append('c')", 'weak', 1.4, 1.4, "'c'", 1.65, False, True, 3, (), False, 5),
+        ((0, 2), 0, 'read()', 'weak', 1.5, 1.5, "'a'", 1.5, True, False, None, ((0, 1),), False, 6),
+        ((0, 3), 0, 'read()', 'strong', 2.6, 4.050697287937747, "'ababc'", 2.6, True, True, 4, ((0, 1), (1, 1), (1, 2), (2, 2)), True, 7),
+        ((1, 3), 1, 'read()', 'weak', 9.0, 9.0, "'ababc'", 8.3, True, False, None, ((0, 1), (1, 1), (1, 2), (2, 2), (0, 3)), False, 8),
+    ],
     'original-paxos': [
         ((0, 1), 0, "append('a')", 'weak', 1.0, 1.05, "'a'", 1.0, False, True, 0, (), False, 1),
         ((1, 1), 1, "append('b')", 'weak', 1.1, 1.1500000000000001, "'b'", 0.40000000000000013, False, True, 2, (), False, 2),
@@ -147,17 +223,39 @@ GOLDEN = {
         ((0, 3), 0, 'read()', 'strong', 2.6, 3.704847219919101, "'ababc'", 2.6, True, True, 6, ((0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (0, 2)), True, 7),
         ((1, 3), 1, 'read()', 'weak', 9.0, 9.05, "'ababc'", 8.3, True, True, 7, ((0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (0, 3)), False, 8),
     ],
+    'original-sequencer-batched': [
+        ((0, 1), 0, "append('a')", 'weak', 1.0, 1.05, "'a'", 1.0, False, True, 0, (), False, 1),
+        ((1, 1), 1, "append('b')", 'weak', 1.1, 1.1500000000000001, "'b'", 0.40000000000000013, False, True, 1, (), False, 2),
+        ((2, 1), 2, 'read()', 'weak', 1.2, 3.9999999999999996, "'ab'", 1.45, True, True, 2, ((0, 1), (1, 1)), True, 3),
+        ((1, 2), 1, 'duplicate()', 'strong', 1.3, 3.0051206054348443, "'abab'", 0.6000000000000001, False, True, 3, ((0, 1), (1, 1), (2, 1)), True, 4),
+        ((2, 2), 2, "append('c')", 'weak', 1.4, 3.9999999999999996, "'ababc'", 1.65, False, True, 4, ((0, 1), (1, 1), (2, 1), (1, 2)), True, 5),
+        ((0, 2), 0, 'read()', 'weak', 1.5, 1.55, "'a'", 1.5, True, True, 5, ((0, 1),), False, 6),
+        ((0, 3), 0, 'read()', 'strong', 2.6, 3.704847219919101, "'ababc'", 2.6, True, True, 6, ((0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (0, 2)), True, 7),
+        ((1, 3), 1, 'read()', 'weak', 9.0, 9.05, "'ababc'", 8.3, True, True, 7, ((0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (0, 3)), False, 8),
+    ],
+}
+COUNTS = {
+    'anti-entropy-heal': ([1, 1, 6], [12, 12, 17]),
+    'crash-recovery': ([0, 0, 0], [5, 5, 8]),
+    'modified-paxos': ([6, 5, 3], [11, 10, 8]),
+    'modified-sequencer': ([6, 5, 4], [11, 10, 9]),
+    'modified-sequencer-batched': ([6, 5, 3], [11, 10, 8]),
+    'original-paxos': ([11, 11, 2], [19, 19, 10]),
+    'original-sequencer': ([8, 7, 2], [16, 15, 10]),
+    'original-sequencer-batched': ([8, 7, 0], [16, 15, 8]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_frozen_history_matches_recorded_values(name):
-    rows = _frozen(RUNS[name]())
+    cluster = RUNS[name]()
+    rows = _frozen(cluster)
     golden = GOLDEN[name]
     assert len(rows) == len(golden)
     for row, expected in zip(rows, golden):
         for field, got, want in zip(FIELDS, row, expected):
             assert got == want, f"{name}: event {row[0]} field {field!r}"
+    assert _work_counts(cluster) == COUNTS[name]
 
 
 def test_golden_runs_cover_the_fields_the_refactor_could_lose():
@@ -175,10 +273,15 @@ def test_golden_runs_cover_the_fields_the_refactor_could_lose():
 
 
 if __name__ == "__main__":  # pragma: no cover - re-recording entry point
+    recorded = {run_name: run() for run_name, run in sorted(RUNS.items())}
     print("GOLDEN = {")
-    for run_name, run in sorted(RUNS.items()):
+    for run_name, run_cluster in recorded.items():
         print(f"    {run_name!r}: [")
-        for frozen_row in _frozen(run()):
+        for frozen_row in _frozen(run_cluster):
             print(f"        {frozen_row!r},")
         print("    ],")
+    print("}")
+    print("COUNTS = {")
+    for run_name, run_cluster in recorded.items():
+        print(f"    {run_name!r}: {_work_counts(run_cluster)!r},")
     print("}")
