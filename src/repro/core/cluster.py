@@ -266,8 +266,10 @@ class BayouCluster:
         """
         while self.sim.now < max_time:
             self.sim.run(until=self.sim.now + check_every)
-            if self.converged() and self.sim.pending_events == 0:
-                return True
+            if self.sim.pending_events == 0:
+                # A drained queue leaves the clock where it is: stop here,
+                # converged or not, instead of waiting for ``max_time``.
+                return self.converged()
             if self.converged() and self._only_periodic_work_left():
                 return True
         return self.converged()

@@ -390,7 +390,7 @@ class BayouReplica:
         self._step_timer = self.node.set_timer(
             self.config.exec_delay_for(self.pid),
             self._step,
-            label=f"bayou.step r{self.pid}",
+            label="bayou.step",
         )
 
     def _step(self) -> None:
@@ -434,7 +434,7 @@ class BayouReplica:
             self._step_timer = self.node.set_timer(
                 self._batch_deadline - self.node.now,
                 self._batch_step,
-                label=f"bayou.batch r{self.pid}",
+                label="bayou.batch",
             )
 
     def _batch_step(self) -> None:
@@ -447,7 +447,7 @@ class BayouReplica:
             # The deadline moved while we were queued: re-arm for the rest.
             self._step_scheduled = True
             self._step_timer = self.node.set_timer(
-                remaining, self._batch_step, label=f"bayou.batch r{self.pid}"
+                remaining, self._batch_step, label="bayou.batch"
             )
             return
         self._batch_deadline = None

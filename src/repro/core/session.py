@@ -525,9 +525,7 @@ class Session(TypedOperations):
             return
         delay = max(0.0, self._ready_at - self.cluster.sim.now)
         self._pump_scheduled = True
-        self.cluster.sim.schedule(
-            delay, self._pump, label=f"client {self.pid} next"
-        )
+        self.cluster.sim.schedule(delay, self._pump, label="client next")
 
     def _pump(self) -> None:
         self._pump_scheduled = False

@@ -14,14 +14,12 @@ The network deliberately distinguishes the paper's two run kinds:
   partition component.
 """
 
-from repro.net.message import Envelope
 from repro.net.network import LatencyModel, Network, UniformLatency, FixedLatency
 from repro.net.partition import PartitionSchedule
 from repro.net.faults import CrashSchedule, MessageFilter
 
 __all__ = [
     "CrashSchedule",
-    "Envelope",
     "FixedLatency",
     "LatencyModel",
     "MessageFilter",

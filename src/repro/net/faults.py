@@ -164,11 +164,13 @@ class MessageFilter:
     DROP = "drop"
 
     def __init__(self) -> None:
-        self._filters: List[FilterFn] = []
+        #: The registered filters, in order. While it is empty the network
+        #: skips the verdict altogether.
+        self.rules: List[FilterFn] = []
 
     def add(self, filter_fn: FilterFn) -> None:
         """Register a filter."""
-        self._filters.append(filter_fn)
+        self.rules.append(filter_fn)
 
     def drop_between(self, sender: int, receiver: int) -> None:
         """Permanently drop every message from ``sender`` to ``receiver``."""
@@ -193,7 +195,7 @@ class MessageFilter:
     def verdict(self, sender: int, receiver: int, payload: Any, time: float) -> Optional[Any]:
         """DROP if any rule drops; otherwise the summed extra delay (or None)."""
         total_delay: Optional[float] = None
-        for filter_fn in self._filters:
+        for filter_fn in self.rules:
             result = filter_fn(sender, receiver, payload, time)
             if result is None:
                 continue

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.faults import MessageFilter
-from repro.net.message import Envelope
 from repro.net.partition import PartitionSchedule
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
@@ -66,7 +65,8 @@ class UniformLatency(LatencyModel):
         self._rng = (rngs or SeededRngRegistry(0)).stream(stream)
 
     def sample(self, sender: int, receiver: int) -> float:
-        return self._rng.uniform(self.low, self.high)
+        # ``random.uniform``'s own arithmetic, one call shallower.
+        return self.low + (self.high - self.low) * self._rng.random()
 
 
 class Network:
@@ -96,8 +96,9 @@ class Network:
         self.filters = filters or MessageFilter()
         self._processes: Dict[int, Process] = {}
         self._last_delivery: Dict[Tuple[int, int], float] = {}
-        #: Messages whose partition never (yet) heals, awaiting reschedule.
-        self._held: List[Envelope] = []
+        #: ``(sender, receiver, payload)`` of messages whose partition never
+        #: (yet) heals, awaiting reschedule.
+        self._held: List[Tuple[int, int, Any]] = []
         self.sent_count = 0
         self.delivered_count = 0
         self.dropped_count = 0
@@ -112,40 +113,38 @@ class Network:
             raise ValueError(f"pid {process.pid} out of range")
         self._processes[process.pid] = process
 
-    def process(self, pid: int) -> Process:
-        """Return the registered process with the given pid."""
-        return self._processes[pid]
-
-    def send(self, sender: int, receiver: int, payload: Any) -> Optional[Envelope]:
-        """Send ``payload``; returns the envelope, or None if dropped by a filter.
+    def send(self, sender: int, receiver: int, payload: Any) -> None:
+        """Send ``payload`` (a filter may drop it).
 
         Self-messages (loopback) go through the same latency, filter and
         FIFO machinery as any other link: protocol components (e.g. the TOB
         sequencer ordering its own proposal) should not get a free
         zero-latency path that no real deployment has.
         """
-        verdict = self.filters.verdict(sender, receiver, payload, self.sim.now)
+        sim = self.sim
+        now = sim.now
         extra_delay = 0.0
-        if verdict == MessageFilter.DROP:
-            self.dropped_count += 1
-            return None
-        if verdict is not None:
-            extra_delay = float(verdict)
+        # The verdict comes before the latency sample: a dropped message
+        # draws nothing from the latency stream.
+        if self.filters.rules:
+            verdict = self.filters.verdict(sender, receiver, payload, now)
+            if verdict == MessageFilter.DROP:
+                self.dropped_count += 1
+                return
+            if verdict is not None:
+                extra_delay = float(verdict)
 
-        envelope = Envelope(sender, receiver, payload, self.sim.now)
         self.sent_count += 1
-        delay = self.latency.sample(sender, receiver) + extra_delay
         key = (sender, receiver)
-        target = self.sim.now + delay
-        floor = self._last_delivery.get(key, float("-inf")) + self.FIFO_EPSILON
-        target = max(target, floor)
+        target = now + (self.latency.sample(sender, receiver) + extra_delay)
+        last = self._last_delivery.get(key)
+        if last is not None and target < last + self.FIFO_EPSILON:
+            target = last + self.FIFO_EPSILON
         self._last_delivery[key] = target
-        self.sim.schedule_at(
-            target,
-            lambda: self._attempt_delivery(envelope),
-            label=f"net {sender}->{receiver}",
+        sim.schedule(
+            target - now, self._attempt_delivery, sender, receiver, payload,
+            label="net",
         )
-        return envelope
 
     def broadcast(self, sender: int, payload: Any, *, include_self: bool = False) -> None:
         """Send ``payload`` to every process (optionally including the sender)."""
@@ -154,21 +153,20 @@ class Network:
                 continue
             self.send(sender, pid, payload)
 
-    def _attempt_delivery(self, envelope: Envelope) -> None:
-        """Deliver ``envelope`` if connectivity allows; otherwise buffer it."""
+    def _attempt_delivery(self, sender: int, receiver: int, payload: Any) -> None:
+        """Deliver ``payload`` if connectivity allows; otherwise buffer it."""
         now = self.sim.now
-        if not self.partitions.connected(envelope.sender, envelope.receiver, now):
+        if not self.partitions.connected(sender, receiver, now):
             retry_at = self.partitions.next_change_after(now)
             if retry_at == float("inf"):
-                self._held.append(envelope)
+                self._held.append((sender, receiver, payload))
             else:
                 self.sim.schedule_at(
-                    retry_at,
-                    lambda: self._attempt_delivery(envelope),
-                    label=f"net retry {envelope.sender}->{envelope.receiver}",
+                    retry_at, self._attempt_delivery, sender, receiver, payload,
+                    label="net retry",
                 )
             return
-        process = self._processes.get(envelope.receiver)
+        process = self._processes.get(receiver)
         if process is None:
             return
         if process.crashed:
@@ -178,7 +176,8 @@ class Network:
             self.suppressed_count += 1
             return
         self.delivered_count += 1
-        process.deliver(envelope.sender, envelope.payload)
+        # ``Process.deliver`` minus its crash check, which was made above.
+        process.on_message(sender, payload)
 
     def reschedule_held(self) -> None:
         """Re-attempt delivery of messages held during a never-ending partition.
@@ -187,11 +186,9 @@ class Network:
         partition that was previously permanent) must call this afterwards.
         """
         held, self._held = self._held, []
-        for envelope in held:
+        for message in held:
             self.sim.schedule(
-                0.0,
-                lambda env=envelope: self._attempt_delivery(env),
-                label="net reattempt",
+                0.0, self._attempt_delivery, *message, label="net reattempt"
             )
 
     @property

@@ -37,6 +37,9 @@ class PartitionSchedule:
         self._changes: List[Tuple[float, Tuple[Component, ...]]] = [
             (float("-inf"), (everyone,))
         ]
+        #: The change times alone, kept in step with ``_changes`` by
+        #: :meth:`split` so a lookup bisects without building a list.
+        self._times: List[float] = [float("-inf")]
 
     def _validate(self, components: Sequence[Iterable[int]]) -> Tuple[Component, ...]:
         frozen = [frozenset(c) for c in components]
@@ -60,6 +63,7 @@ class PartitionSchedule:
         self._changes = [c for c in self._changes if c[0] < at]
         self._changes.append((at, partitioning))
         self._changes.sort(key=lambda c: c[0])
+        self._times = [c[0] for c in self._changes]
 
     def heal(self, at: float) -> None:
         """Restore full connectivity at time ``at``."""
@@ -67,15 +71,18 @@ class PartitionSchedule:
 
     def partitioning_at(self, time: float) -> Tuple[Component, ...]:
         """Return the partitioning in force at ``time``."""
-        times = [c[0] for c in self._changes]
-        index = bisect_right(times, time) - 1
-        return self._changes[index][1]
+        return self._changes[bisect_right(self._times, time) - 1][1]
 
     def connected(self, a: int, b: int, time: float) -> bool:
         """True if processes ``a`` and ``b`` can exchange messages at ``time``."""
         if a == b:
             return True
-        for component in self.partitioning_at(time):
+        changes = self._changes
+        # One epoch (nobody ever split the schedule) needs no lookup by time.
+        partitioning = (
+            changes[0][1] if len(changes) == 1 else self.partitioning_at(time)
+        )
+        for component in partitioning:
             if a in component:
                 return b in component
         return False

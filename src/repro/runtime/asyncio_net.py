@@ -52,13 +52,23 @@ _DIAL_BACKOFF_MAX = 1.0
 class AsyncioTimer(RuntimeTimer):
     """``loop.call_later`` behind the runtime timer contract."""
 
-    __slots__ = ("_handle", "_cancelled", "label")
+    __slots__ = ("_handle", "_cancelled", "label", "_callback", "_args")
 
-    def __init__(self, label: str) -> None:
+    def __init__(
+        self, label: str, callback: Callable[..., None], args: Tuple[Any, ...]
+    ) -> None:
         #: None while the timer waits for the runtime to start.
         self._handle: Optional[asyncio.TimerHandle] = None
         self._cancelled = False
         self.label = label
+        self._callback = callback
+        self._args = args
+
+    def __call__(self) -> None:
+        """What the loop runs when the timer is due; a cancel that raced the
+        loop's own dispatch still wins."""
+        if not self._cancelled:
+            self._callback(*self._args)
 
     def cancel(self) -> None:
         self._cancelled = True
@@ -113,7 +123,7 @@ class AsyncioRuntime(Runtime):
         self._epoch: Optional[float] = None
         self._stopped = False
         #: Timers requested before a loop was running; armed by start().
-        self._prestart: List[Tuple[AsyncioTimer, float, Callable[[], None]]] = []
+        self._prestart: List[Tuple[AsyncioTimer, float]] = []
         self._conn_tasks: List[asyncio.Task] = []
         #: Harness hook answering ``rpc`` frames; ``None`` refuses them.
         self.rpc_handler: Optional[RpcHandler] = None
@@ -148,22 +158,17 @@ class AsyncioRuntime(Runtime):
         return loop.time() - self._epoch
 
     def schedule(
-        self, delay: float, callback: Callable[[], None], *, label: str = ""
+        self, delay: float, callback: Callable[..., None], *args: Any, label: str = ""
     ) -> AsyncioTimer:
-        timer = AsyncioTimer(label)
-
-        def guarded() -> None:
-            if not timer.cancelled:
-                callback()
-
+        timer = AsyncioTimer(label, callback, args)
         try:
             loop = self._loop()
         except RuntimeError:
             # No loop is running yet (components arm timers while they are
             # constructed, before ``asyncio.run``): count from start().
-            self._prestart.append((timer, delay, guarded))
+            self._prestart.append((timer, delay))
         else:
-            timer._handle = loop.call_later(max(0.0, delay), guarded)
+            timer._handle = loop.call_later(max(0.0, delay), timer)
         return timer
 
     def register(self, process: Any) -> None:
@@ -210,8 +215,8 @@ class AsyncioRuntime(Runtime):
         host, port = self.peers[self.pid]
         self.now()  # pin the epoch to runtime start
         prestart, self._prestart = self._prestart, []
-        for timer, delay, guarded in prestart:
-            timer._handle = self._loop().call_later(max(0.0, delay), guarded)
+        for timer, delay in prestart:
+            timer._handle = self._loop().call_later(max(0.0, delay), timer)
         self._server = await asyncio.start_server(
             self._on_connection, host=host, port=port
         )

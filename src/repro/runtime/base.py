@@ -21,9 +21,10 @@ backend:
 The interface is deliberately narrow. ``now()`` is *the backend's* notion
 of time (simulated units or seconds since runtime start) — protocol code
 may compare and subtract these values but must not assume a unit.
-``schedule`` returns a :class:`RuntimeTimer`, whose ``cancel()`` is the one
-and only way to retire a pending callback; cancellation must be honoured by
-every backend (see the ``ProcessTimer`` regression tests).
+``schedule(delay, callback, *args)`` returns a :class:`RuntimeTimer`, whose
+``cancel()`` is the one and only way to retire a pending callback;
+cancellation must be honoured by every backend (see the ``ProcessTimer``
+regression tests).
 """
 
 from __future__ import annotations
@@ -62,26 +63,27 @@ class Runtime(ABC):
 
     @abstractmethod
     def schedule(
-        self, delay: float, callback: Callable[[], None], *, label: str = ""
+        self, delay: float, callback: Callable[..., None], *args: Any, label: str = ""
     ) -> RuntimeTimer:
-        """Run ``callback`` once, ``delay`` time units from now."""
+        """Run ``callback(*args)`` once, ``delay`` time units from now (the
+        arguments ride along as on ``loop.call_later``: no closure per timer)."""
 
     def spawn(
-        self, callback: Callable[[], None], *, label: str = ""
+        self, callback: Callable[..., None], *args: Any, label: str = ""
     ) -> RuntimeTimer:
-        """Run ``callback`` as soon as possible (a zero-delay schedule)."""
-        return self.schedule(0.0, callback, label=label)
+        """Run ``callback(*args)`` as soon as possible (a zero-delay schedule)."""
+        return self.schedule(0.0, callback, *args, label=label)
 
     @abstractmethod
     def send(self, sender: int, receiver: int, payload: Any) -> None:
         """Send ``payload`` from process ``sender`` to process ``receiver``.
 
-        Best-effort FIFO per link; delivery invokes the receiving
-        process's ``deliver(sender, payload)``. Payloads must survive the
-        backend's codec — on the sim they pass by reference, on asyncio
-        they round-trip through the durability codec registry
-        (:mod:`repro.runtime.wire`), so anything a replica persists is
-        also sendable.
+        Best-effort FIFO per link; delivery reaches the receiving
+        process's ``on_message(sender, payload)`` unless it is crashed.
+        Payloads must survive the backend's codec — on the sim they pass
+        by reference, on asyncio they round-trip through the durability
+        codec registry (:mod:`repro.runtime.wire`), so anything a replica
+        persists is also sendable.
         """
 
     def broadcast(
@@ -95,7 +97,7 @@ class Runtime(ABC):
 
     @abstractmethod
     def register(self, process: "Process") -> None:
-        """Attach a process so inbound messages reach ``process.deliver``."""
+        """Attach a process so inbound messages reach it."""
 
     @property
     @abstractmethod

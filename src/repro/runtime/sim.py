@@ -48,9 +48,9 @@ class SimRuntime(Runtime):
         return self.sim.now
 
     def schedule(
-        self, delay: float, callback: Callable[[], None], *, label: str = ""
+        self, delay: float, callback: Callable[..., None], *args: Any, label: str = ""
     ) -> "ScheduledEvent":
-        return self.sim.schedule(delay, callback, label=label)
+        return self.sim.schedule(delay, callback, *args, label=label)
 
     def send(self, sender: int, receiver: int, payload: Any) -> None:
         if self.network is None:

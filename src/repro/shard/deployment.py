@@ -431,8 +431,9 @@ class ShardedCluster:
         """Run until *every* shard converged-and-idle (for Paxos engines)."""
         while self.sim.now < max_time:
             self.sim.run(until=self.sim.now + check_every)
-            if self.converged() and self.sim.pending_events == 0:
-                return True
+            if self.sim.pending_events == 0:
+                # A drained queue leaves the clock where it is: stop here.
+                return self.converged()
             if self.converged() and all(
                 shard._only_periodic_work_left() for shard in self.shards
             ):

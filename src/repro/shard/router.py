@@ -426,9 +426,7 @@ class ShardedSession(TypedOperations):
             return
         delay = max(0.0, self._ready_at - self.router.sim.now)
         self._pump_scheduled = True
-        self.router.sim.schedule(
-            delay, self._pump, label=f"sharded client {self.pid} next"
-        )
+        self.router.sim.schedule(delay, self._pump, label="sharded client next")
 
     def _refresh_route(self, future: OpFuture) -> bool:
         """Ensure the head future's route matches the live epoch.

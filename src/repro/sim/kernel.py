@@ -1,9 +1,12 @@
 """The discrete-event simulation kernel.
 
 A :class:`Simulator` owns a priority queue of :class:`ScheduledEvent` objects.
-Each event carries a zero-argument callback. Events scheduled for the same
-simulated time are executed in scheduling order (a monotonically increasing
-sequence number breaks ties), which makes every run fully deterministic.
+Each event carries a callback and the positional arguments to call it with
+(``schedule(delay, callback, *args)``, the shape of ``loop.call_later``), so
+a caller hands over a bound method and its arguments instead of building a
+closure per event. Events scheduled for the same simulated time are executed
+in scheduling order (a monotonically increasing sequence number breaks
+ties), which makes every run fully deterministic.
 
 The kernel knows nothing about replicas, networks, or protocols; those are
 layered on top (see :mod:`repro.net` and :mod:`repro.core`).
@@ -13,28 +16,35 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised when the kernel is used incorrectly (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
 class ScheduledEvent:
     """A single entry in the simulator's event queue.
 
-    Events are ordered by ``(time, seq)``; ``seq`` is assigned by the
-    simulator and guarantees a deterministic total order even for events
-    scheduled at identical times.
+    The record is all an event is: when, what to call with which arguments,
+    a label for whoever inspects the queue, and whether it was cancelled.
+    Its place among same-time events (``seq``) lives in the heap entry only.
     """
 
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "callback", "args", "label", "cancelled")
+
+    def __init__(
+        self,
+        time: float,
+        callback: Callable[..., None],
+        args: Tuple[Any, ...],
+        label: str,
+    ) -> None:
+        self.time = time
+        self.callback = callback
+        self.args = args
+        self.label = label
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event as cancelled; it will be skipped when popped."""
@@ -57,14 +67,13 @@ class Simulator:
 
     def __init__(self, *, max_events: int = 10_000_000) -> None:
         #: Heap of ``(time, seq, event)`` — raw tuples keep heap comparisons
-        #: in C instead of the dataclass ``__lt__`` (a hot path: every
-        #: message, timer and internal step passes through here).
+        #: in C (a hot path: every message, timer and internal step passes
+        #: through here).
         self._queue: List[Tuple[float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._executed = 0
         self._max_events = max_events
-        self._running = False
 
     @property
     def now(self) -> float:
@@ -84,40 +93,49 @@ class Simulator:
     def schedule(
         self,
         delay: float,
-        callback: Callable[[], None],
-        *,
+        callback: Callable[..., None],
+        *args: Any,
         label: str = "",
     ) -> ScheduledEvent:
-        """Schedule ``callback`` to run ``delay`` time units from now.
+        """Schedule ``callback(*args)`` to run ``delay`` time units from now.
 
         Returns the :class:`ScheduledEvent`, which can be cancelled. A zero
         delay is allowed and means "as soon as the current callback returns",
         still respecting scheduling order among same-time events.
         """
+        # bench/tracing.py patches this method from outside and books each
+        # event to the layer whose module *defined* the callback: keep the
+        # callback second positional and ``label`` keyword-only, and hand
+        # over functions or bound methods, never a ``functools.partial``
+        # (module ``functools``: its work would vanish from the ledger).
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = ScheduledEvent(
-            time=self._now + delay,
-            seq=next(self._seq),
-            callback=callback,
-            label=label,
-        )
-        heapq.heappush(self._queue, (event.time, event.seq, event))
+        time = self._now + delay
+        event = ScheduledEvent(time, callback, args, label)
+        heapq.heappush(self._queue, (time, next(self._seq), event))
         return event
 
     def schedule_at(
         self,
         time: float,
-        callback: Callable[[], None],
-        *,
+        callback: Callable[..., None],
+        *args: Any,
         label: str = "",
     ) -> ScheduledEvent:
-        """Schedule ``callback`` at an absolute simulated time."""
+        """Schedule ``callback(*args)`` at an absolute simulated time."""
+        return self.schedule(time - self._now, callback, *args, label=label)
+
+    def _advance(self, time: float) -> None:
+        """Move the clock to a popped event's ``time`` and count the event."""
         if time < self._now:
+            raise SimulationError("event queue corrupted: time went backwards")
+        self._now = time
+        self._executed += 1
+        if self._executed > self._max_events:
             raise SimulationError(
-                f"cannot schedule at t={time} < now={self._now}"
+                f"exceeded max_events={self._max_events}; "
+                "likely a livelock in the simulated protocol"
             )
-        return self.schedule(time - self._now, callback, label=label)
 
     def step(self) -> bool:
         """Execute the next pending event.
@@ -125,21 +143,13 @@ class Simulator:
         Returns ``True`` if an event was executed, ``False`` if the queue is
         empty (the simulation is quiescent).
         """
-        while self._queue:
-            _, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            if event.time < self._now:
-                raise SimulationError("event queue corrupted: time went backwards")
-            self._now = event.time
-            self._executed += 1
-            if self._executed > self._max_events:
-                raise SimulationError(
-                    f"exceeded max_events={self._max_events}; "
-                    "likely a livelock in the simulated protocol"
-                )
-            event.callback()
-            return True
+        queue = self._queue
+        while queue:
+            time, _, event = heapq.heappop(queue)
+            if not event.cancelled:
+                self._advance(time)
+                event.callback(*event.args)
+                return True
         return False
 
     def run(self, *, until: Optional[float] = None) -> None:
@@ -148,20 +158,24 @@ class Simulator:
         Events scheduled exactly at ``until`` are still executed; the first
         event strictly beyond it is left in the queue.
         """
-        self._running = True
-        try:
-            while self._queue:
-                head = self._queue[0][2]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
-                    continue
-                if until is not None and head.time > until:
-                    self._now = max(self._now, until)
-                    break
-                if not self.step():
-                    break
-        finally:
-            self._running = False
+        queue = self._queue
+        heappop = heapq.heappop
+        max_events = self._max_events
+        while queue:
+            time, _, event = queue[0]
+            if event.cancelled:
+                heappop(queue)
+                continue
+            if until is not None and time > until:
+                self._now = max(self._now, until)
+                break
+            heappop(queue)
+            # ``_advance`` inlined; the call is only taken to raise.
+            if time < self._now or self._executed >= max_events:
+                self._advance(time)
+            self._now = time
+            self._executed += 1
+            event.callback(*event.args)
 
     def run_until_quiescent(self) -> float:
         """Run until no events remain; return the quiescence time."""
@@ -172,8 +186,10 @@ class Simulator:
         """Advance simulated time without executing events (for tests)."""
         if time < self._now:
             raise SimulationError("cannot move time backwards")
-        if self._queue and min(
-            e.time for _, _, e in self._queue if not e.cancelled
-        ) < time:
+        earliest = min(
+            (e.time for _, _, e in self._queue if not e.cancelled),
+            default=float("inf"),
+        )
+        if earliest < time:
             raise SimulationError("cannot skip over pending events")
         self._now = time

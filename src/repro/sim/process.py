@@ -79,11 +79,12 @@ class ProcessTimer:
         """Kill the timer for good; it will neither fire nor resurrect.
 
         Cancellation is enforced twice: the backend handle is cancelled
-        (so no backend needs to run the callback at all), and the guarded
-        wrapper re-checks ``cancelled`` at fire time — a backend whose
-        cancellation races its own dispatch (asyncio's ``call_later`` once
-        the callback is already queued) still never runs a cancelled
-        timer. The crash-stop regression tests pin this on both backends.
+        (so no backend needs to run the callback at all), and
+        :meth:`Process._fire` re-checks ``cancelled`` at fire time — a
+        backend whose cancellation races its own dispatch (asyncio's
+        ``call_later`` once the callback is already queued) still never
+        runs a cancelled timer. The crash-stop regression tests pin this on
+        both backends.
         """
         self.cancelled = True
         if self.event is not None:
@@ -138,7 +139,7 @@ class Process:
         raise NotImplementedError
 
     def deliver(self, sender: int, message: Any) -> None:
-        """Entry point used by the network; drops the message if crashed."""
+        """Entry point for a transport that has not checked ``crashed``."""
         if self.crashed:
             return
         self.on_message(sender, message)
@@ -161,20 +162,22 @@ class Process:
         when the process recovers — the contract periodic components rely
         on to survive a crash–recovery cycle.
         """
-        timer = ProcessTimer(delay, callback, label or f"{self.name}.timer", resurrect)
-
-        def guarded() -> None:
-            if timer.cancelled:
-                return
-            if self.crashed:
-                timer.suppressed = True
-                self._suppressed_timers.append(timer)
-                return
-            timer.fired = True
-            callback()
-
-        timer.event = self.runtime.schedule(delay, guarded, label=timer.label)
+        timer = ProcessTimer(delay, callback, label or "process.timer", resurrect)
+        timer.event = self.runtime.schedule(
+            delay, self._fire, timer, label=timer.label
+        )
         return timer
+
+    def _fire(self, timer: ProcessTimer) -> None:
+        """A timer came due: settle which of its three fates it meets."""
+        if timer.cancelled:
+            return
+        if self.crashed:
+            timer.suppressed = True
+            self._suppressed_timers.append(timer)
+            return
+        timer.fired = True
+        timer.callback()
 
     # ------------------------------------------------------------------
     # Crash–recovery lifecycle

@@ -8,6 +8,8 @@ from repro.datatypes.counter import Counter
 from repro.datatypes.rlist import RList
 from repro.framework.history import PENDING
 from repro.net.network import FixedLatency, UniformLatency
+from repro.net.partition import PartitionSchedule
+from repro.shard import ShardedCluster
 from repro.sim.rng import SeededRngRegistry
 
 
@@ -135,3 +137,49 @@ def test_rlist_render_handles_non_string_elements():
     rlist.execute(RList.append(2), db)
     assert rlist.execute(RList.read(), db) == "12"
     assert rlist.execute(RList.get_first(), db) == 1
+
+
+def _never_healed(n_replicas):
+    """Replica ``n - 1`` is cut off from t=0.5 on and nobody heals it."""
+    partitions = PartitionSchedule(n_replicas)
+    partitions.split(0.5, [list(range(n_replicas - 1)), [n_replicas - 1]])
+    return partitions
+
+
+def _asynchronous_cluster():
+    config = BayouConfig(n_replicas=3, exec_delay=0.05, message_delay=1.0)
+    cluster = BayouCluster(Counter(), config, partitions=_never_healed(3))
+    cluster.schedule_invoke(1.0, 2, Counter.increment(1))
+    return cluster, cluster.network
+
+
+def _asynchronous_sharded_cluster():
+    config = BayouConfig(n_replicas=3, exec_delay=0.05, message_delay=1.0)
+    deployment = ShardedCluster(
+        Counter(), config, n_shards=2, partitions={0: _never_healed(3)}
+    )
+    shard = deployment.shards[0]
+    shard.schedule_invoke(1.0, 2, Counter.increment(1))
+    return deployment, shard.network
+
+
+@pytest.mark.parametrize(
+    "build", [_asynchronous_cluster, _asynchronous_sharded_cluster]
+)
+def test_run_until_stable_returns_when_the_queue_drains_unconverged(build):
+    """The paper's asynchronous run: the minority's messages stay buffered,
+    the queue drains, and the clock stops short of ``max_time`` — the answer
+    is "not converged", not another empty ``run`` forever."""
+    cluster, network = build()
+    run, calls = cluster.sim.run, []
+
+    def bounded_run(**kwargs):
+        calls.append(kwargs)
+        assert len(calls) < 50, "run_until_stable spins on a drained queue"
+        run(**kwargs)
+
+    cluster.sim.run = bounded_run
+    assert cluster.run_until_stable(max_time=500.0) is False
+    assert cluster.sim.pending_events == 0
+    assert cluster.sim.now < 500.0
+    assert network.held_count == 3

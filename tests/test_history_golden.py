@@ -13,20 +13,25 @@ Next to the history, every run pins each replica's ``rollback_count`` and
 still differ in how much speculative work they threw away, and a change to
 the reorder path must not move either.
 
+``EVENTS`` pins, per run, the kernel's ``executed_events`` and the
+network's ``sent_count`` / ``delivered_count`` / ``suppressed_count`` /
+``dropped_count``: a change to how events and deliveries are handed to the
+kernel must keep every one of them, not only what clients saw.
+
 Re-record (``python tests/test_history_golden.py``) only in a change that
 *means* to alter behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 import pytest
 
 from repro.core.cluster import BayouCluster, MODIFIED, ORIGINAL
 from repro.core.config import BayouConfig
 from repro.datatypes.rlist import RList
-from repro.net.faults import CrashSchedule
+from repro.net.faults import CrashSchedule, MessageFilter
 
 FIELDS = (
     "eid", "session", "op", "level", "invoke_time", "return_time", "rval",
@@ -35,7 +40,13 @@ FIELDS = (
 )
 
 
-def _mixed_run(protocol: str, tob_engine: str, **engine: Any) -> BayouCluster:
+def _mixed_run(
+    protocol: str,
+    tob_engine: str,
+    *,
+    filters: Optional[MessageFilter] = None,
+    **engine: Any,
+) -> BayouCluster:
     """Weak and strong updates and reads racing across three replicas with
     skewed clocks, a slow replica and jittered links."""
     config = BayouConfig(
@@ -49,7 +60,7 @@ def _mixed_run(protocol: str, tob_engine: str, **engine: Any) -> BayouCluster:
         seed=7,
         **engine,
     )
-    cluster = BayouCluster(RList(), config, protocol=protocol)
+    cluster = BayouCluster(RList(), config, protocol=protocol, filters=filters)
     cluster.schedule_invoke(1.0, 0, RList.append("a"))
     cluster.schedule_invoke(1.1, 1, RList.append("b"))
     cluster.schedule_invoke(1.2, 2, RList.read())
@@ -114,6 +125,19 @@ def _anti_entropy_heal_run() -> BayouCluster:
     return cluster
 
 
+def _filtered_jitter_run() -> BayouCluster:
+    """The mixed run with a dropping and a delaying filter on live links and
+    retransmission armed: every send takes the filter branch, and a dropped
+    message must draw no latency sample (the RNG order decides every later
+    delivery time)."""
+    filters = MessageFilter()
+    filters.drop_between(1, 2)
+    filters.delay_between(0, 1, 0.7)
+    return _mixed_run(
+        ORIGINAL, "sequencer", filters=filters, retransmit_interval=1.0
+    )
+
+
 RUNS = {
     "original-sequencer": lambda: _mixed_run(ORIGINAL, "sequencer"),
     "original-sequencer-batched": lambda: _mixed_run(
@@ -127,6 +151,7 @@ RUNS = {
     "modified-sequencer": lambda: _mixed_run(MODIFIED, "sequencer"),
     "modified-paxos": lambda: _mixed_run(MODIFIED, "paxos"),
     "crash-recovery": _crash_recovery_run,
+    "filtered-jitter": _filtered_jitter_run,
 }
 
 
@@ -149,9 +174,23 @@ def _work_counts(cluster: BayouCluster) -> Tuple[List[int], List[int]]:
     )
 
 
+def _event_counts(cluster: BayouCluster) -> Tuple[int, int, int, int, int]:
+    """``(executed_events, sent, delivered, suppressed, dropped)``."""
+    network = cluster.network
+    return (
+        cluster.sim.executed_events,
+        network.sent_count,
+        network.delivered_count,
+        network.suppressed_count,
+        network.dropped_count,
+    )
+
+
 # One row per event, FIELDS order; recorded at the commit before the
 # per-operation records were merged (the batched and anti-entropy runs, and
-# COUNTS, at the commit before the replica's re-diff was replaced).
+# COUNTS, at the commit before the replica's re-diff was replaced; the
+# filtered-jitter run and EVENTS at the commit before events stopped being
+# closures over an envelope).
 GOLDEN = {
     'anti-entropy-heal': [
         ((0, 1), 0, "append('a')", 'weak', 1.0, 1.05, "'a'", 1.0, False, True, 0, (), False, 1),
@@ -172,6 +211,16 @@ GOLDEN = {
         ((2, 2), 2, 'duplicate()', 'strong', 3.0, None, '∇', 3.0, False, True, 2, None, False, 3),
         ((1, 1), 1, "append('c')", 'weak', 5.0, 5.05, "'ababc'", 5.0, False, True, 3, ((0, 1), (2, 1), (2, 2)), False, 4),
         ((2, 3), 2, 'read()', 'strong', 20.0, 21.000000001, "'ababc'", 20.0, True, True, 4, ((0, 1), (2, 1), (2, 2), (1, 1)), True, 5),
+    ],
+    'filtered-jitter': [
+        ((0, 1), 0, "append('a')", 'weak', 1.0, 1.05, "'a'", 1.0, False, True, 0, (), False, 1),
+        ((1, 1), 1, "append('b')", 'weak', 1.1, 1.1500000000000001, "'b'", 0.40000000000000013, False, True, 1, (), False, 2),
+        ((2, 1), 2, 'read()', 'weak', 1.2, 1.6, "''", 1.45, True, True, 2, (), False, 3),
+        ((1, 2), 1, 'duplicate()', 'strong', 1.3, 3.685337370217014, "'abcabc'", 0.6000000000000001, False, True, 4, ((0, 1), (1, 1), (2, 1), (2, 2)), True, 4),
+        ((2, 2), 2, "append('c')", 'weak', 1.4, 3.5999999999999996, "'abc'", 1.65, False, True, 3, ((0, 1), (1, 1), (2, 1)), True, 5),
+        ((0, 2), 0, 'read()', 'weak', 1.5, 1.55, "'a'", 1.5, True, True, 5, ((0, 1),), False, 6),
+        ((0, 3), 0, 'read()', 'strong', 2.6, 3.9629771148030706, "'abcabc'", 2.6, True, True, 6, ((0, 1), (1, 1), (2, 1), (2, 2), (1, 2), (0, 2)), True, 7),
+        ((1, 3), 1, 'read()', 'weak', 9.0, 9.05, "'abcabc'", 8.3, True, True, 7, ((0, 1), (1, 1), (2, 1), (2, 2), (1, 2), (0, 2), (0, 3)), False, 8),
     ],
     'modified-paxos': [
         ((0, 1), 0, "append('a')", 'weak', 1.0, 1.0, "'a'", 1.0, False, True, 0, (), False, 1),
@@ -237,12 +286,24 @@ GOLDEN = {
 COUNTS = {
     'anti-entropy-heal': ([1, 1, 6], [12, 12, 17]),
     'crash-recovery': ([0, 0, 0], [5, 5, 8]),
+    'filtered-jitter': ([12, 10, 1], [20, 18, 9]),
     'modified-paxos': ([6, 5, 3], [11, 10, 8]),
     'modified-sequencer': ([6, 5, 4], [11, 10, 9]),
     'modified-sequencer-batched': ([6, 5, 3], [11, 10, 8]),
     'original-paxos': ([11, 11, 2], [19, 19, 10]),
     'original-sequencer': ([8, 7, 2], [16, 15, 10]),
     'original-sequencer-batched': ([8, 7, 0], [16, 15, 8]),
+}
+EVENTS = {
+    'anti-entropy-heal': (195, 101, 101, 0, 0),
+    'crash-recovery': (83, 58, 52, 6, 0),
+    'filtered-jitter': (185, 94, 94, 0, 8),
+    'modified-paxos': (239, 153, 153, 0, 0),
+    'modified-sequencer': (79, 38, 38, 0, 0),
+    'modified-sequencer-batched': (62, 38, 38, 0, 0),
+    'original-paxos': (351, 221, 221, 0, 0),
+    'original-sequencer': (146, 80, 80, 0, 0),
+    'original-sequencer-batched': (111, 80, 80, 0, 0),
 }
 
 
@@ -256,6 +317,7 @@ def test_frozen_history_matches_recorded_values(name):
         for field, got, want in zip(FIELDS, row, expected):
             assert got == want, f"{name}: event {row[0]} field {field!r}"
     assert _work_counts(cluster) == COUNTS[name]
+    assert _event_counts(cluster) == EVENTS[name]
 
 
 def test_golden_runs_cover_the_fields_the_refactor_could_lose():
@@ -284,4 +346,8 @@ if __name__ == "__main__":  # pragma: no cover - re-recording entry point
     print("COUNTS = {")
     for run_name, run_cluster in recorded.items():
         print(f"    {run_name!r}: {_work_counts(run_cluster)!r},")
+    print("}")
+    print("EVENTS = {")
+    for run_name, run_cluster in recorded.items():
+        print(f"    {run_name!r}: {_event_counts(run_cluster)!r},")
     print("}")

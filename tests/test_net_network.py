@@ -103,9 +103,9 @@ def test_partition_buffers_and_heals():
     )
     network.send(0, 1, "delayed")
     sim.run()
-    assert len(processes[1].received) == 1
-    # Delivered at the heal boundary, not earlier.
-    assert processes[1].received[0][0] >= 50.0
+    # Delivered at the heal boundary, not earlier — sender and payload intact.
+    assert processes[1].received == [(50.0, 0, "delayed")]
+    assert network.held_count == 0
 
 
 def test_permanent_partition_holds_messages():
@@ -122,7 +122,8 @@ def test_permanent_partition_holds_messages():
     partitions.heal(sim.now)
     network.reschedule_held()
     sim.run()
-    assert len(processes[1].received) == 1
+    assert processes[1].received == [(sim.now, 0, "stuck")]
+    assert (network.held_count, network.delivered_count) == (0, 1)
 
 
 def test_crashed_process_drops_messages():
@@ -131,6 +132,35 @@ def test_crashed_process_drops_messages():
     network.send(0, 1, "into the void")
     sim.run()
     assert processes[1].received == []
+    # Sent, never consumed: suppressed, not delivered.
+    assert (network.sent_count, network.delivered_count) == (1, 0)
+    assert network.suppressed_count == 1
+
+
+def _jittered_run(drop_first: bool):
+    """Three sends 0->1 under jitter; optionally a filter, registered after
+    the network was built, eats a 1->0 send made before them."""
+    sim, network, processes = build(
+        latency=UniformLatency(1.0, 5.0, SeededRngRegistry(5))
+    )
+    if drop_first:
+        network.filters.drop_between(1, 0)
+        network.send(1, 0, "eaten")
+    for index in range(3):
+        network.send(0, 1, index)
+    sim.run()
+    return network, processes[1].received
+
+
+def test_filter_dropped_message_draws_no_latency_sample():
+    """The verdict comes before the sample: dropping a message must not
+    shift the latency stream under every later one."""
+    plain_network, plain = _jittered_run(drop_first=False)
+    dropped_network, after_drop = _jittered_run(drop_first=True)
+    assert after_drop == plain
+    assert len({time for time, _, _ in plain}) == 3  # jitter really drew
+    assert (dropped_network.dropped_count, dropped_network.sent_count) == (1, 3)
+    assert plain_network.dropped_count == 0
 
 
 def test_counters():

@@ -3,8 +3,13 @@
 The regression pinned hardest here: a :class:`ProcessTimer` cancelled
 *after* its process crash-stops must never fire — on either backend. The
 sim backend cancels the kernel event outright; the asyncio backend can race
-``call_later`` dispatch, so the guarded wrapper's fire-time re-check is
+``call_later`` dispatch, so the fire-time re-check in ``Process._fire`` is
 what saves it. Both paths are exercised.
+
+``schedule(delay, callback, *args)`` carries positional arguments on both
+backends, and a process timer rides on it (``_fire(timer)``, no closure):
+the timer's three fates — fired, cancelled, suppressed-then-resurrected —
+are pinned on the simulator and on asyncio.
 """
 
 from __future__ import annotations
@@ -43,6 +48,17 @@ def test_sim_runtime_clock_and_timers_delegate_to_kernel():
     sim.run_until_quiescent()
     assert fired == [2.0]
     assert runtime.now() == sim.now
+
+
+def test_sim_runtime_schedule_and_spawn_carry_arguments():
+    sim = Simulator()
+    runtime = SimRuntime(sim)
+    calls = []
+    runtime.schedule(2.0, lambda *args: calls.append(args), "a", "b", label="x")
+    runtime.spawn(lambda *args: calls.append(args), "soon")
+    runtime.schedule(1.0, lambda *args: calls.append(args), "never").cancel()
+    sim.run_until_quiescent()
+    assert calls == [("soon",), ("a", "b")]
 
 
 def test_sim_runtime_routes_node_traffic():
@@ -109,6 +125,44 @@ def test_suppressed_timer_resurrects_but_cancelled_one_does_not():
     assert fired == ["keep"]
 
 
+def test_timer_fates_on_sim_fired_cancelled_resurrected():
+    """A resurrected timer is re-armed with its original delay, callback and
+    label, counted from the recovery."""
+    sim = Simulator()
+    process = Process(SimRuntime(sim), 0)
+    fired = []
+
+    def tick():
+        fired.append(sim.now)
+
+    plain = process.set_timer(1.0, tick)
+    dead = process.set_timer(1.5, tick, label="dead")
+    dead.cancel()
+    sim.run_until_quiescent()
+    assert fired == [1.0]
+    assert plain.fired and not plain.pending and plain.label
+    assert dead.cancelled and not dead.fired
+
+    periodic = process.set_timer(2.0, tick, label="periodic", resurrect=True)
+    one_shot = process.set_timer(2.0, tick, label="one-shot")
+    process.crash("recover")
+    sim.run_until_quiescent()
+    assert periodic.suppressed and one_shot.suppressed and fired == [1.0]
+    rearmed = []
+    set_timer = process.set_timer
+
+    def spy(delay, callback, **options):
+        rearmed.append((delay, callback, options))
+        return set_timer(delay, callback, **options)
+
+    process.set_timer = spy
+    sim.schedule_at(10.0, process.recover)
+    sim.run_until_quiescent()
+    assert rearmed == [(2.0, tick, {"label": "periodic", "resurrect": True})]
+    assert fired == [1.0, 12.0]  # recovered at 10, original delay of 2
+    assert process._suppressed_timers == []
+
+
 # ---------------------------------------------------------------------------
 # Asyncio backend (loopback only — no cross-process sockets in tier-1)
 # ---------------------------------------------------------------------------
@@ -149,6 +203,54 @@ def test_asyncio_cancel_races_dispatch_guard():
         return fired
 
     assert asyncio.run(scenario()) == []
+
+
+def test_asyncio_schedule_carries_arguments_also_before_the_loop_runs():
+    """``schedule(delay, fn, a, b)`` calls ``fn(a, b)``; a timer armed before
+    ``asyncio.run`` is held until ``start()`` and keeps its arguments, and a
+    cancelled one — pre-start or live — never fires."""
+    runtime = _loopback_runtime()
+    calls = []
+    runtime.schedule(0.0, lambda *args: calls.append(args), "pre", 1, label="x")
+    runtime.schedule(0.0, lambda *args: calls.append(args), "pre-dead").cancel()
+
+    async def scenario():
+        await runtime.start()
+        runtime.schedule(0.0, lambda *args: calls.append(args), "live", 2)
+        runtime.spawn(lambda *args: calls.append(args))
+        runtime.schedule(0.0, lambda *args: calls.append(args), "dead").cancel()
+        await asyncio.sleep(0.05)
+        await runtime.stop()
+
+    asyncio.run(scenario())
+    assert sorted(calls) == [(), ("live", 2), ("pre", 1)]
+
+
+def test_timer_fates_on_asyncio_fired_cancelled_resurrected():
+    async def scenario():
+        runtime = _loopback_runtime()
+        process = Process(runtime, 0)
+        fired = []
+        plain = process.set_timer(0.0, lambda: fired.append("plain"))
+        dead = process.set_timer(0.0, lambda: fired.append("dead"))
+        dead.cancel()
+        await asyncio.sleep(0.02)
+        assert fired == ["plain"] and plain.fired and not dead.fired
+
+        def tick():
+            fired.append("tick")
+
+        periodic = process.set_timer(0.01, tick, label="periodic", resurrect=True)
+        process.crash("recover")
+        await asyncio.sleep(0.05)
+        assert periodic.suppressed and fired == ["plain"]
+        assert process._suppressed_timers == [periodic]
+        process.recover()
+        await asyncio.sleep(0.05)
+        assert fired == ["plain", "tick"]
+        return True
+
+    assert asyncio.run(scenario())
 
 
 def test_asyncio_runtime_loopback_delivery_and_clock():

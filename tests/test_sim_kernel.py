@@ -69,6 +69,30 @@ def test_schedule_at_past_rejected():
         sim.schedule_at(1.0, lambda: None)
 
 
+def test_schedule_carries_positional_arguments():
+    """``schedule(delay, fn, a, b)`` calls ``fn(a, b)`` — no closure needed;
+    ``label`` stays keyword-only and is kept on the event record."""
+    sim = Simulator()
+    calls = []
+    event = sim.schedule(2.0, lambda *args: calls.append(args), "a", 2, label="late")
+    sim.schedule_at(1.0, lambda *args: calls.append(args), "first")
+    sim.schedule(3.0, lambda *args: calls.append(args))
+    assert (event.time, event.args, event.label) == (2.0, ("a", 2), "late")
+    sim.run()
+    assert calls == [("first",), ("a", 2), ()]
+
+
+def test_step_carries_positional_arguments_and_skips_cancelled():
+    sim = Simulator()
+    calls = []
+    sim.schedule(1.0, calls.append, "dead").cancel()
+    sim.schedule(2.0, calls.append, "kept")
+    assert sim.step() is True
+    assert calls == ["kept"]
+    assert (sim.now, sim.executed_events) == (2.0, 1)
+    assert sim.step() is False
+
+
 def test_cancelled_event_is_skipped():
     sim = Simulator()
     hits = []
@@ -164,3 +188,17 @@ def test_deterministic_event_interleaving():
         return log
 
     assert build() == build()
+
+
+def test_advance_to_ignores_cancelled_events():
+    """A queue holding only cancelled events has nothing to skip over (this
+    used to take ``min()`` of an empty sequence)."""
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None).cancel()
+    sim.advance_to(5.0)
+    assert sim.now == 5.0
+    sim.schedule(1.0, lambda: None).cancel()
+    sim.schedule(3.0, lambda: None)
+    sim.advance_to(7.0)  # the live event is at t=8, the cancelled one at t=6
+    with pytest.raises(SimulationError):
+        sim.advance_to(9.0)
