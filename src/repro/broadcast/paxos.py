@@ -96,8 +96,7 @@ class Batch:
     """One instance's value: an ordered run of ``(key, payload)`` entries.
 
     Deciding a batch decides every entry, in list order — the unit of
-    consensus amortization. Old durable logs hold bare ``(key, payload)``
-    pairs; :func:`as_value` wraps them into singleton batches on replay.
+    consensus amortization.
     """
 
     entries: Tuple[Tuple[Hashable, Any], ...]
@@ -114,21 +113,6 @@ register_codec(
     lambda b: list(b.entries),
     lambda entries: Batch(tuple(entries)),
 )
-
-
-def as_value(raw: Any) -> Any:
-    """Normalise a logged/replayed instance value to ``Batch`` | ``NOOP``.
-
-    Pre-batching logs recorded one bare ``(key, payload)`` pair per decided
-    instance; mixed logs (old prefix, batched suffix) therefore replay
-    through here record by record.
-    """
-    if raw is None or isinstance(raw, Batch):
-        return raw
-    pair = tuple(raw)
-    if pair == NOOP:
-        return NOOP
-    return Batch((pair,))
 
 
 def value_keys(value: Any) -> Tuple[Hashable, ...]:
@@ -227,6 +211,8 @@ class PaxosTOB(TotalOrderBroadcast):
         self._acceptor: Dict[int, AcceptorInstance] = {}
         self._baseline_promise: Ballot = (-1, -1)
         self._max_round_seen = 0
+        #: The ``(max_round_seen, baseline_promise)`` pair stable storage holds.
+        self._persisted_meta: Optional[Tuple[int, Ballot]] = None
 
         # Leader state. ``_proposals`` holds only undecided instances.
         self._is_leader = False
@@ -379,7 +365,10 @@ class PaxosTOB(TotalOrderBroadcast):
 
     # --- stable storage ------------------------------------------------
     def _persist_meta(self) -> None:
-        if self.store is not None:
+        """Durably record the ballot bookkeeping, if it moved since last time."""
+        meta = (self._max_round_seen, self._baseline_promise)
+        if self.store is not None and meta != self._persisted_meta:
+            self._persisted_meta = meta
             self.store.put(
                 f"{self.tag}.meta",
                 {
@@ -826,7 +815,7 @@ class PaxosTOB(TotalOrderBroadcast):
     def _handle_repair(self, sender: int, args: Tuple) -> None:
         (repairs,) = args
         for instance in sorted(repairs):
-            self._record_decided(instance, as_value(repairs[instance]))
+            self._record_decided(instance, repairs[instance])
         self._deliver_ready()
         self._drain_pending()
         self._ensure_driving()
@@ -892,12 +881,11 @@ class PaxosTOB(TotalOrderBroadcast):
         walking the decided log from instance 0 *without* re-delivering —
         everything contiguous was delivered (and consumed by the hosting
         replica, which persists its own commit log) before the crash.
-        Pre-batching logs (bare ``(key, payload)`` values) replay through
-        :func:`as_value`, so an upgraded node recovers a mixed old/new log.
         """
         meta = self.store.get(f"{self.tag}.meta") or {}
         self._max_round_seen = meta.get("max_round_seen", 0)
         self._baseline_promise = tuple(meta.get("baseline_promise", (-1, -1)))
+        self._persisted_meta = (self._max_round_seen, self._baseline_promise)
         self._acceptor = {}
         # Last write per instance wins (the log records every mutation).
         for record in self.store.log(f"{self.tag}.acc").records():
@@ -907,12 +895,9 @@ class PaxosTOB(TotalOrderBroadcast):
                 accepted_ballot=(
                     None if accepted_ballot is None else tuple(accepted_ballot)
                 ),
-                accepted_value=as_value(accepted_value),
+                accepted_value=accepted_value,
             )
-        self._decided = {
-            instance: as_value(value)
-            for instance, value in self.store.log(f"{self.tag}.decided").records()
-        }
+        self._decided = dict(self.store.log(f"{self.tag}.decided").records())
         self._decided_keys = set()
         for value in self._decided.values():
             self._decided_keys.update(value_keys(value))

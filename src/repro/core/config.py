@@ -61,12 +61,14 @@ class BayouConfig:
         which models a transient pause, not a real crash), ``"memory"``
         (perfect in-process stable storage; write-ahead logs, commit order,
         version vectors, acceptor state and committed-prefix checkpoints
-        all survive a crash) or ``"jsonl"`` (the same surface as JSON-lines
-        files under ``durability_dir``, also readable by a later OS
-        process).
+        all survive a crash) or ``"jsonl"`` (the same surface written
+        through to one append-only ``journal.jsonl`` per replica under
+        ``durability_dir``, flushed to the operating system on every
+        write, also readable by a later OS process).
     durability_dir:
         Directory for the ``"jsonl"`` backend (one subdirectory per
-        replica). When unset, a temporary directory is created per cluster.
+        replica, holding that replica's journal). When unset, a temporary
+        directory is created per cluster.
     record_perceived_traces:
         Capture ``exec(e)`` (the perceived state trace) for every response,
         as the formal framework requires. Costs O(trace) time and memory

@@ -15,11 +15,21 @@ module is that stable storage, shared by every component living on a
   written before the crash is readable after recovery, with zero I/O cost.
   It survives :meth:`Process.crash` because crashing wipes only *volatile*
   state — the store object itself plays the role of the disk.
-- :class:`JsonLinesStore` actually writes JSON-lines files under a
-  directory (one subdirectory per replica), so a recovery can also be
-  exercised across operating-system processes. It requires records to be
-  encodable by :func:`to_jsonable` (requests, operations, tuples, dicts
-  and JSON scalars are supported; arbitrary objects are rejected loudly).
+- :class:`JsonLinesStore` is the same store written through to one
+  append-only file per replica, ``<directory>/journal.jsonl``, so a
+  recovery can also be exercised across operating-system processes.
+  Records must be encodable by :func:`to_jsonable` (requests, operations,
+  tuples, dicts and JSON scalars; arbitrary objects are rejected loudly).
+
+The journal holds one JSON line per write, in write order: ``[name,
+record]`` for ``log(name).append(record)``, ``["~kv", [key, value]]`` for
+``put(key, value)``. The file is opened once, for append, when the store is
+built; every write is flushed to the operating system before the call
+returns (no fsync: it survives ``kill -9``, not a power cut) and nothing is
+buffered across calls. Opening a store replays the journal once: a final
+line without its newline (a write cut short by a kill) is truncated off the
+file, an undecodable whole line raises :class:`DurabilityError`, and so does
+a directory in the older one-file-per-log layout (refused, never read).
 
 Writes are *write-ahead* with respect to the simulation: a component
 persists a record in the same atomic simulation step that mutates its
@@ -189,11 +199,19 @@ class DurableStore:
         raise NotImplementedError
 
 
-class _MemoryLog(DurableLog):
-    def __init__(self) -> None:
+_KV = "~kv"  #: the key–value area's name in the journal (never a log's)
+
+
+class _Log(DurableLog):
+    """One named log: a cached list, written through to its store."""
+
+    def __init__(self, name: str, write: Callable[[str, Any], None]) -> None:
+        self._name = name
+        self._write = write
         self._records: List[Any] = []
 
     def append(self, record: Any) -> None:
+        self._write(self._name, record)
         self._records.append(record)
 
     def records(self) -> List[Any]:
@@ -212,88 +230,65 @@ class InMemoryStore(DurableStore):
     """
 
     def __init__(self) -> None:
-        self._logs: Dict[str, _MemoryLog] = {}
+        self._logs: Dict[str, _Log] = {}
         self._kv: Dict[str, Any] = {}
 
-    def log(self, name: str) -> DurableLog:
-        if name not in self._logs:
-            self._logs[name] = _MemoryLog()
-        return self._logs[name]
+    def _write(self, name: str, record: Any) -> None:
+        """Write-through hook: runs before a write lands in memory."""
+
+    def log(self, name: str) -> _Log:
+        log = self._logs.get(name)
+        if log is None:
+            if name == _KV:
+                raise DurabilityError(f"{_KV!r} names the key-value area, not a log")
+            log = self._logs[name] = _Log(name, self._write)
+        return log
 
     def put(self, key: str, value: Any) -> None:
+        self._write(_KV, [key, value])
         self._kv[key] = value
 
     def get(self, key: str, default: Any = None) -> Any:
         return self._kv.get(key, default)
 
 
-class _JsonLinesLog(DurableLog):
-    """A log backed by one ``<name>.jsonl`` file, with an in-memory cache."""
+class JsonLinesStore(InMemoryStore):
+    """An :class:`InMemoryStore` journalled to ``<directory>/journal.jsonl``.
 
-    def __init__(self, path: str) -> None:
-        self._path = path
-        self._records: List[Any] = []
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        self._records.append(from_jsonable(json.loads(line)))
-
-    def append(self, record: Any) -> None:
-        encoded = json.dumps(to_jsonable(record))
-        with open(self._path, "a", encoding="utf-8") as handle:
-            handle.write(encoded + "\n")
-        self._records.append(record)
-
-    def records(self) -> List[Any]:
-        return list(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-class JsonLinesStore(DurableStore):
-    """A directory of JSON-lines files: one per log, plus ``kv.jsonl``.
-
-    The key–value area is itself an append-only file (last write per key
-    wins on reload), so every durable write is a single atomic append.
-    Opening a second store over the same directory models an
-    operating-system restart: everything appended before the "crash" is
-    visible again.
+    Opening a second store over the same directory models an operating-system
+    restart: everything written before the "crash" is visible again.
     """
 
     def __init__(self, directory: str) -> None:
+        super().__init__()
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self._logs: Dict[str, _JsonLinesLog] = {}
-        self._kv: Dict[str, Any] = {}
-        self._kv_path = os.path.join(directory, "kv.jsonl")
-        if os.path.exists(self._kv_path):
-            with open(self._kv_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        key, value = json.loads(line)
-                        self._kv[key] = from_jsonable(value)
+        path = os.path.join(directory, "journal.jsonl")
+        if os.path.exists(path):
+            self._replay(path)
+        elif any(entry.endswith(".jsonl") for entry in os.listdir(directory)):
+            raise DurabilityError(f"{directory}: per-log *.jsonl layout is not read")
+        self._journal = open(path, "a", encoding="utf-8")
 
-    def _safe_filename(self, name: str) -> str:
-        return "".join(c if (c.isalnum() or c in "._-") else "_" for c in name)
+    def _replay(self, path: str) -> None:
+        with open(path, "rb") as handle:
+            *lines, torn = handle.read().split(b"\n")
+        for number, line in enumerate(lines, start=1):
+            try:
+                name, record = json.loads(line)
+                record = from_jsonable(record)
+            except (ValueError, TypeError) as error:
+                raise DurabilityError(f"{path}:{number}: bad line") from error
+            if name == _KV:
+                self._kv[record[0]] = record[1]
+            else:
+                self.log(name)._records.append(record)
+        if torn:  # a write cut short by a kill: the next one must not be glued on
+            os.truncate(path, os.path.getsize(path) - len(torn))
 
-    def log(self, name: str) -> DurableLog:
-        if name not in self._logs:
-            path = os.path.join(self.directory, self._safe_filename(name) + ".jsonl")
-            self._logs[name] = _JsonLinesLog(path)
-        return self._logs[name]
-
-    def put(self, key: str, value: Any) -> None:
-        encoded = json.dumps([key, to_jsonable(value)])
-        with open(self._kv_path, "a", encoding="utf-8") as handle:
-            handle.write(encoded + "\n")
-        self._kv[key] = value
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._kv.get(key, default)
+    def _write(self, name: str, record: Any) -> None:
+        self._journal.write(json.dumps([name, to_jsonable(record)]) + "\n")
+        self._journal.flush()
 
 
 def open_store(backend: str, *, directory: Optional[str] = None) -> Optional[DurableStore]:

@@ -1,7 +1,14 @@
 """Unit tests for the durable-store layer (stable storage for recovery)."""
 
-import pytest
+import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.broadcast.paxos import Batch
+from repro.core import durability
 from repro.core.durability import (
     DurabilityError,
     InMemoryStore,
@@ -17,6 +24,7 @@ from repro.datatypes.rlist import RList
 from repro.net.faults import CrashSchedule
 from repro.core.cluster import BayouCluster
 from repro.core.config import BayouConfig
+from tests.test_wire_codec import dots, reqs, values
 
 
 # ----------------------------------------------------------------------
@@ -61,6 +69,19 @@ class TestJsonableCodec:
 # ----------------------------------------------------------------------
 # Stores
 # ----------------------------------------------------------------------
+@pytest.fixture
+def open_modes(monkeypatch):
+    """The mode of every ``open`` the durability module makes, in order."""
+    modes = []
+
+    def recording_open(path, mode="r", **kwargs):
+        modes.append(mode)
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(durability, "open", recording_open, raising=False)
+    return modes
+
+
 class TestStores:
     def test_open_store_backends(self, tmp_path):
         assert open_store("none") is None
@@ -96,18 +117,144 @@ class TestStores:
         assert reopened.log("replica.wal").records() == [req]
         assert reopened.get("replica.curr_event_no") == 4
 
-    def test_log_names_are_sanitised_to_files(self, tmp_path):
+    def test_log_names_are_kept_verbatim(self, tmp_path):
+        """Names are data in the journal, not file names: nothing to sanitise,
+        so ``x/y`` and ``x_y`` cannot land in one log (they once shared a file)."""
         store = JsonLinesStore(str(tmp_path))
         store.log("weird/..name").append("x")
+        store.log("x/y").append(1)
+        store.log("x_y").append(2)
         reopened = JsonLinesStore(str(tmp_path))
         assert reopened.log("weird/..name").records() == ["x"]
+        assert reopened.log("x/y").records() == [1]
+        assert reopened.log("x_y").records() == [2]
+        assert os.listdir(tmp_path) == ["journal.jsonl"]
+
+    @pytest.mark.parametrize("backend", ["memory", "jsonl"])
+    def test_kv_area_name_is_not_a_log(self, backend, tmp_path):
+        with pytest.raises(DurabilityError):
+            open_store(backend, directory=str(tmp_path)).log("~kv")
+
+    def test_memory_store_keeps_records_by_reference(self):
+        store = InMemoryStore()
+        record, value = (1, [2]), {"k": object()}  # not even encodable
+        store.log("a").append(record)
+        store.put("k", value)
+        assert store.log("a").records()[0] is record
+        assert store.get("k") is value
+
+    def test_second_reader_sees_every_flushed_write(self, tmp_path):
+        """The flush contract — what a SIGKILL survivor finds: each write is
+        in the operating system before ``append`` / ``put`` returns."""
+        writer = JsonLinesStore(str(tmp_path))
+        for i in range(3):
+            writer.log("a").append((i, "v"))
+            writer.put("k", i)
+            reader = JsonLinesStore(str(tmp_path))  # writer still open
+            assert reader.log("a").records() == [(j, "v") for j in range(i + 1)]
+            assert reader.get("k") == i
+
+    def test_journal_is_opened_for_append_once(self, tmp_path, open_modes):
+        store = JsonLinesStore(str(tmp_path))
+        for i in range(20):
+            store.log(f"log{i % 3}").append(i)
+            store.put("k", i)
+        assert open_modes == ["a"]  # nothing to replay, no reopen per write
+        JsonLinesStore(str(tmp_path))
+        assert open_modes == ["a", "rb", "a"]
+
+    def test_torn_final_line_is_dropped_and_cut_off(self, tmp_path):
+        """A write cut short by ``kill -9`` loses that record only, and the
+        next record is not glued onto the fragment."""
+        store = JsonLinesStore(str(tmp_path))
+        store.log("a").append((1, "whole"))
+        store.put("k", "whole")
+        journal = tmp_path / "journal.jsonl"
+        whole = journal.read_bytes()
+        for fragment in (b'["a", {"~t": [2, "to', b'["a", 2]', b"\xe2\x82"):
+            journal.write_bytes(whole + fragment)
+            reopened = JsonLinesStore(str(tmp_path))
+            assert reopened.log("a").records() == [(1, "whole")]
+            assert reopened.get("k") == "whole"
+            assert journal.read_bytes() == whole
+            reopened.log("a").append((3, "next"))
+            assert JsonLinesStore(str(tmp_path)).log("a").records() == [
+                (1, "whole"),
+                (3, "next"),
+            ]
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '["a", 1]\n["a", {"~t": [2, \n["a", 3]\n',
+            '["a", 1]\n5\n["a", 3]\n',  # JSON, but not a journal line
+            # A kill cuts a write before its newline, never after it: a whole
+            # last line that does not decode was acknowledged, then damaged.
+            '["a", 1]\n["a", {"~t": [2, \n',
+        ],
+    )
+    def test_undecodable_whole_line_is_an_error(self, tmp_path, content):
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text(content)
+        with pytest.raises(DurabilityError, match=r"journal\.jsonl:2"):
+            JsonLinesStore(str(tmp_path))
+        assert journal.read_text() == content
+
+    def test_old_layout_directory_is_refused(self, tmp_path):
+        """One file per log plus a kv file is what this store used to write;
+        it is not read any more, and must not look like an empty disk."""
+        (tmp_path / "replica.wal.jsonl").write_text("[1, 2]\n")
+        with pytest.raises(DurabilityError, match="layout"):
+            JsonLinesStore(str(tmp_path))
+        assert not (tmp_path / "journal.jsonl").exists()
+
+
+# ----------------------------------------------------------------------
+# One format: any interleaving of writes reads back equal, on both backends
+# ----------------------------------------------------------------------
+LOG_NAMES = ["replica.wal", "rb.log", "paxos/acc", "paxos_acc"]
+KV_KEYS = ["a.k", "b.k", "~kv"]
+_records = st.one_of(
+    values,  # scalars, tuples, lists, dicts with non-string keys, Operation, Req
+    st.builds(Batch, st.lists(st.tuples(dots, reqs), max_size=3).map(tuple)),
+)
+_writes = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.sampled_from(LOG_NAMES), _records),
+        st.tuples(st.just("put"), st.sampled_from(KV_KEYS), _records),
+    ),
+    max_size=30,
+)
+
+
+@pytest.mark.parametrize("backend", ["memory", "jsonl"])
+@settings(max_examples=60, deadline=None)
+@given(writes=_writes)
+def test_any_interleaving_of_writes_round_trips(backend, writes):
+    logs, kv = {}, {}
+    with tempfile.TemporaryDirectory() as directory:
+        store = open_store(backend, directory=directory)
+        for verb, name, record in writes:
+            if verb == "append":
+                store.log(name).append(record)
+                logs.setdefault(name, []).append(record)
+            else:
+                store.put(name, record)
+                kv[name] = record
+        if backend == "jsonl":  # the disk is what survives, not the object
+            store = JsonLinesStore(directory)
+        for name in LOG_NAMES:
+            assert store.log(name).records() == logs.get(name, [])
+            assert len(store.log(name)) == len(logs.get(name, []))
+        for key in KV_KEYS:
+            assert store.get(key) == kv.get(key)
 
 
 # ----------------------------------------------------------------------
 # End-to-end: a cluster over the JSON-lines backend
 # ----------------------------------------------------------------------
 class TestJsonlCluster:
-    def test_crash_recovery_over_jsonl(self, tmp_path):
+    def test_crash_recovery_over_jsonl(self, tmp_path, open_modes):
         config = BayouConfig(
             n_replicas=3,
             exec_delay=0.05,
@@ -124,9 +271,13 @@ class TestJsonlCluster:
         cluster.run_until_quiescent()
         assert cluster.converged()
         assert cluster.replicas[1].state.snapshot()["counter:value"] == 7
-        # The write-ahead log really hit the disk.
-        wal = (tmp_path / "node1" / "replica.wal.jsonl").read_text()
-        assert wal.count("\n") == 3
+        # The write-ahead log really hit the disk: one journal per replica,
+        # three ``replica.wal`` lines in node 1's.
+        for pid in range(3):
+            assert os.listdir(tmp_path / f"node{pid}") == ["journal.jsonl"]
+        assert open_modes == ["a"] * 3  # once per store: recovery reopens nothing
+        journal = (tmp_path / "node1" / "journal.jsonl").read_text()
+        assert journal.count('["replica.wal", ') == 3
 
     def test_cluster_restart_over_jsonl_directory_keeps_state(self, tmp_path):
         """A *new* cluster over the same directory models an OS-level

@@ -3,17 +3,18 @@
 The engine-level counterpart of the E16 experiment: batch formation and
 knob behaviour, the proactive-prepare latency fix, the gap-proposal cap
 (the long-gap leader-change storm regression), the catch-up token bucket,
-slim-1B acceptor pruning, and mixed old/new durable decided-log recovery.
+slim-1B acceptor pruning, and durable recovery (the batched decided log
+across incarnations, ballots across a leader crash, ``paxos.meta`` writes).
 """
 
 import pytest
 
 from repro.broadcast.failure_detector import OmegaFailureDetector
-from repro.broadcast.paxos import NOOP, Batch, PaxosTOB, as_value
+from repro.broadcast.paxos import Batch, PaxosTOB
 from repro.net.faults import MessageFilter
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
-from repro.core.durability import JsonLinesStore
+from repro.core.durability import InMemoryStore, JsonLinesStore
 from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
@@ -282,43 +283,11 @@ def test_acceptor_state_pruned_below_delivery_frontier():
 
 
 # ---------------------------------------------------------------------------
-# Mixed-log recovery (pre-batching durable logs replay under this engine)
+# Durable recovery
 # ---------------------------------------------------------------------------
-def _write_pre_upgrade_log(directory):
-    """A decided log exactly as the seed engine persisted it: one bare
-    ``(key, payload)`` pair per instance, NOOP gaps included."""
-    store = JsonLinesStore(directory)
-    store.put("paxos.meta", {"max_round_seen": 3, "baseline_promise": (3, 0)})
-    log = store.log("paxos.decided")
-    log.append((0, ("old-a", "pa")))
-    log.append((1, NOOP))
-    log.append((2, ("old-b", "pb")))
-    acc = store.log("paxos.acc")
-    acc.append((2, (3, 0), (3, 0), ("old-b", "pb")))
-    return ["old-a", "old-b"]
-
-
-def test_pre_upgrade_decided_log_replays(tmp_path):
-    old_keys = _write_pre_upgrade_log(str(tmp_path / "r0"))
-    stores = [JsonLinesStore(str(tmp_path / f"r{pid}")) for pid in range(3)]
-    rig = Rig(stores=stores)
-    endpoint = rig.endpoints[0]
-    assert endpoint.delivered_sequence == old_keys
-    assert endpoint._decided[1] is NOOP
-    assert endpoint._decided[2] == Batch((("old-b", "pb"),))
-    # The upgraded engine now appends *batched* entries to the same log...
-    rig.sim.schedule(
-        1.0, lambda: [endpoint.tob_cast(f"new{i}", i) for i in range(5)]
-    )
-    rig.run()
-    rig.shutdown()
-    assert rig.delivered[0] == [f"new{i}" for i in range(5)]
-
-
 def test_mixed_log_recovers_across_incarnations(tmp_path):
-    """Old single-op prefix + batched suffix in one jsonl directory: a
-    second incarnation reloads both formats record by record."""
-    old_keys = _write_pre_upgrade_log(str(tmp_path / "r0"))
+    """A second incarnation over the same jsonl directories recovers the
+    batched decided log, in order and without duplicates."""
     stores = [JsonLinesStore(str(tmp_path / f"r{pid}")) for pid in range(3)]
     rig = Rig(stores=stores, max_batch=4)
     rig.sim.schedule(
@@ -327,24 +296,62 @@ def test_mixed_log_recovers_across_incarnations(tmp_path):
     rig.run()
     rig.shutdown()
     new_keys = [f"new{i}" for i in range(6)]
+    assert rig.delivered[0] == new_keys
+    assert len(rig.endpoints[0]._decided) < len(new_keys)  # really batched
     # The OS process "restarts": fresh stores over the same directories.
     stores2 = [JsonLinesStore(str(tmp_path / f"r{pid}")) for pid in range(3)]
     rig2 = Rig(stores=stores2)
     recovered = rig2.endpoints[0].delivered_sequence
-    assert recovered == old_keys + new_keys
+    assert recovered == new_keys
     assert len(recovered) == len(set(recovered))  # no duplicates either
     rig2.run(until=5.0)  # let the scheduled omega starts fire before stop
     rig2.shutdown()
 
 
-def test_as_value_normalisation():
-    assert as_value(("k", "p")) == Batch((("k", "p"),))
-    assert as_value(["k", "p"]) == Batch((("k", "p"),))
-    assert as_value(tuple(NOOP)) is not None
-    assert as_value(tuple(NOOP)) == NOOP
-    batch = Batch((("a", 1), ("b", 2)))
-    assert as_value(batch) is batch
-    assert as_value(None) is None
+def test_recovered_leader_never_reuses_a_ballot():
+    """The round a leader claimed is on disk before its 1A leaves, so the
+    same node, rebooted, leads again under a strictly higher ballot."""
+    rig = Rig(stores=[InMemoryStore() for _ in range(3)])
+    endpoint = rig.endpoints[0]
+    rig.sim.schedule(1.0, lambda: endpoint.tob_cast("before", 1))
+    rig.run(until=20.0)
+    first = endpoint._ballot
+    assert endpoint._is_leader and first == (1, 0)
+    rig.nodes[0].crash("recover")
+    rig.nodes[0].recover()  # reloads: everything volatile is gone
+    assert endpoint._ballot is None and endpoint._max_round_seen == first[0]
+    rig.sim.schedule(rig.sim.now + 1.0, lambda: endpoint.tob_cast("after", 2))
+    rig.run()
+    rig.shutdown()
+    assert endpoint._ballot > first
+    assert rig.delivered[1] == rig.delivered[2] == ["before", "after"]
+
+
+def test_meta_is_written_per_ballot_change_not_per_accept():
+    """``paxos.meta`` holds (max_round_seen, baseline_promise); neither moves
+    while one ballot serves instance after instance, so 50 accepted 2As add
+    no write to the ones the single election cost."""
+    stores = [InMemoryStore() for _ in range(3)]
+    writes = {pid: [] for pid in range(3)}
+    for pid, store in enumerate(stores):
+        def counting_put(key, value, pid=pid, put=store.put):
+            if key == "paxos.meta":
+                writes[pid].append(value)
+            put(key, value)
+
+        store.put = counting_put
+    rig = Rig(stores=stores, max_batch=1)
+    for i in range(50):
+        rig.sim.schedule(2.0 + i, lambda i=i: rig.endpoints[0].tob_cast(f"k{i}", i))
+    rig.run()
+    rig.shutdown()
+    assert len(rig.delivered[2]) == 50
+    for pid, endpoint in enumerate(rig.endpoints):
+        assert len(endpoint.store.log("paxos.acc")) >= 50  # one per accepted 2A
+        # The leader wrote its claimed round, then its own promise; the
+        # followers their promise. Every write changed the pair.
+        assert len(writes[pid]) == (2 if pid == 0 else 1)
+        assert writes[pid][-1] == {"max_round_seen": 1, "baseline_promise": (1, 0)}
 
 
 # ---------------------------------------------------------------------------
