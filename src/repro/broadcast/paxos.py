@@ -246,10 +246,22 @@ class PaxosTOB(TotalOrderBroadcast):
         self._catchup_peer = node.pid
 
         self._stopped = False
-        self._drive_armed = False
+        #: Armed while the handle is held (the flush keeps none: a flag).
         self._drive_timer = None
         self._flush_armed = False
 
+        #: Message kind → handler, resolved once per endpoint.
+        self._handlers = {
+            "p1a": self._handle_p1a,
+            "p1b": self._handle_p1b,
+            "p2a": self._handle_p2a,
+            "p2b": self._handle_p2b,
+            "nack": self._handle_nack,
+            "decide": self._handle_decide,
+            "submit": self._handle_submit,
+            "status": self._handle_status,
+            "repair": self._handle_repair,
+        }
         node.register_component(tag, self._on_message)
         node.register_crash_hooks(on_recover=self._on_node_recover)
         omega.on_leader_change = self._on_leader_change
@@ -347,20 +359,9 @@ class PaxosTOB(TotalOrderBroadcast):
     # Message handling
     # ------------------------------------------------------------------
     def _on_message(self, sender: int, message: Tuple) -> None:
-        kind = message[0]
-        handler = {
-            "p1a": self._handle_p1a,
-            "p1b": self._handle_p1b,
-            "p2a": self._handle_p2a,
-            "p2b": self._handle_p2b,
-            "nack": self._handle_nack,
-            "decide": self._handle_decide,
-            "submit": self._handle_submit,
-            "status": self._handle_status,
-            "repair": self._handle_repair,
-        }.get(kind)
-        if handler is None:  # pragma: no cover - defensive
-            raise ValueError(f"unknown paxos message {kind!r}")
+        handler = self._handlers.get(message[0])
+        if handler is None:
+            raise ValueError(f"unknown paxos message {message[0]!r}")
         handler(sender, message[1:])
 
     # --- stable storage ------------------------------------------------
@@ -835,15 +836,13 @@ class PaxosTOB(TotalOrderBroadcast):
         return False
 
     def _ensure_driving(self) -> None:
-        if self._drive_armed or self._stopped or not self._has_work():
+        if self._drive_timer is not None or self._stopped or not self._has_work():
             return
-        self._drive_armed = True
         self._drive_timer = self.node.set_timer(
             self.retry_interval, self._drive, label="paxos.drive"
         )
 
     def _drive(self) -> None:
-        self._drive_armed = False
         self._drive_timer = None
         if self._stopped or not self._has_work():
             return
@@ -921,7 +920,6 @@ class PaxosTOB(TotalOrderBroadcast):
         if self._drive_timer is not None and self._drive_timer.pending:
             self._drive_timer.cancel()
         self._drive_timer = None
-        self._drive_armed = False
         self._flush_armed = False
         self._is_leader = False
         self._ballot = None

@@ -16,40 +16,48 @@ The handlers below map line-for-line onto the pseudocode:
 
 ``adjustExecution`` (lines 35–40) is the one place that does not: the
 pseudocode recomputes the longest common prefix of ``executed`` and the new
-order and stores ``toBeExecuted``; the replica does neither, because of
+order and stores ``executed``, ``toBeExecuted`` and ``toBeRolledBack``; the
+replica stores none of the three, only an integer, because of
 
-**the cursor invariant** — ``executed`` is always a prefix of ``committed ·
-tentative``. What is still to run is therefore *by definition* the rest of
-that order (the next request is ``order[len(executed)]``; no list of it is
-kept), and every change to the order happens at one known position: the
-slot a request is inserted at, the lowest such slot of a batch, or the
-commit boundary a request is moved (or, if unknown, inserted) to. Only
-requests executed at or beyond that position ran in the wrong place, so
-``adjust_execution(position)`` cuts ``executed`` there, queues the cut
-suffix on ``to_be_rolled_back`` in reverse, and is not even called when the
-position is beyond ``executed`` (a tail arrival) or the order did not
-change (a commit of the tentative head). The paper's literal lines 35–40
-live on in ``tests/test_reorder_engine.py`` (``PaperSchedule``), where a
-hypothesis test holds this rule to them after every call.
+**the cursor invariant** — the state object's live trace
+(``StateObject.trace``, the one list of what has run) agrees with
+``committed · tentative`` up to ``cursor``. The paper's lists are views of
+that trace and that order, split at the cursor:
+
+- ``executed`` *is* ``state.trace[:cursor]`` and ``to_be_rolled_back`` *is*
+  ``state.trace[cursor:]`` reversed — read-only properties, for reports and
+  tests; the trace is ``executed · reverse(toBeRolledBack)`` by definition.
+- What is still to run is the rest of the order (the next request is
+  ``order[cursor]``; no list of it is kept).
+
+Every change to the order happens at one known position: the slot a request
+is inserted at, the lowest such slot of a batch, or the commit boundary a
+request is moved (or, if unknown, inserted) to. Only requests executed at
+or beyond that position ran in the wrong place, so
+``adjust_execution(position)`` is ``cursor = position`` — O(1), also when
+rollbacks are still pending — and is not even called when the position is
+at or beyond the cursor (a tail arrival) or the order did not change (a
+commit of the tentative head). The engines then close the gap: stepwise
+rolls back ``state.trace[-1]`` while the trace is longer than the cursor,
+batched calls ``StateObject.revert_to(cursor)`` (which restores from a
+checkpoint at or before the cursor when one is closer than the undo-log
+tail); both execute ``order[cursor]`` and advance the cursor only once
+trace and cursor meet. The paper's literal lines 35–40 and its three
+stored lists live on in ``tests/test_reorder_engine.py``
+(``PaperSchedule``), where a hypothesis test holds this rule to them after
+every call.
 
 Responses: weak operations return at their first execution (line 50); strong
 operations return once executed *and* committed (line 49 or lines 32–33).
 
-Engine invariants (shared by both reorder engines, see ``docs/PERFORMANCE.md``):
-
-- the state object's live trace equals ``executed ++
-  reversed(to_be_rolled_back)`` at all times, so draining the rollback queue
-  is equivalent to ``StateObject.revert_to(len(executed))`` — the batched
-  engine uses exactly that, restoring from a checkpoint at or before the
-  divergence point when one is closer than the undo-log tail.
-- rollback/execution *counts* are logical: the same sequence of schedule
-  adjustments produces the same ``rollback_count`` whether the work is done
-  stepwise (one simulation event per request, the paper's literal reading)
-  or batched (the whole backlog in one event). The *schedules themselves*
-  can differ across engines under backlog: the batched engine executes
-  later, so overlapping reorder storms can coalesce — never more logical
-  rollbacks than stepwise, sometimes fewer (see ``docs/PERFORMANCE.md``);
-  checkpointing, by contrast, never changes any count.
+Rollback/execution *counts* are logical: the same sequence of schedule
+adjustments produces the same ``rollback_count`` whether the work is done
+stepwise (one simulation event per request, the paper's literal reading) or
+batched (the whole backlog in one event). The *schedules themselves* can
+differ across engines under backlog: the batched engine executes later, so
+overlapping reorder storms can coalesce — never more logical rollbacks than
+stepwise, sometimes fewer (see ``docs/PERFORMANCE.md``); checkpointing, by
+contrast, never changes any count.
 """
 
 from __future__ import annotations
@@ -125,12 +133,8 @@ class BayouReplica:
         self.curr_event_no = 0
         self.committed: List[Req] = []
         self.tentative: List[Req] = []
-        self.executed: List[Req] = []
-        #: Mirror of ``[r.dot for r in executed]`` so perceived-trace capture
-        #: is a C-level tuple copy instead of an O(n) comprehension per
-        #: response (a hot path: every weak response snapshots the trace).
-        self._executed_dots: List[Dot] = []
-        self.to_be_rolled_back: List[Req] = []
+        #: ``len(executed)``: how much of ``state.trace`` is in its place.
+        self.cursor = 0
         #: dot -> (response, trace at computation); _NO_RESPONSE if not yet.
         self._awaiting: Dict[Dot, Any] = {}
         self._committed_dots: Set[Dot] = set()
@@ -141,10 +145,8 @@ class BayouReplica:
         self.rb: Optional[ReliableBroadcast] = None
         self.tob: Optional[TotalOrderBroadcast] = None
 
-        # Engine bookkeeping.
-        self._step_scheduled = False
+        # Engine bookkeeping. A timer is armed while its handle is held.
         self._step_timer = None
-        self._retransmit_armed = False
         self._retransmit_timer = None
         self._stopped = False
         self._batched = config.reorder_engine == "batched"
@@ -240,7 +242,7 @@ class BayouReplica:
     def _order_changed(self, position: int) -> None:
         """``committed · tentative`` now differs from what it was, from
         ``position`` on: whatever ran at or beyond it ran in the wrong place."""
-        if position < len(self.executed):
+        if position < self.cursor:
             self.adjust_execution(position)
         else:
             self._schedule_step()
@@ -321,7 +323,7 @@ class BayouReplica:
                     "commit",
                     "tob.deliver",
                 )
-        if req.dot in self._awaiting and boundary < len(self.executed):
+        if req.dot in self._awaiting and boundary < self.cursor:
             # Executed is a prefix of the order, in which req sits at boundary.
             stored = self._awaiting.pop(req.dot)
             assert stored is not _NO_RESPONSE, "executed request lacks a response"
@@ -352,22 +354,32 @@ class BayouReplica:
 
         The caller knows where the order changed, so the longest common
         prefix of ``executed`` and the new order is ``executed[:position]``
-        and need not be searched for; the cut suffix is rolled back in
-        reverse, and what is to be executed is, as always, the order beyond
-        ``executed``. Costs the length of the suffix it cuts.
+        and need not be searched for. Moving the cursor there is the whole
+        cut: the trace beyond it is, read backwards, what is to be rolled
+        back (behind whatever already was), and what is to be executed is,
+        as always, the order beyond ``executed``.
         """
-        self.to_be_rolled_back.extend(reversed(self.executed[position:]))
-        del self.executed[position:]
-        del self._executed_dots[position:]
+        self.cursor = position
         self._schedule_step()
+
+    @property
+    def executed(self) -> List[Req]:
+        """The paper's ``executed``: the trace up to the cursor (a copy)."""
+        return self.state.trace[: self.cursor]
+
+    @property
+    def to_be_rolled_back(self) -> List[Req]:
+        """The paper's ``toBeRolledBack``: the trace beyond the cursor,
+        last executed first (a copy)."""
+        return self.state.trace[self.cursor :][::-1]
 
     def _unexecuted(self) -> int:
         """How many requests of ``committed · tentative`` are yet to run."""
-        return len(self.committed) + len(self.tentative) - len(self.executed)
+        return len(self.committed) + len(self.tentative) - self.cursor
 
     def _next_request(self) -> Req:
         """The first request of ``committed · tentative`` beyond ``executed``."""
-        index = len(self.executed)
+        index = self.cursor
         if index < len(self.committed):
             return self.committed[index]
         return self.tentative[index - len(self.committed)]
@@ -384,9 +396,8 @@ class BayouReplica:
         if self._batched:
             self._arm_batch()
             return
-        if self._step_scheduled:
+        if self._step_timer is not None:
             return
-        self._step_scheduled = True
         self._step_timer = self.node.set_timer(
             self.config.exec_delay_for(self.pid),
             self._step,
@@ -394,11 +405,10 @@ class BayouReplica:
         )
 
     def _step(self) -> None:
-        self._step_scheduled = False
         self._step_timer = None
-        if self.to_be_rolled_back:
-            head = self.to_be_rolled_back.pop(0)
-            self.state.rollback(head)
+        trace = self.state.trace
+        if len(trace) > self.cursor:
+            self.state.rollback(trace[-1])
             self.rollback_count += 1
             if self.telemetry:
                 self._m_rollbacks.inc()
@@ -429,8 +439,7 @@ class BayouReplica:
             )
             self._batch_deadline = base + fresh * self.config.exec_delay_for(self.pid)
             self._batch_charged = backlog
-        if self._batch_deadline is not None and not self._step_scheduled:
-            self._step_scheduled = True
+        if self._batch_deadline is not None and self._step_timer is None:
             self._step_timer = self.node.set_timer(
                 self._batch_deadline - self.node.now,
                 self._batch_step,
@@ -438,30 +447,25 @@ class BayouReplica:
             )
 
     def _batch_step(self) -> None:
-        self._step_scheduled = False
         self._step_timer = None
         if self._stopped or self._batch_deadline is None:
             return
         remaining = self._batch_deadline - self.node.now
         if remaining > 1e-9:
             # The deadline moved while we were queued: re-arm for the rest.
-            self._step_scheduled = True
             self._step_timer = self.node.set_timer(
                 remaining, self._batch_step, label="bayou.batch"
             )
             return
         self._batch_deadline = None
         self._batch_charged = 0
-        if self.to_be_rolled_back:
-            count = len(self.to_be_rolled_back)
-            keep = len(self.executed)
-            self.state.revert_to(keep)
+        count = self.state.revert_to(self.cursor)
+        if count:
             self.rollback_count += count
-            self.to_be_rolled_back = []
             if self.telemetry:
                 self._m_rollbacks.inc(count)
                 self._record_maintenance(
-                    "reorder.rollback_batch", count=count, keep=keep
+                    "reorder.rollback_batch", count=count, keep=self.cursor
                 )
         #: Drain only what this deadline paid for. A responder may re-enter
         #: invoke() mid-drain: its request is stamped later than the one
@@ -476,8 +480,8 @@ class BayouReplica:
                 # record below — the point of the batched engine is that a
                 # 10⁴-request replay is one drain, not 10⁴ bookkept events.
                 self.state.execute(head)
+                self.cursor += 1
                 self.execution_count += 1
-                self._append_executed(head)
                 replayed += 1
                 continue
             self._execute_one(head)
@@ -495,8 +499,8 @@ class BayouReplica:
         perceived = self._capture_perceived() if awaiting else ()
         response = self.state.execute(head)
         # Before responding: a responder may re-enter invoke(), which must
-        # find ``executed`` in step with the state it is about to read.
-        self._append_executed(head)
+        # find the cursor in step with the state it is about to read.
+        self.cursor += 1
         self.execution_count += 1
         if self.telemetry:
             self._m_execs.inc()
@@ -540,10 +544,6 @@ class BayouReplica:
             **attrs,
         )
 
-    def _append_executed(self, req: Req) -> None:
-        self.executed.append(req)
-        self._executed_dots.append(req.dot)
-
     def _respond(
         self, req: Req, response: Any, perceived: Tuple[Dot, ...], stable: bool
     ) -> None:
@@ -559,11 +559,7 @@ class BayouReplica:
         This is ``exec(e)`` from the proof of Theorem 2 when captured at the
         instant a response is computed.
         """
-        if not self.to_be_rolled_back:
-            return tuple(self._executed_dots)
-        return tuple(self._executed_dots) + tuple(
-            r.dot for r in reversed(self.to_be_rolled_back)
-        )
+        return tuple(self.state.trace_dots)
 
     def _capture_perceived(self) -> Optional[Tuple[Dot, ...]]:
         """The perceived trace for a response — ``None`` when capture is off.
@@ -585,7 +581,7 @@ class BayouReplica:
     @property
     def backlog(self) -> int:
         """Requests scheduled but not yet (re-)executed — Section 2.3's lag."""
-        return self._unexecuted() + len(self.to_be_rolled_back)
+        return self._unexecuted() + len(self.state.trace) - self.cursor
 
     def stop(self) -> None:
         """Stop scheduling internal steps and retransmissions (shutdown)."""
@@ -599,12 +595,10 @@ class BayouReplica:
         needed only in lossy/filtered scenarios.
         """
         interval = self.config.retransmit_interval
-        if interval is None or self._retransmit_armed or self._stopped:
+        if interval is None or self._retransmit_timer is not None or self._stopped:
             return
-        self._retransmit_armed = True
 
         def tick() -> None:
-            self._retransmit_armed = False
             self._retransmit_timer = None
             if self._stopped or not self.tentative:
                 return
@@ -647,12 +641,12 @@ class BayouReplica:
         by a rollback, and recovery can restore it without undo
         information. The in-memory checkpoints PR 2 introduced are keyed by
         live-trace position; a position at or below
-        ``min(len(executed), len(committed))`` is exactly such a prefix.
+        ``min(cursor, len(committed))`` is exactly such a prefix.
         """
         interval = self.config.checkpoint_interval
         if self.store is None or interval is None:
             return
-        stable = min(len(self.executed), len(self.committed))
+        stable = min(self.cursor, len(self.committed))
         if stable - self._persisted_checkpoint < interval:
             return
         checkpoint = self.state._nearest_checkpoint(stable)
@@ -683,17 +677,15 @@ class BayouReplica:
         if self.crash_time is not None:
             self.downtime += self.node.now - self.crash_time
             self.crash_time = None
-        # Engine timers and flags are volatile with or without stable
-        # storage: a step/retransmit timer suppressed during the downtime
-        # (resurrect=False) would otherwise leave its armed flag stuck True
-        # with no timer behind it, stalling the engine forever.
+        # Engine timers are volatile with or without stable storage: a
+        # step/retransmit timer suppressed during the downtime
+        # (resurrect=False) would otherwise stay held with nothing behind
+        # it — armed forever, stalling the engine.
         for timer in (self._step_timer, self._retransmit_timer):
             if timer is not None:
                 timer.cancel()
         self._step_timer = None
         self._retransmit_timer = None
-        self._step_scheduled = False
-        self._retransmit_armed = False
         self._batch_deadline = None
         self._batch_charged = 0
         if self.store is None:
@@ -757,9 +749,7 @@ class BayouReplica:
                 order[:prefix_length], from_jsonable(persisted["db"])
             )
         self._persisted_checkpoint = prefix_length
-        self.executed = list(order[:prefix_length])
-        self._executed_dots = [req.dot for req in self.executed]
-        self.to_be_rolled_back = []
+        self.cursor = prefix_length
         self._schedule_step()
 
     def _joins_tentative(self, req: Req) -> bool:

@@ -8,12 +8,19 @@ order (the replica's engine guarantees this; the object enforces it).
 
 Invariants (the paper's rollback discussion, Section 2.2 / Algorithm 3):
 
-- **Trace**: the *current trace* of the state is the sequence of
-  executed-and-not-rolled-back requests, available as :attr:`live_requests`.
-  Responses are always consistent with a sequential execution of the trace
-  (verified by the property tests in ``tests/test_properties.py``).
-- **Undo log**: for every live request the object holds the pre-image of
-  each register the request wrote first. Applying those pre-images in
+- **One trace**: the *current trace* of the state is the sequence of
+  executed-and-not-rolled-back requests, and :attr:`StateObject.trace` is
+  the only list of it anywhere: the replica's ``executed`` and
+  ``toBeRolledBack`` are the two sides of its cursor into this list.
+  ``trace`` promises callers execution order, one entry per live request
+  (``trace_dots`` mirrors it as dots), growth by ``execute`` only and
+  shrinkage from the tail only (``rollback`` / ``revert_to``) — so a
+  position below the current length names the same request until a revert
+  passes it. Callers read it and never write it. Responses are always
+  consistent with a sequential execution of the trace (verified by the
+  property tests in ``tests/test_properties.py``).
+- **Undo log**: beside every trace entry the object holds the pre-image of
+  each register that request wrote first. Applying those pre-images in
   reverse execution order (LIFO) restores any earlier prefix of the trace
   exactly — this is what makes Bayou's *tentative* executions revocable.
 - **Checkpoints** (this repository's extension, enabled via
@@ -144,10 +151,12 @@ class StateObject:
             )
         self.datatype = datatype
         self.db: Dict[Hashable, Any] = {}
-        self._undo_log: Dict[Any, Dict[Hashable, Any]] = {}
-        #: Execution-ordered live requests (their undo entries are live);
-        #: rollbacks must happen in reverse of this order.
-        self._undo_order: List[Req] = []
+        #: The live trace: executed-and-not-rolled-back requests in
+        #: execution order. Read-only for callers; it shrinks from the tail.
+        self.trace: List[Req] = []
+        #: ``[r.dot for r in trace]`` and each request's undo map, in step.
+        self.trace_dots: List[Any] = []
+        self._undo_maps: List[Dict[Hashable, Any]] = []
         self.checkpoint_interval = checkpoint_interval
         #: position (= number of live requests captured) -> db copy,
         #: ascending by position. Position 0 (empty state) is always kept
@@ -172,39 +181,36 @@ class StateObject:
         """
         view = _UndoTrackingView(self.db)
         response = execute_with_protocol_ops(self.datatype, req.op, view)
-        self._undo_log[req.dot] = view.undo_map
-        self._undo_order.append(req)
+        self.trace.append(req)
+        self.trace_dots.append(req.dot)
+        self._undo_maps.append(view.undo_map)
         if checkpoint:
             self._maybe_checkpoint()
         return response
 
     def rollback(self, req: Req) -> None:
-        """Undo ``req``; it must be the most recently executed live request."""
-        if req.dot not in self._undo_log:
-            raise RollbackError(
-                f"no undo entry for {req.dot!r} ({req!r}); "
-                f"live log holds {len(self._undo_order)} request(s)"
-            )
-        if not self._undo_order or self._undo_order[-1].dot != req.dot:
-            position = next(
-                index
-                for index, live in enumerate(self._undo_order)
-                if live.dot == req.dot
-            )
+        """Undo ``req``; it must be the tail of the trace."""
+        dots = self.trace_dots
+        if not dots or dots[-1] != req.dot:
+            if req.dot not in dots:
+                raise RollbackError(
+                    f"no undo entry for {req.dot!r} ({req!r}); "
+                    f"live log holds {len(dots)} request(s)"
+                )
             raise RollbackError(
                 f"out-of-order rollback of {req.dot!r} at log position "
-                f"{position} of {len(self._undo_order)}; expected the tail "
-                f"request {self._undo_order[-1].dot!r}"
+                f"{dots.index(req.dot)} of {len(dots)}; expected the tail "
+                f"request {dots[-1]!r}"
             )
-        if self._undo_log[req.dot] is _LOST_UNDO:
+        if self._undo_maps[-1] is _LOST_UNDO:
             raise RollbackError(
                 f"rollback of {req.dot!r} below the recovery checkpoint: its "
                 "undo information was lost in a crash (only committed "
                 "prefixes are restored, and those never roll back)"
             )
-        undo_map = self._undo_log.pop(req.dot)
-        self._undo_order.pop()
-        for register_id, previous in undo_map.items():
+        self.trace.pop()
+        dots.pop()
+        for register_id, previous in self._undo_maps.pop().items():
             if previous is _ABSENT:
                 self.db.pop(register_id, None)
             else:
@@ -224,8 +230,9 @@ class StateObject:
         later attempt to roll back below it raises :class:`RollbackError`.
         """
         self.db = dict(db)
-        self._undo_log = {req.dot: _LOST_UNDO for req in prefix}
-        self._undo_order = list(prefix)
+        self.trace = list(prefix)
+        self.trace_dots = [req.dot for req in prefix]
+        self._undo_maps = [_LOST_UNDO] * len(prefix)
         self._checkpoints = []
         if self.checkpoint_interval is not None:
             self._checkpoints.append((len(prefix), dict(db)))
@@ -252,7 +259,7 @@ class StateObject:
         (deterministic execution), so callers may treat the reverted count
         as the number of logical rollbacks performed.
         """
-        length = len(self._undo_order)
+        length = len(self.trace)
         if not 0 <= n_keep <= length:
             raise RollbackError(
                 f"cannot revert to position {n_keep} of a {length}-entry log"
@@ -265,7 +272,7 @@ class StateObject:
             self._restore_checkpoint(checkpoint, n_keep)
             self.checkpoint_restores += 1
         else:
-            for req in reversed(self._undo_order[n_keep:]):
+            for req in reversed(self.trace[n_keep:]):
                 self.rollback(req)
             self.undo_unwinds += 1
         return reverted
@@ -274,7 +281,7 @@ class StateObject:
         interval = self.checkpoint_interval
         if interval is None:
             return
-        position = len(self._undo_order)
+        position = len(self.trace)
         if position % interval != 0:
             return
         if self._checkpoints and self._checkpoints[-1][0] == position:
@@ -296,10 +303,10 @@ class StateObject:
         self, checkpoint: Tuple[int, Dict[Hashable, Any]], n_keep: int
     ) -> None:
         position, snapshot = checkpoint
-        replay = self._undo_order[position:n_keep]
-        for req in self._undo_order[position:]:
-            del self._undo_log[req.dot]
-        del self._undo_order[position:]
+        replay = self.trace[position:n_keep]
+        del self.trace[position:]
+        del self.trace_dots[position:]
+        del self._undo_maps[position:]
         self._checkpoints = [c for c in self._checkpoints if c[0] <= position]
         self.db = dict(snapshot)
         for req in replay:
@@ -308,7 +315,7 @@ class StateObject:
     def _drop_stale_checkpoints(self) -> None:
         if not self._checkpoints:
             return
-        length = len(self._undo_order)
+        length = len(self.trace)
         while self._checkpoints and self._checkpoints[-1][0] > length:
             self._checkpoints.pop()
 
@@ -326,7 +333,7 @@ class StateObject:
     @property
     def live_requests(self) -> List[Any]:
         """Dots of executed-and-not-rolled-back requests, in execution order."""
-        return [req.dot for req in self._undo_order]
+        return list(self.trace_dots)
 
     @property
     def checkpoint_positions(self) -> List[int]:

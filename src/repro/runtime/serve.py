@@ -249,7 +249,7 @@ class ReplicaServer:
             "committed": [req.dot for req in replica.committed],
             "tentative": [req.dot for req in replica.tentative],
             "backlog": replica.backlog,
-            "executed": len(replica.executed),
+            "executed": replica.cursor,
             "state": replica.state.snapshot(),
             "curr_event_no": replica.curr_event_no,
         }

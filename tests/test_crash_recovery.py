@@ -384,8 +384,8 @@ class TestClusterRecovery:
 
     def test_store_less_recovery_unsticks_suppressed_step_timer(self):
         """A step timer suppressed during the downtime must not leave
-        ``_step_scheduled`` stuck True after a durability='none' recovery
-        (the replica would otherwise never execute again)."""
+        ``_step_timer`` held after a durability='none' recovery (the
+        replica would otherwise never execute again)."""
         config = BayouConfig(n_replicas=3, exec_delay=2.0, message_delay=0.5)
         crashes = CrashSchedule()
         crashes.add(2, crash_at=10.0, recover_at=20.0)
