@@ -18,8 +18,27 @@ module is that stable storage, shared by every component living on a
 - :class:`JsonLinesStore` is the same store written through to one
   append-only file per replica, ``<directory>/journal.jsonl``, so a
   recovery can also be exercised across operating-system processes.
-  Records must be encodable by :func:`to_jsonable` (requests, operations,
-  tuples, dicts and JSON scalars; arbitrary objects are rejected loudly).
+  Records must be encodable by :func:`dumps` (requests, operations,
+  tuples, dicts, registered codec types and JSON scalars; arbitrary
+  objects are rejected loudly, and so is a record that contains itself).
+
+:func:`dumps` is the one encoder, shared with the wire codec
+(:mod:`repro.runtime.wire`). It writes the tagged JSON text in one pass:
+tuples, non-string-keyed dicts, :class:`Req`, :class:`Operation` and
+registered codec types are tagged (``{"~t": [...]}`` and friends) so
+``from_jsonable(json.loads(text))`` restores an equal Python value. The
+text is exactly what the standard ``json`` encoder, at its defaults, gives
+for the tagged tree: ``", "`` and ``": "`` separators, ASCII only (other
+characters as ``\\u`` escapes), ``NaN`` / ``Infinity`` for non-finite
+floats. :func:`to_jsonable` is that tree, parsed back from the text.
+
+A :class:`JsonLinesStore` encodes each request once: it keeps a memo from
+``id(req)`` to ``(req, text)`` for the requests its records contain (a
+request is written to the WAL, the dissemination log and both Paxos logs).
+Each entry holds its request, so the id cannot be reused while the entry
+lives. The memo lives as long as the store, holds at most 1,024 requests
+(``_MEMO_REQUESTS``) and is emptied when full; a request written again after
+that is encoded again, to the same text.
 
 The journal holds one JSON line per write, in write order: ``[name,
 record]`` for ``log(name).append(record)``, ``["~kv", [key, value]]`` for
@@ -54,6 +73,7 @@ __all__ = [
     "DurableStore",
     "InMemoryStore",
     "JsonLinesStore",
+    "dumps",
     "from_jsonable",
     "open_store",
     "register_codec",
@@ -88,49 +108,128 @@ def register_codec(
     Registering a codec gives such a type a reversible tagged encoding
     in every store backend without inverting the dependency. Tags share
     the ``~``-prefixed namespace of the built-in tags and must be unique.
+    A codec cannot claim plain tuples or lists: the encoder handles those
+    before it looks at the registry.
     """
     if not tag.startswith("~"):
         raise DurabilityError(f"codec tags must start with '~', got {tag!r}")
+    if issubclass(tuple, cls) or issubclass(list, cls):
+        raise DurabilityError(
+            f"codec class {cls.__name__} would capture plain tuples or lists"
+        )
     existing = _CODECS.get(tag)
     if existing is not None and existing[0] is not cls:
         raise DurabilityError(f"codec tag {tag!r} already registered")
     _CODECS[tag] = (cls, encode, decode)
 
 
-def to_jsonable(value: Any) -> Any:
-    """Encode ``value`` into a JSON-serialisable structure, reversibly.
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+_float_repr = float.__repr__
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    Tuples, non-string-keyed dicts, :class:`Req` and :class:`Operation`
-    are tagged so :func:`from_jsonable` restores the exact Python value —
-    recovered replica state must compare equal to what survivors hold
-    (bit-identical convergence is the whole point).
+#: The most requests a store's memo holds before it is emptied: about 0.3 MB
+#: of text, and a Paxos request's four writes fall inside it.
+_MEMO_REQUESTS = 1024
+
+_Memo = Dict[int, Tuple[Req, str]]
+
+
+def dumps(value: Any) -> str:
+    """Encode ``value`` as tagged JSON text, reversibly, in one pass.
+
+    Tuples, non-string-keyed dicts, :class:`Req`, :class:`Operation` and
+    registered codec types are tagged so ``from_jsonable(json.loads(text))``
+    restores the exact Python value — recovered replica state must compare
+    equal to what survivors hold (bit-identical convergence is the whole
+    point). The text is what the standard ``json`` encoder writes for the
+    tagged tree at its defaults: ``", "`` / ``": "`` separators and ASCII
+    only.
+
+    >>> dumps({"k": (1, 2.5, None), (0, 1): "é"})
+    '{"~d": [["k", {"~t": [1, 2.5, null]}], [{"~t": [0, 1]}, "\\\\u00e9"]]}'
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+    return _encode(value, {})
+
+
+def to_jsonable(value: Any) -> Any:
+    """The tagged JSON tree of ``value``: what :func:`dumps` writes, parsed."""
+    return json.loads(dumps(value))
+
+
+def _encode(value: Any, memo: _Memo) -> str:
+    # The exact types records are made of come first; anything else (scalar
+    # subclasses, registered codec types, dicts) takes the isinstance order
+    # in _encode_other.
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return _int_repr(value)
+    if kind is tuple:
+        # Dots and ballots are pairs of ints: no call per int.
+        items = [
+            _int_repr(item) if type(item) is int else _encode(item, memo)
+            for item in value
+        ]
+        return '{"~t": [' + ", ".join(items) + "]}"
+    if kind is Req:
+        return _encode_req(value, memo)
+    if kind is list:
+        return "[" + ", ".join([_encode(item, memo) for item in value]) + "]"
+    if kind is float:
+        text = _float_repr(value)
+        return _NON_FINITE.get(text, text)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return _encode_other(value, memo)
+
+
+def _encode_req(req: Req, memo: _Memo) -> str:
+    entry = memo.get(id(req))
+    if entry is None:
+        text = (
+            '{"~req": ['
+            f"{_encode(req.timestamp, memo)}, {_encode(req.dot, memo)}, "
+            f"{_encode(req.strong, memo)}, {_encode(req.op, memo)}]}}"
+        )
+        entry = memo[id(req)] = (req, text)
+    return entry[1]
+
+
+def _encode_other(value: Any, memo: _Memo) -> str:
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int):  # an IntEnum, say; bool never gets here
+        return _int_repr(value)
+    if isinstance(value, float):
+        text = _float_repr(value)
+        return _NON_FINITE.get(text, text)
     if isinstance(value, Req):
-        return {
-            "~req": [
-                value.timestamp,
-                to_jsonable(value.dot),
-                value.strong,
-                to_jsonable(value.op),
-            ]
-        }
+        return _encode_req(value, memo)
     if isinstance(value, Operation):
-        return {"~op": [value.name, to_jsonable(value.args)]}
+        return f'{{"~op": [{_encode(value.name, memo)}, {_encode(value.args, memo)}]}}'
     for tag, (cls, encode, _decode) in _CODECS.items():
         if isinstance(value, cls):
-            return {tag: to_jsonable(encode(value))}
-    if isinstance(value, tuple):
-        return {"~t": [to_jsonable(item) for item in value]}
+            return f"{{{_encode_str(tag)}: {_encode(encode(value), memo)}}}"
+    if isinstance(value, tuple):  # a namedtuple, say
+        return _encode(tuple(value), memo)
     if isinstance(value, list):
-        return [to_jsonable(item) for item in value]
+        return _encode(list(value), memo)
     if isinstance(value, dict):
         if all(isinstance(key, str) and not key.startswith("~") for key in value):
-            return {key: to_jsonable(item) for key, item in value.items()}
-        return {
-            "~d": [[to_jsonable(key), to_jsonable(item)] for key, item in value.items()]
-        }
+            items = [
+                f"{_encode_str(key)}: {_encode(item, memo)}" for key, item in value.items()
+            ]
+            return "{" + ", ".join(items) + "}"
+        items = [
+            f"[{_encode(key, memo)}, {_encode(item, memo)}]" for key, item in value.items()
+        ]
+        return '{"~d": [' + ", ".join(items) + "]}"
     raise DurabilityError(
         f"cannot persist {value!r} of type {type(value).__name__}; the "
         "JSON-lines backend handles scalars, tuples, lists, dicts, "
@@ -269,6 +368,7 @@ class JsonLinesStore(InMemoryStore):
         elif any(entry.endswith(".jsonl") for entry in os.listdir(directory)):
             raise DurabilityError(f"{directory}: per-log *.jsonl layout is not read")
         self._journal = open(path, "a", encoding="utf-8")
+        self._memo: _Memo = {}
 
     def _replay(self, path: str) -> None:
         with open(path, "rb") as handle:
@@ -287,7 +387,16 @@ class JsonLinesStore(InMemoryStore):
             os.truncate(path, os.path.getsize(path) - len(torn))
 
     def _write(self, name: str, record: Any) -> None:
-        self._journal.write(json.dumps([name, to_jsonable(record)]) + "\n")
+        if len(self._memo) >= _MEMO_REQUESTS:
+            self._memo.clear()
+        try:
+            line = f"[{_encode_str(name)}, {_encode(record, self._memo)}]\n"
+        except RecursionError as error:
+            raise DurabilityError(
+                f"cannot persist a record of type {type(record).__name__} to "
+                f"{name!r}: it contains itself (or nests too deep)"
+            ) from error
+        self._journal.write(line)
         self._journal.flush()
 
 

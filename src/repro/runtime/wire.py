@@ -1,21 +1,22 @@
 """Wire codec for the asyncio backend: length-prefixed JSON frames.
 
-Messages between real replica processes are encoded with the *same*
-reversible tagged encoding the durability layer uses for stable storage
-(:func:`repro.core.durability.to_jsonable` / :func:`from_jsonable`,
-including every extension codec registered through ``register_codec``).
+Messages between real replica processes are encoded by the durability
+layer's one encoder, :func:`repro.core.durability.dumps`, and decoded with
+its :func:`~repro.core.durability.from_jsonable` — including every
+extension codec registered through ``register_codec``. A frame body is
+byte for byte the text a journal line would hold for the same value.
 Anything a replica can persist it can also send, and both surfaces evolve
 together: teaching the durability registry a new record type teaches the
 wire automatically.
 
-Framing is the classic 4-byte big-endian length prefix followed by a UTF-8
-JSON body. :class:`FrameDecoder` is an incremental deframer: feed it
-whatever ``bytes`` the socket produced — one frame, twenty frames, or a
-single byte — and it yields each completed value exactly once, carrying
-partial frames across calls. TCP guarantees a byte *stream*, not message
-boundaries, so the decoder must (and does) survive frames split at every
-possible offset; the hypothesis round-trip suite feeds frames byte by byte
-to pin that down.
+Framing is the classic 4-byte big-endian length prefix followed by a JSON
+body (ASCII as written; any UTF-8 is read). :class:`FrameDecoder` is an
+incremental deframer: feed it whatever ``bytes`` the socket produced — one
+frame, twenty frames, or a single byte — and it yields each completed value
+exactly once, carrying partial frames across calls. TCP guarantees a byte
+*stream*, not message boundaries, so the decoder must (and does) survive
+frames split at every possible offset; the hypothesis round-trip suite feeds
+frames byte by byte to pin that down.
 
 >>> decoder = FrameDecoder()
 >>> data = encode_frame({"op": "put", "key": ("k", 1)})
@@ -32,7 +33,7 @@ import json
 import struct
 from typing import Any, List
 
-from repro.core.durability import DurabilityError, from_jsonable, to_jsonable
+from repro.core.durability import DurabilityError, dumps, from_jsonable
 
 __all__ = ["FrameDecoder", "WireError", "decode_body", "encode_frame"]
 
@@ -50,9 +51,12 @@ class WireError(DurabilityError):
 def encode_frame(value: Any) -> bytes:
     """Encode ``value`` into one length-prefixed frame."""
     try:
-        body = json.dumps(
-            to_jsonable(value), separators=(",", ":"), ensure_ascii=False
-        ).encode("utf-8")
+        body = dumps(value).encode("ascii")
+    except RecursionError as exc:
+        raise WireError(
+            f"unencodable wire value of type {type(value).__name__}: "
+            "it contains itself (or nests too deep)"
+        ) from exc
     except (DurabilityError, TypeError, ValueError) as exc:
         raise WireError(f"unencodable wire value {value!r}: {exc}") from exc
     if len(body) > MAX_FRAME_BYTES:

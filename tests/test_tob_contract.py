@@ -5,15 +5,19 @@ same scenarios: total order, FIFO per sender, at-most-once per key, and
 agreement once connectivity allows.
 """
 
+import random
+
 import pytest
 
 from repro.broadcast.failure_detector import OmegaFailureDetector
 from repro.broadcast.paxos import PaxosTOB
 from repro.broadcast.sequencer import SequencerTOB
+from repro.datatypes import KVStore
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
 from repro.net.partition import PartitionSchedule
 from repro.runtime.sim import SimRuntime
+from repro.scenario import Scenario
 from repro.sim.kernel import Simulator
 
 
@@ -145,6 +149,62 @@ def test_sequencer_stalls_when_sequencer_isolated():
     rig.run(until=200.0)
     assert rig.delivered[1] == []
     assert rig.delivered[2] == []
+
+
+def _failover_scenario(seed=11, n_ops=40):
+    """The contract-size ``paxos_failover`` schedule: an open loop of puts
+    and gets on replicas 1 and 2, every fifth strong, while the initial
+    leader (replica 0) crashes and recovers from stable storage."""
+    rng = random.Random(seed)
+    spacing = 0.5
+    scenario = (
+        Scenario(KVStore(), name="paxos_failover")
+        .replicas(3)
+        .config(
+            message_delay=1.0,
+            latency_jitter=0.3,
+            exec_delay=0.05,
+            record_perceived_traces=False,
+            tob_engine="paxos",
+            heartbeat_interval=10.0,
+            failure_timeout=35.0,
+            paxos_retry_interval=20.0,
+        )
+        .seed(seed)
+        .durability("memory")
+        .crash(0, 1.0 + 0.3 * n_ops * spacing, recover_at=1.0 + 0.6 * n_ops * spacing)
+    )
+    for index in range(n_ops):
+        key = f"k{rng.randrange(64)}"
+        if rng.random() < 0.6:
+            op = KVStore.put(key, rng.randrange(100))
+        else:
+            op = KVStore.get(key)
+        scenario.invoke(1.0 + index * spacing, 1 + index % 2, op, strong=index % 5 == 0)
+    return scenario
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="casts held while no leader is trusted are re-sent behind later "
+    "ones of the same replica (PaxosTOB._forward_pending)",
+)
+def test_failover_keeps_each_replicas_casts_in_order():
+    """TOB requirement 3 (per-sender FIFO) across a leader crash: along the
+    committed order, each origin's event numbers only increase."""
+    live = _failover_scenario().build()
+    live.run(until=200.0)
+    live.settle()
+    committed = [req.dot for req in live.cluster.replicas[1].committed]
+    assert len(committed) == 40
+    highest = {}
+    inversions = []
+    for origin, number in committed:
+        if number < highest.get(origin, 0):
+            inversions.append((origin, number))
+        highest[origin] = max(highest.get(origin, 0), number)
+    assert inversions == []
 
 
 def test_paxos_minority_cannot_decide():
