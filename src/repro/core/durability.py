@@ -22,15 +22,19 @@ module is that stable storage, shared by every component living on a
   tuples, dicts, registered codec types and JSON scalars; arbitrary
   objects are rejected loudly, and so is a record that contains itself).
 
-:func:`dumps` is the one encoder, shared with the wire codec
-(:mod:`repro.runtime.wire`). It writes the tagged JSON text in one pass:
-tuples, non-string-keyed dicts, :class:`Req`, :class:`Operation` and
-registered codec types are tagged (``{"~t": [...]}`` and friends) so
-``from_jsonable(json.loads(text))`` restores an equal Python value. The
-text is exactly what the standard ``json`` encoder, at its defaults, gives
-for the tagged tree: ``", "`` and ``": "`` separators, ASCII only (other
-characters as ``\\u`` escapes), ``NaN`` / ``Infinity`` for non-finite
-floats. :func:`to_jsonable` is that tree, parsed back from the text.
+:func:`dumps` is the one encoder and :func:`loads` the one decoder, both
+shared with the wire codec (:mod:`repro.runtime.wire`). :func:`dumps`
+writes the tagged JSON text in one pass: tuples, non-string-keyed dicts,
+:class:`Req`, :class:`Operation` and registered codec types are tagged
+(``{"~t": [...]}`` and friends) so :func:`loads` restores an equal Python
+value. The text is exactly what the standard ``json`` encoder, at its
+defaults, gives for the tagged tree: ``", "`` and ``": "`` separators,
+ASCII only (other characters as ``\\u`` escapes), ``NaN`` / ``Infinity``
+for non-finite floats. :func:`loads` is one C-scanner pass whose object
+hook turns each tagged object into its value as the object closes.
+:func:`to_jsonable` is the tagged tree, parsed back from the text, and
+:func:`from_jsonable` inverts it bottom-up through the same tag table;
+the replica's checkpoint keeps its state in that tree form.
 
 A :class:`JsonLinesStore` encodes each request once: it keeps a memo from
 ``id(req)`` to ``(req, text)`` for the requests its records contain (a
@@ -75,6 +79,7 @@ __all__ = [
     "JsonLinesStore",
     "dumps",
     "from_jsonable",
+    "loads",
     "open_store",
     "register_codec",
     "to_jsonable",
@@ -117,10 +122,13 @@ def register_codec(
         raise DurabilityError(
             f"codec class {cls.__name__} would capture plain tuples or lists"
         )
+    if tag in _UNTAG and tag not in _CODECS:
+        raise DurabilityError(f"codec tag {tag!r} is a built-in tag")
     existing = _CODECS.get(tag)
     if existing is not None and existing[0] is not cls:
         raise DurabilityError(f"codec tag {tag!r} already registered")
     _CODECS[tag] = (cls, encode, decode)
+    _UNTAG[tag] = decode
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -139,12 +147,11 @@ def dumps(value: Any) -> str:
     """Encode ``value`` as tagged JSON text, reversibly, in one pass.
 
     Tuples, non-string-keyed dicts, :class:`Req`, :class:`Operation` and
-    registered codec types are tagged so ``from_jsonable(json.loads(text))``
-    restores the exact Python value — recovered replica state must compare
-    equal to what survivors hold (bit-identical convergence is the whole
-    point). The text is what the standard ``json`` encoder writes for the
-    tagged tree at its defaults: ``", "`` / ``": "`` separators and ASCII
-    only.
+    registered codec types are tagged so :func:`loads` restores the exact
+    Python value — recovered replica state must compare equal to what
+    survivors hold (bit-identical convergence is the whole point). The
+    text is what the standard ``json`` encoder writes for the tagged tree
+    at its defaults: ``", "`` / ``": "`` separators and ASCII only.
 
     >>> dumps({"k": (1, 2.5, None), (0, 1): "é"})
     '{"~d": [["k", {"~t": [1, 2.5, null]}], [{"~t": [0, 1]}, "\\\\u00e9"]]}'
@@ -237,32 +244,61 @@ def _encode_other(value: Any, memo: _Memo) -> str:
     )
 
 
+def _untag_req(value: List[Any]) -> Req:
+    timestamp, dot, strong, op = value
+    return Req(timestamp, dot, strong, op)
+
+
+def _untag_op(value: List[Any]) -> Operation:
+    name, args = value
+    return Operation(name, args)
+
+
+#: tag -> function of the tagged object's (already decoded) value: the
+#: built-in tags, then every registered codec's ``decode``.
+_UNTAG: Dict[str, Callable[[Any], Any]] = {
+    "~t": tuple,
+    "~req": _untag_req,
+    "~op": _untag_op,
+    "~d": dict,
+}
+
+
+def _untag(obj: Dict[str, Any]) -> Any:
+    # An object whose members are decoded already. A tagged object has
+    # exactly one key; the encoder writes a plain dict with a "~"-prefixed
+    # key in the "~d" form, so no plain dict is mistaken for one.
+    if len(obj) == 1:
+        for tag in obj:
+            untag = _UNTAG.get(tag)
+            if untag is not None:
+                return untag(obj[tag])
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_hook=_untag)
+
+
+def loads(text: str) -> Any:
+    """Decode :func:`dumps` text back to an equal Python value, in one pass.
+
+    The C scanner parses the text and hands each JSON object, its members
+    already decoded, to a hook that turns a tagged object into its value.
+    This is the one decoder: journal replay and wire frames both use it.
+
+    >>> loads(dumps({"k": (1, 2.5, None), (0, 1): "é"}))
+    {'k': (1, 2.5, None), (0, 1): 'é'}
+    """
+    return _DECODER.decode(text)
+
+
 def from_jsonable(value: Any) -> Any:
-    """Invert :func:`to_jsonable`."""
+    """Invert :func:`to_jsonable`: untag a tree already parsed from text,
+    bottom-up, through the same table as :func:`loads`."""
     if isinstance(value, list):
         return [from_jsonable(item) for item in value]
     if isinstance(value, dict):
-        if "~req" in value:
-            timestamp, dot, strong, op = value["~req"]
-            return Req(
-                timestamp=timestamp,
-                dot=from_jsonable(dot),
-                strong=strong,
-                op=from_jsonable(op),
-            )
-        if "~op" in value:
-            name, args = value["~op"]
-            return Operation(name=name, args=from_jsonable(args))
-        if "~t" in value:
-            return tuple(from_jsonable(item) for item in value["~t"])
-        for tag, (_cls, _encode, decode) in _CODECS.items():
-            if tag in value:
-                return decode(from_jsonable(value[tag]))
-        if "~d" in value:
-            return {
-                from_jsonable(key): from_jsonable(item) for key, item in value["~d"]
-            }
-        return {key: from_jsonable(item) for key, item in value.items()}
+        return _untag({key: from_jsonable(item) for key, item in value.items()})
     return value
 
 
@@ -375,8 +411,7 @@ class JsonLinesStore(InMemoryStore):
             *lines, torn = handle.read().split(b"\n")
         for number, line in enumerate(lines, start=1):
             try:
-                name, record = json.loads(line)
-                record = from_jsonable(record)
+                name, record = loads(line.decode("utf-8"))
             except (ValueError, TypeError) as error:
                 raise DurabilityError(f"{path}:{number}: bad line") from error
             if name == _KV:

@@ -1,13 +1,13 @@
 """Wire codec for the asyncio backend: length-prefixed JSON frames.
 
 Messages between real replica processes are encoded by the durability
-layer's one encoder, :func:`repro.core.durability.dumps`, and decoded with
-its :func:`~repro.core.durability.from_jsonable` — including every
-extension codec registered through ``register_codec``. A frame body is
-byte for byte the text a journal line would hold for the same value.
-Anything a replica can persist it can also send, and both surfaces evolve
-together: teaching the durability registry a new record type teaches the
-wire automatically.
+layer's one encoder, :func:`repro.core.durability.dumps`, and decoded by
+its one decoder, :func:`~repro.core.durability.loads` (a single C-scanner
+pass) — including every extension codec registered through
+``register_codec``. A frame body is byte for byte the text a journal line
+would hold for the same value. Anything a replica can persist it can also
+send, and both surfaces evolve together: teaching the durability registry a
+new record type teaches the wire automatically.
 
 Framing is the classic 4-byte big-endian length prefix followed by a JSON
 body (ASCII as written; any UTF-8 is read). :class:`FrameDecoder` is an
@@ -29,11 +29,10 @@ True
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import Any, List
 
-from repro.core.durability import DurabilityError, dumps, from_jsonable
+from repro.core.durability import DurabilityError, dumps, loads
 
 __all__ = ["FrameDecoder", "WireError", "decode_body", "encode_frame"]
 
@@ -67,8 +66,8 @@ def encode_frame(value: Any) -> bytes:
 def decode_body(body: bytes) -> Any:
     """Decode one frame body (the bytes after the length prefix)."""
     try:
-        return from_jsonable(json.loads(body.decode("utf-8")))
-    except (ValueError, UnicodeDecodeError) as exc:
+        return loads(body.decode("utf-8"))
+    except (ValueError, TypeError) as exc:  # UnicodeDecodeError included
         raise WireError(f"undecodable frame body: {exc}") from exc
 
 
