@@ -37,11 +37,17 @@ class Req:
         """The replica on which the request was invoked."""
         return self.dot[0]
 
+    # ``order_key`` comparison without building the tuples: the tentative
+    # list is kept sorted with ``bisect``, so these run once per probe.
     def __lt__(self, other: "Req") -> bool:
-        return self.order_key < other.order_key
+        if self.timestamp != other.timestamp:
+            return self.timestamp < other.timestamp
+        return self.dot < other.dot
 
     def __le__(self, other: "Req") -> bool:
-        return self.order_key <= other.order_key
+        if self.timestamp != other.timestamp:
+            return self.timestamp < other.timestamp
+        return self.dot <= other.dot
 
     def __repr__(self) -> str:
         level = "strong" if self.strong else "weak"

@@ -68,7 +68,12 @@ _DIAL_BACKOFF_MAX = 1.0
 
 
 class AsyncioTimer(RuntimeTimer):
-    """``loop.call_later`` behind the runtime timer contract."""
+    """``loop.call_later`` behind the runtime timer contract.
+
+    The loop's handle calls this timer, so the timer lets go of the handle
+    as soon as it fires or is cancelled; otherwise each timer and its
+    handle would form a reference cycle left to the cyclic collector.
+    """
 
     __slots__ = ("_handle", "_cancelled", "label", "_callback", "_args")
 
@@ -85,13 +90,16 @@ class AsyncioTimer(RuntimeTimer):
     def __call__(self) -> None:
         """What the loop runs when the timer is due; a cancel that raced the
         loop's own dispatch still wins."""
+        self._handle = None
         if not self._cancelled:
             self._callback(*self._args)
 
     def cancel(self) -> None:
         self._cancelled = True
-        if self._handle is not None:
-            self._handle.cancel()
+        handle = self._handle
+        if handle is not None:
+            handle.cancel()
+            self._handle = None
 
     @property
     def cancelled(self) -> bool:

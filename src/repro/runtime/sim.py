@@ -1,11 +1,22 @@
-"""The deterministic backend: a thin adapter over ``Simulator`` + ``Network``.
+"""The deterministic backend: ``Simulator`` + ``Network`` behind the seam.
 
-``SimRuntime`` is a pure pass-through — every ``schedule`` lands on the
-simulator's event queue exactly as a direct ``sim.schedule`` call would
-(same sequence numbers, same tie-breaking), and every ``send`` goes through
-the simulated network's latency/partition/filter machinery untouched. The
-deterministic suite is therefore bit-identical whether components talk to
-the simulator directly (the pre-runtime code) or through this adapter.
+``SimRuntime`` adds nothing to a call. When it is built it binds the
+kernel's ``schedule`` and the network's ``send`` / ``broadcast`` onto the
+instance, so ``runtime.schedule(...)`` *is* ``sim.schedule(...)`` and
+``runtime.send(...)`` *is* ``network.send(...)`` — no runtime frame sits
+between protocol code and the kernel on the per-event path. Every event
+lands on the simulator's queue exactly as a direct ``sim.schedule`` call
+would (same sequence numbers, same tie-breaking), and every send goes
+through the simulated network's latency/partition/filter machinery
+untouched, so the deterministic suite is bit-identical whether components
+talk to the simulator directly or through this adapter.
+
+The methods of the same names stay on the class: they are what a
+network-less runtime answers (``send`` / ``broadcast`` raise), and what
+outside code that wraps methods by name finds. Because the bound methods
+are taken at construction, a wrapper installed on ``Simulator.schedule``
+or ``Network.send`` / ``Network.broadcast`` *before* the runtime is built
+sees every event and every send.
 
 The :class:`~repro.net.network.Network` stops being a public dependency of
 protocol code here: it is this backend's *delivery engine*, reached only
@@ -43,6 +54,11 @@ class SimRuntime(Runtime):
         self.sim = sim
         #: The delivery engine; ``None`` for timer-only runtimes.
         self.network = network
+        # The per-event calls go straight to their engines (module doc).
+        self.schedule = sim.schedule  # type: ignore[method-assign]
+        if network is not None:
+            self.send = network.send  # type: ignore[method-assign]
+            self.broadcast = network.broadcast  # type: ignore[method-assign]
 
     def now(self) -> float:
         return self.sim.now
@@ -52,17 +68,15 @@ class SimRuntime(Runtime):
     ) -> "ScheduledEvent":
         return self.sim.schedule(delay, callback, *args, label=label)
 
+    # With a network, the instance's bound ``network.send`` /
+    # ``network.broadcast`` shadow these two: they run only without one.
     def send(self, sender: int, receiver: int, payload: Any) -> None:
-        if self.network is None:
-            raise RuntimeError("this SimRuntime has no network attached")
-        self.network.send(sender, receiver, payload)
+        raise RuntimeError("this SimRuntime has no network attached")
 
     def broadcast(
         self, sender: int, payload: Any, *, include_self: bool = False
     ) -> None:
-        if self.network is None:
-            raise RuntimeError("this SimRuntime has no network attached")
-        self.network.broadcast(sender, payload, include_self=include_self)
+        raise RuntimeError("this SimRuntime has no network attached")
 
     def register(self, process: "Process") -> None:
         if self.network is not None:

@@ -73,6 +73,10 @@ class ProcessTimer:
         self.fired = False
         #: The backend handle this timer routes through — a runtime timer
         #: (sim event or asyncio call_later), never a sim event directly.
+        #: ``None`` again once the timer fired or was cancelled: the handle
+        #: carries this timer among its arguments, so holding on to it
+        #: would make every timer a reference cycle that only the cyclic
+        #: garbage collector can free.
         self.event: Optional[RuntimeTimer] = None
 
     def cancel(self) -> None:
@@ -87,8 +91,10 @@ class ProcessTimer:
         both backends.
         """
         self.cancelled = True
-        if self.event is not None:
-            self.event.cancel()
+        event = self.event
+        if event is not None:
+            event.cancel()
+            self.event = None
 
     @property
     def pending(self) -> bool:
@@ -170,6 +176,7 @@ class Process:
 
     def _fire(self, timer: ProcessTimer) -> None:
         """A timer came due: settle which of its three fates it meets."""
+        timer.event = None
         if timer.cancelled:
             return
         if self.crashed:
