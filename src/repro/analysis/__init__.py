@@ -1,19 +1,7 @@
-"""Workloads, metrics and the experiment runners for every paper artifact.
+"""Workloads, metrics, report tables and the experiment modules.
 
-The experiment index (see DESIGN.md):
-
-====  ==========================  ==========================================
-id    paper artifact              module
-====  ==========================  ==========================================
-E1    Figure 1                    repro.analysis.experiments.figure1
-E2    Figure 2                    repro.analysis.experiments.figure2
-E3    Section 2.3 (progress)      repro.analysis.experiments.progress
-E4    Theorem 1                   repro.analysis.experiments.theorem1
-E5    Theorem 2                   repro.analysis.experiments.theorems
-E6    Theorem 3                   repro.analysis.experiments.theorems
-E7    guarantee matrix            repro.analysis.experiments.matrix
-E8    performance envelope        repro.analysis.experiments.performance
-====  ==========================  ==========================================
+The experiment catalogue is ``repro.cli.EXPERIMENTS`` (README, *Experiment
+catalogue*); ``python -m repro <name>`` runs one.
 """
 
 from repro.analysis.metrics import (

@@ -1,38 +1,10 @@
-"""Experiment runners — one module per paper artifact (see DESIGN.md)."""
+"""Experiment modules, one per paper artifact or extension.
 
-from repro.analysis.experiments.figure1 import run_figure1
-from repro.analysis.experiments.figure2 import run_figure2
-from repro.analysis.experiments.matrix import run_matrix
-from repro.analysis.experiments.sessions import run_session_guarantees
-from repro.analysis.experiments.progress import (
-    run_clock_slowdown,
-    run_slow_replica,
-)
-from repro.analysis.experiments.recovery import (
-    run_recovery,
-    run_recovery_case,
-    run_recovery_omega,
-)
-from repro.analysis.experiments.reorder import (
-    run_divergent_suffix,
-    run_drifting_clock,
-)
-from repro.analysis.experiments.theorem1 import run_theorem1_live
-from repro.analysis.experiments.theorems import run_theorem2, run_theorem3
+The catalogue is ``repro.cli.EXPERIMENTS`` (README, *Experiment
+catalogue*); run any of them with ``python -m repro <name>``.
+"""
 
-__all__ = [
-    "run_clock_slowdown",
-    "run_divergent_suffix",
-    "run_drifting_clock",
-    "run_figure1",
-    "run_figure2",
-    "run_matrix",
-    "run_recovery",
-    "run_recovery_case",
-    "run_recovery_omega",
-    "run_session_guarantees",
-    "run_slow_replica",
-    "run_theorem1_live",
-    "run_theorem2",
-    "run_theorem3",
-]
+#: Ω and Paxos timers shared by every Paxos leg of E11–E13.
+PAXOS_TIMERS = dict(
+    heartbeat_interval=2.0, failure_timeout=7.0, paxos_retry_interval=4.0
+)

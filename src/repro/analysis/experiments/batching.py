@@ -19,19 +19,16 @@ time, and wall-clock committed-op throughput. The delivered sequences are
 asserted identical across all three engines — batching must change the
 *cost* of the total order, never the order itself.
 
-Run from the CLI (``python -m repro batch``) or directly with ``--json
-FILE`` to dump the artifact CI uploads.
+Run with ``python -m repro batch`` (``--json FILE`` writes the artifact).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.analysis.report import format_table
+from repro.analysis.report import format_columns
 from repro.broadcast.failure_detector import OmegaFailureDetector
 from repro.broadcast.paxos import PaxosTOB
 from repro.broadcast.sequencer import SequencerTOB
@@ -175,7 +172,7 @@ def run_burst_comparison(ops: int = OPS) -> Tuple[List[EngineRun], bool]:
 
 
 def to_json(rows: List[EngineRun], identical: bool) -> Dict[str, Any]:
-    """The amortization artifact (uploaded by CI next to E10–E15)."""
+    """The E16 amortization artifact."""
     by_engine = {row.engine: row for row in rows}
     seed = by_engine["paxos-seed"]
     batched = by_engine["paxos-batched"]
@@ -188,52 +185,27 @@ def to_json(rows: List[EngineRun], identical: bool) -> Dict[str, Any]:
     }
 
 
-def render(rows: List[EngineRun], identical: bool) -> str:
-    return format_table(
-        [
-            "engine",
-            "ops",
-            "instances",
-            "ops/round",
-            "msgs",
-            "msgs/op",
-            "sim time",
-            "wall ops/s",
-        ],
-        [
-            [
-                row.engine,
-                row.ops,
-                row.instances,
-                f"{row.ops_per_round:.2f}",
-                row.messages,
-                f"{row.messages_per_op:.2f}",
-                f"{row.sim_time:g}",
-                f"{row.wall_ops_per_sec:,.0f}",
-            ]
-            for row in rows
-        ],
+COLUMNS = (
+    ("engine", lambda row: row.engine),
+    ("ops", lambda row: row.ops),
+    ("instances", lambda row: row.instances),
+    ("ops/round", lambda row: f"{row.ops_per_round:.2f}"),
+    ("msgs", lambda row: row.messages),
+    ("msgs/op", lambda row: f"{row.messages_per_op:.2f}"),
+    ("sim time", lambda row: f"{row.sim_time:g}"),
+    ("wall ops/s", lambda row: f"{row.wall_ops_per_sec:,.0f}"),
+)
+
+
+def main() -> Dict[str, Any]:
+    rows, identical = run_burst_comparison()
+    print(format_columns(
+        COLUMNS,
+        rows,
         title=(
             "Consensus amortization over a "
             f"{rows[0].ops}-op burst (experiment E16) — histories "
             + ("identical" if identical else "DIVERGED")
         ),
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json", metavar="FILE", help="also write the amortization artifact"
-    )
-    args = parser.parse_args(argv)
-    rows, identical = run_burst_comparison()
-    print(render(rows, identical))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(to_json(rows, identical), handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    ))
+    return to_json(rows, identical)

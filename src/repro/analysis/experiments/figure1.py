@@ -103,7 +103,7 @@ def run_figure1(
     )
 
 
-def main() -> None:  # pragma: no cover - manual entry point
+def main() -> None:
     for protocol in (ORIGINAL, MODIFIED):
         for strong_append in (False, True):
             result = run_figure1(protocol=protocol, strong_append=strong_append)
@@ -114,7 +114,3 @@ def main() -> None:  # pragma: no cover - manual entry point
                 f"BEC(weak) ok={result.bec_weak.ok} "
                 f"FEC(weak) ok={result.fec_weak.ok}"
             )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

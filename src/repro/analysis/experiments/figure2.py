@@ -81,7 +81,7 @@ def run_figure2(*, protocol: str = ORIGINAL) -> Figure2Result:
     )
 
 
-def main() -> None:  # pragma: no cover - manual entry point
+def main() -> None:
     for protocol in (ORIGINAL, MODIFIED):
         result = run_figure2(protocol=protocol)
         print(
@@ -89,7 +89,3 @@ def main() -> None:  # pragma: no cover - manual entry point
             f"circular={result.circular_causality} "
             f"({result.cycle_description}) converged={result.converged}"
         )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -29,7 +29,7 @@ from repro.analysis.experiments.figure1 import run_figure1
 from repro.analysis.experiments.figure2 import run_figure2
 from repro.analysis.experiments.theorem1 import run_theorem1_live
 from repro.analysis.metrics import count_reordering_witnesses
-from repro.analysis.report import format_table
+from repro.analysis.report import format_columns
 from repro.baselines.ec_store import ECStoreCluster
 from repro.baselines.gsp import GSPCluster
 from repro.baselines.smr import SMRCluster
@@ -177,37 +177,21 @@ def run_matrix() -> List[MatrixRow]:
     return rows
 
 
+COLUMNS = (
+    ("system", lambda row: row.system),
+    ("reordering", lambda row: row.temporary_reordering),
+    ("circular", lambda row: row.circular_causality),
+    ("weak-avail", lambda row: row.weak_available_under_partition),
+    ("strong-ops", lambda row: row.strong_ops),
+    ("BEC(weak)", lambda row: "n/a" if row.bec_weak is None else row.bec_weak),
+    ("Seq(strong)", lambda row: "n/a" if row.seq_strong is None else row.seq_strong),
+)
+
+
 def render_matrix(rows: List[MatrixRow]) -> str:
     """The matrix as an ASCII table."""
-    return format_table(
-        [
-            "system",
-            "reordering",
-            "circular",
-            "weak-avail",
-            "strong-ops",
-            "BEC(weak)",
-            "Seq(strong)",
-        ],
-        [
-            [
-                row.system,
-                row.temporary_reordering,
-                row.circular_causality,
-                row.weak_available_under_partition,
-                row.strong_ops,
-                "n/a" if row.bec_weak is None else row.bec_weak,
-                "n/a" if row.seq_strong is None else row.seq_strong,
-            ]
-            for row in rows
-        ],
-        title="Guarantee matrix (experiment E7)",
-    )
+    return format_columns(COLUMNS, rows, title="Guarantee matrix (experiment E7)")
 
 
-def main() -> None:  # pragma: no cover - manual entry point
+def main() -> None:
     print(render_matrix(run_matrix()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -169,7 +169,7 @@ def run_throughput(
     )
 
 
-def main() -> None:  # pragma: no cover - manual entry point
+def main() -> None:
     for engine in ("sequencer", "paxos"):
         split = run_latency_split(tob_engine=engine)
         print(
@@ -187,7 +187,3 @@ def main() -> None:  # pragma: no cover - manual entry point
             f"{protocol:8s} throughput={tp.throughput:.2f} ops/t "
             f"rollbacks={tp.rollbacks}"
         )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -170,7 +170,7 @@ def run_clock_slowdown(
     )
 
 
-def main() -> None:  # pragma: no cover - manual entry point
+def main() -> None:
     for protocol in (ORIGINAL, MODIFIED):
         result = run_slow_replica(protocol=protocol)
         print(
@@ -184,7 +184,3 @@ def main() -> None:  # pragma: no cover - manual entry point
             f"{slowdown.rollbacks_fast_replicas} "
             f"late/early={slowdown.late_vs_early_ratio:.2f}"
         )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -29,16 +29,14 @@ cannot produce. Commutativity makes the final state order-independent, so
 the leg still ends with a hard correctness check (every replica's counter
 equals the burst size) without constraining the race.
 
-Run ``python -m repro realtime`` (or ``--smoke`` for the quick CI variant,
-``--json FILE`` for the artifact CI uploads).
+Run ``python -m repro realtime`` (``--smoke`` for the quick variant,
+``--json FILE`` to write the artifact; the exit status is 1 on divergence).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.analysis.metrics import rate
 from repro.analysis.report import format_table
@@ -166,18 +164,8 @@ def run_experiment(*, smoke: bool = False) -> Dict[str, Any]:
     }
 
 
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true", help="small quick variant (CI)"
-    )
-    parser.add_argument(
-        "--json", metavar="FILE", help="also write the result artifact"
-    )
-    args = parser.parse_args(argv)
-
-    result = run_experiment(smoke=args.smoke)
-
+def main(smoke: bool = False) -> Dict[str, Any]:
+    result = run_experiment(smoke=smoke)
     rows = [
         ["cross-check: committed order", "match" if result["committed_order_match"] else "DIVERGED"],
         ["cross-check: final state", "match" if result["state_match"] else "DIVERGED"],
@@ -201,12 +189,4 @@ def main(argv: Optional[List[str]] = None) -> None:
         if result["ok"]
         else "DIVERGENCE between realtime and simulated runs",
     )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-    if not result["ok"]:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return result

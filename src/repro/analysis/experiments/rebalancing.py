@@ -34,20 +34,17 @@ Gates (enforced as CI benchmark gates in
 - controlled committed-op throughput is within **25% of the oracle**;
 - controlled **strictly beats** the no-controller baseline.
 
-Run from the CLI (``python -m repro rebalance``) or directly with
-``--json FILE`` to dump the artifact CI uploads next to E10–E13.
+Run with ``python -m repro rebalance`` (``--json FILE`` writes the
+artifact).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.analysis.metrics import committed_op_rate, weak_staleness_samples
-from repro.analysis.report import format_table
-from repro.analysis.workload import RandomWorkload
+from repro.analysis.report import format_columns
 from repro.datatypes.kvstore import KVStore
 from repro.scenario import Scenario
 from repro.shard.control.strategy import single_key_range
@@ -143,13 +140,9 @@ def _scenario(name: str) -> Scenario:
     )
 
 
-def _futures(workload: RandomWorkload):
-    return [f for session in workload.sessions for f in session.futures]
-
-
 def _finish_leg(leg: str, live) -> RebalancingRun:
     live.settle(max_time=20_000.0)
-    futures = _futures(live.workloads[0])
+    futures = live.workloads[0].futures
     latencies = [f.latency for f in futures if f.latency is not None]
     staleness = weak_staleness_samples(futures)
     controller = live.controller
@@ -223,7 +216,7 @@ def run_all() -> List[RebalancingRun]:
 # Reporting
 # ----------------------------------------------------------------------
 def to_json(rows: List[RebalancingRun]) -> Dict[str, Any]:
-    """The E14 artifact (uploaded by CI next to E10–E13)."""
+    """The E14 artifact."""
     by_leg = {row.leg: row for row in rows}
     oracle = by_leg["oracle"].committed_throughput
     baseline = by_leg["baseline"].committed_throughput
@@ -245,47 +238,25 @@ def to_json(rows: List[RebalancingRun]) -> Dict[str, Any]:
     }
 
 
-def render(rows: List[RebalancingRun]) -> str:
-    return format_table(
-        [
-            "leg",
-            "actions",
-            "migrations",
-            "shards",
-            "epoch",
-            "deferred",
-            "thpt",
-            "latency",
-            "staleness",
-            "converged",
-        ],
-        [
-            [
-                row.leg,
-                row.actions,
-                row.migrations,
-                row.n_shards,
-                row.epoch,
-                row.deferred_ops,
-                f"{row.committed_throughput:.2f}",
-                f"{row.mean_latency:.2f}",
-                f"{row.weak_staleness:.2f}",
-                row.converged,
-            ]
-            for row in rows
-        ],
-        title="Self-healing under a shifting Zipf hotspot (E14)",
-    )
+COLUMNS = (
+    ("leg", lambda row: row.leg),
+    ("actions", lambda row: row.actions),
+    ("migrations", lambda row: row.migrations),
+    ("shards", lambda row: row.n_shards),
+    ("epoch", lambda row: row.epoch),
+    ("deferred", lambda row: row.deferred_ops),
+    ("thpt", lambda row: f"{row.committed_throughput:.2f}"),
+    ("latency", lambda row: f"{row.mean_latency:.2f}"),
+    ("staleness", lambda row: f"{row.weak_staleness:.2f}"),
+    ("converged", lambda row: row.converged),
+)
 
 
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json", metavar="FILE", help="also write the E14 artifact"
-    )
-    args = parser.parse_args(argv)
+def main() -> Dict[str, Any]:
     rows = run_all()
-    print(render(rows))
+    print(format_columns(
+        COLUMNS, rows, title="Self-healing under a shifting Zipf hotspot (E14)"
+    ))
     print()
     artifact = to_json(rows)
     print(
@@ -293,11 +264,4 @@ def main(argv: Optional[List[str]] = None) -> None:
         f"(gate: <= 25%); beats baseline: "
         f"{artifact['every_policy_beats_baseline']}"
     )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return artifact

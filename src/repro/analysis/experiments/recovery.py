@@ -30,21 +30,20 @@ heartbeats of replica 0 resume, every Ω re-elects it (smallest pid), its
 Paxos engine catches up through status/repair anti-entropy from its durable
 acceptor state, and the cluster reconverges.
 
-Run from the CLI (``python -m repro recovery``) or directly with ``--json
-FILE`` to dump the convergence artifact CI uploads.
+Run with ``python -m repro recovery`` (``--json FILE`` writes the
+convergence artifact).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.analysis.experiments import PAXOS_TIMERS
 from repro.analysis.metrics import replica_fingerprint
-from repro.analysis.report import format_table
+from repro.analysis.report import format_columns
 from repro.datatypes.rlist import RList
-from repro.scenario import Scenario
+from repro.scenario import RunResult, Scenario
 
 #: The crash-recovery timeline shared by every leg (simulated time units).
 PARTITION_AT = 5.0
@@ -103,6 +102,24 @@ def _populate(scenario: Scenario, crashed_pid: int) -> Scenario:
     return scenario
 
 
+def _verdict(result: RunResult, crashed_pid: int, **leg: Any) -> RecoveryRun:
+    """Reduce a finished leg to its row; ``leg`` names the configuration."""
+    replicas = result.cluster.replicas
+    fingerprints = [replica_fingerprint(replica) for replica in replicas]
+    return RecoveryRun(
+        crashed_pid=crashed_pid,
+        converged=result.converged,
+        recovered_matches_survivors=all(
+            fingerprint == fingerprints[0] for fingerprint in fingerprints
+        ),
+        suppressed_messages=result.cluster.network.suppressed_count,
+        downtime=replicas[crashed_pid].downtime,
+        final_value=result.query(RList.read()),
+        committed_length=len(replicas[0].committed),
+        **leg,
+    )
+
+
 def run_recovery_case(
     dissemination: str,
     reorder_engine: str,
@@ -128,24 +145,13 @@ def run_recovery_case(
     # A strong operation committed while the replica is down: recovery must
     # also restore the final (TOB) order, not just the weak updates.
     scenario.invoke(CRASH_AT + 8.0, 0, RList.duplicate(), strong=True)
-    result = scenario.run(well_formed=False)
-    replicas = result.cluster.replicas
-    fingerprints = [replica_fingerprint(replica) for replica in replicas]
-    return RecoveryRun(
+    return _verdict(
+        scenario.run(well_formed=False),
+        crashed_pid,
         dissemination=dissemination,
         reorder_engine=reorder_engine,
         protocol=protocol,
         tob_engine="sequencer",
-        crashed_pid=crashed_pid,
-        converged=result.converged,
-        recovered_matches_survivors=all(
-            fingerprint == fingerprints[0] for fingerprint in fingerprints
-        ),
-        suppressed_messages=result.cluster.network.suppressed_count,
-        downtime=replicas[crashed_pid].downtime,
-        final_value=result.query(RList.read()),
-        committed_length=len(replicas[0].committed),
-        leaders=None,
     )
 
 
@@ -166,7 +172,7 @@ def run_recovery_omega(protocol: str = "original") -> RecoveryRun:
         .durability("memory")
         .exec_delay(0.05)
         .message_delay(0.5)
-        .config(heartbeat_interval=2.0, failure_timeout=7.0, paxos_retry_interval=4.0)
+        .config(**PAXOS_TIMERS)
         .partition(PARTITION_AT, [[crashed_pid], [1, 2]])
         .heal(HEAL_AT)
         .crash(crashed_pid, CRASH_AT, recover_at=RECOVER_AT)
@@ -178,23 +184,13 @@ def run_recovery_omega(protocol: str = "original") -> RecoveryRun:
     # Capture the leader view while Ω is still heartbeating: the recovered
     # node (smallest pid) must have been re-elected everywhere.
     leaders = [omega.leader() for omega in live.cluster.omegas]
-    result = live.finish(well_formed=False)
-    replicas = result.cluster.replicas
-    fingerprints = [replica_fingerprint(replica) for replica in replicas]
-    return RecoveryRun(
+    return _verdict(
+        live.finish(well_formed=False),
+        crashed_pid,
         dissemination="rb",
         reorder_engine="batched",
         protocol=protocol,
         tob_engine="paxos",
-        crashed_pid=crashed_pid,
-        converged=result.converged,
-        recovered_matches_survivors=all(
-            fingerprint == fingerprints[0] for fingerprint in fingerprints
-        ),
-        suppressed_messages=result.cluster.network.suppressed_count,
-        downtime=replicas[crashed_pid].downtime,
-        final_value=result.query(RList.read()),
-        committed_length=len(replicas[0].committed),
         leaders=leaders,
     )
 
@@ -226,7 +222,7 @@ def cross_engine_identical(rows: List[RecoveryRun]) -> bool:
 
 
 def to_json(rows: List[RecoveryRun]) -> Dict[str, Any]:
-    """The convergence artifact (uploaded by CI next to the benchmarks)."""
+    """The E11 convergence artifact."""
     return {
         "experiment": "E11-recovery",
         "all_converged": all(row.converged for row in rows),
@@ -242,51 +238,22 @@ def to_json(rows: List[RecoveryRun]) -> Dict[str, Any]:
     }
 
 
-def render_recovery(rows: List[RecoveryRun]) -> str:
-    """The matrix as an ASCII table."""
-    return format_table(
-        [
-            "dissemination",
-            "engine",
-            "protocol",
-            "TOB",
-            "converged",
-            "bit-identical",
-            "suppressed",
-            "downtime",
-            "leaders",
-        ],
-        [
-            [
-                row.dissemination,
-                row.reorder_engine,
-                row.protocol,
-                row.tob_engine,
-                row.converged,
-                row.recovered_matches_survivors,
-                row.suppressed_messages,
-                f"{row.downtime:g}",
-                "-" if row.leaders is None else str(row.leaders),
-            ]
-            for row in rows
-        ],
-        title="Crash-recovery convergence (experiment E11)",
-    )
+COLUMNS = (
+    ("dissemination", lambda row: row.dissemination),
+    ("engine", lambda row: row.reorder_engine),
+    ("protocol", lambda row: row.protocol),
+    ("TOB", lambda row: row.tob_engine),
+    ("converged", lambda row: row.converged),
+    ("bit-identical", lambda row: row.recovered_matches_survivors),
+    ("suppressed", lambda row: row.suppressed_messages),
+    ("downtime", lambda row: f"{row.downtime:g}"),
+    ("leaders", lambda row: "-" if row.leaders is None else str(row.leaders)),
+)
 
 
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json", metavar="FILE", help="also write the convergence artifact"
-    )
-    args = parser.parse_args(argv)
+def main() -> Dict[str, Any]:
     rows = run_recovery()
-    print(render_recovery(rows))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(to_json(rows), handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    print(format_columns(
+        COLUMNS, rows, title="Crash-recovery convergence (experiment E11)"
+    ))
+    return to_json(rows)

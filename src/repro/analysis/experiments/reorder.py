@@ -313,7 +313,7 @@ def run_drifting_clock(
     return _finish(cluster, schedule="drifting_clock", log_length=log_length)
 
 
-def main() -> None:  # pragma: no cover - manual entry point
+def main() -> None:
     import time as _time
 
     for engine, interval in (("stepwise", None), ("batched", 256)):
@@ -339,7 +339,3 @@ def main() -> None:  # pragma: no cover - manual entry point
     print(
         f"drifting  rollbacks={drift.rollbacks} restores={drift.checkpoint_restores}"
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

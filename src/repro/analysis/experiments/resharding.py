@@ -29,32 +29,33 @@ barrage of strong (mostly cross-shard) transfers is in flight: Σ
 balances is unchanged at quiescence and every shard's replicas converge
 — the epoch boundary neither mints nor loses money.
 
-Run from the CLI (``python -m repro reshard``) or directly with
-``--json FILE`` to dump the artifact CI uploads next to E10–E12.
+Run with ``python -m repro reshard`` (``--json FILE`` writes the artifact).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from dataclasses import asdict, dataclass
 from statistics import mean
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+from repro.analysis.experiments.sharding import (
+    BARRAGE_TRANSFERS,
+    INITIAL_BALANCE,
+    N_ACCOUNTS,
+    STRONG_PROBABILITY,
+    bank_barrage,
+    keyed_scenario,
+    stop_paxos,
+)
 from repro.analysis.metrics import committed_op_rate, weak_staleness_samples
-from repro.analysis.report import format_table
+from repro.analysis.report import format_columns
 from repro.analysis.workload import RandomWorkload, kv_profile, make_sampler
 from repro.datatypes.bank import BankAccounts
-from repro.datatypes.kvstore import KVStore
 from repro.scenario import Scenario
 
-REPLICAS_PER_SHARD = 3
 SESSIONS = 10
 OPS_PER_SESSION = 24
 N_KEYS = 128
-EXEC_DELAY = 0.1
-MESSAGE_DELAY = 0.2
-STRONG_PROBABILITY = 0.1
 PHASE_A_SEED = 3
 PHASE_B_SEED = 11
 SPLIT_AT = 6.0
@@ -111,33 +112,16 @@ class ConservationSplitRun:
 
 
 def _kv_scenario(n_shards: int, skew: str, tob_engine: str) -> Scenario:
-    scenario = (
-        Scenario(KVStore(), name=f"resharding-{n_shards}-{skew}-{tob_engine}")
-        .shards(n_shards)
-        .replicas(REPLICAS_PER_SHARD)
-        .exec_delay(EXEC_DELAY)
-        .message_delay(MESSAGE_DELAY)
-        .config(record_perceived_traces=False)
-        .workload(
-            "kv",
-            keys=KEYS,
-            key_skew=skew,
-            ops_per_session=OPS_PER_SESSION,
-            think_time=0.0,
-            seed=PHASE_A_SEED,
-            sessions=SESSIONS,
-            strong_probability=STRONG_PROBABILITY,
-        )
+    return keyed_scenario(
+        "resharding",
+        n_shards,
+        skew,
+        tob_engine,
+        keys=KEYS,
+        sessions=SESSIONS,
+        ops_per_session=OPS_PER_SESSION,
+        seed=PHASE_A_SEED,
     )
-    if tob_engine == "paxos":
-        scenario.tob("paxos").config(
-            heartbeat_interval=2.0, failure_timeout=7.0, paxos_retry_interval=4.0
-        )
-    return scenario
-
-
-def _phase_futures(workload: RandomWorkload):
-    return [f for session in workload.sessions for f in session.futures]
 
 
 def _drive_phase_b(live, skew: str) -> RandomWorkload:
@@ -157,12 +141,6 @@ def _drive_phase_b(live, skew: str) -> RandomWorkload:
     return workload
 
 
-def _finish(live, tob_engine: str) -> None:
-    if tob_engine == "paxos":
-        live.shutdown()
-        live.run_until_quiescent()
-
-
 def run_split_case(
     skew: str = "uniform", tob_engine: str = "sequencer"
 ) -> ReshardingRun:
@@ -177,7 +155,7 @@ def run_split_case(
     assert migration.complete, "the split never activated"
     live.settle(max_time=6_000.0)
 
-    phase_a = _phase_futures(live.workloads[0])
+    phase_a = live.workloads[0].futures
     first_invoke = min(
         f.invoke_time for f in phase_a if f.invoke_time is not None
     )
@@ -190,12 +168,12 @@ def run_split_case(
     staleness = weak_staleness_samples(phase_a)
 
     phase_b = _drive_phase_b(live, skew)
-    b_futures = _phase_futures(phase_b)
+    b_futures = phase_b.futures
     b_start = min(f.invoke_time for f in b_futures if f.invoke_time is not None)
     b_end = max(f.stable_time for f in b_futures if f.stable_time is not None)
     post = committed_op_rate(b_futures, start=b_start, end=b_end + 1e-9)
     converged = live.converged()
-    _finish(live, tob_engine)
+    stop_paxos(live, tob_engine)
 
     fresh = run_fresh_baseline(skew, tob_engine)
     return ReshardingRun(
@@ -237,10 +215,10 @@ def run_fresh_baseline(skew: str, tob_engine: str) -> float:
     )
     live.settle(max_time=6_000.0)
     phase_b = _drive_phase_b(live, skew)
-    futures = _phase_futures(phase_b)
+    futures = phase_b.futures
     start = min(f.invoke_time for f in futures if f.invoke_time is not None)
     end = max(f.stable_time for f in futures if f.stable_time is not None)
-    _finish(live, tob_engine)
+    stop_paxos(live, tob_engine)
     return committed_op_rate(futures, start=start, end=end + 1e-9)
 
 
@@ -257,60 +235,19 @@ def run_splits() -> List[ReshardingRun]:
 # ----------------------------------------------------------------------
 # Conservation through the epoch boundary
 # ----------------------------------------------------------------------
-N_ACCOUNTS = 12
-INITIAL_BALANCE = 100
-
-
 def run_conservation_split(tob_engine: str = "sequencer") -> ConservationSplitRun:
-    """Split mid-barrage: strong transfers must conserve across epochs."""
-    accounts = [f"acct{i}" for i in range(N_ACCOUNTS)]
+    """Split mid-barrage: strong transfers must conserve across epochs.
+
+    E12's barrage on 2 shards, with shard 0 split at t=8 while the ring
+    transfers (t=6 onwards) are in flight.
+    """
     scenario = (
         Scenario(BankAccounts(), name=f"conservation-split-{tob_engine}")
         .shards(2)
-        .replicas(REPLICAS_PER_SHARD)
-        .exec_delay(0.05)
-        .message_delay(0.5)
         .resharding(8.0, split=0, transfer_delay=1.0)
     )
-    if tob_engine == "paxos":
-        scenario.tob("paxos").config(
-            heartbeat_interval=2.0, failure_timeout=7.0, paxos_retry_interval=4.0
-        )
-    for index, account in enumerate(accounts):
-        scenario.invoke(
-            1.0 + 0.1 * index,
-            index % REPLICAS_PER_SHARD,
-            BankAccounts.deposit(account, INITIAL_BALANCE),
-            label=f"seed-{account}",
-        )
-    transfers = 0
-    for index in range(N_ACCOUNTS):
-        scenario.invoke(
-            6.0 + 0.5 * index,  # straddles the split at t=8
-            index % REPLICAS_PER_SHARD,
-            BankAccounts.transfer(
-                accounts[index], accounts[(index + 1) % N_ACCOUNTS], 10 + index
-            ),
-            strong=True,
-            label=f"xfer-{index}",
-        )
-        transfers += 1
-    for index in range(3):
-        scenario.invoke(
-            13.0 + 0.5 * index,
-            0,
-            BankAccounts.transfer(
-                accounts[index * 3],
-                accounts[(index * 3 + 5) % N_ACCOUNTS],
-                10_000,  # must abort
-            ),
-            strong=True,
-            label=f"overdraw-{index}",
-        )
-        transfers += 1
-    result = scenario.run(well_formed=False, max_time=4_000.0)
-    final_total = sum(
-        result.query(BankAccounts.balance(account)) for account in accounts
+    result, final_total = bank_barrage(
+        scenario, tob_engine, overdraw_at=13.0, max_time=4_000.0
     )
     coordinator = result.router.coordinator
     return ConservationSplitRun(
@@ -319,7 +256,7 @@ def run_conservation_split(tob_engine: str = "sequencer") -> ConservationSplitRu
         initial_total=N_ACCOUNTS * INITIAL_BALANCE,
         final_total=final_total,
         conserved=final_total == N_ACCOUNTS * INITIAL_BALANCE,
-        transfers=transfers,
+        transfers=BARRAGE_TRANSFERS,
         committed_transfers=coordinator.committed_count,
         aborted_transfers=coordinator.aborted_count,
         deferred_subs=coordinator.deferred_subs,
@@ -328,17 +265,13 @@ def run_conservation_split(tob_engine: str = "sequencer") -> ConservationSplitRu
     )
 
 
-def run_conservation_matrix() -> List[ConservationSplitRun]:
-    return [run_conservation_split(engine) for engine in ("sequencer", "paxos")]
-
-
 # ----------------------------------------------------------------------
 # Reporting
 # ----------------------------------------------------------------------
 def to_json(
     splits: List[ReshardingRun], conservation: List[ConservationSplitRun]
 ) -> Dict[str, Any]:
-    """The E13 artifact (uploaded by CI next to E10–E12)."""
+    """The E13 artifact."""
     return {
         "experiment": "E13-resharding",
         "all_converged": all(row.converged for row in splits),
@@ -352,102 +285,56 @@ def to_json(
     }
 
 
-def render_splits(rows: List[ReshardingRun]) -> str:
-    return format_table(
-        [
-            "skew",
-            "TOB",
-            "window",
-            "moved",
-            "twins",
-            "deferred",
-            "pre thpt",
-            "window thpt",
-            "dip",
-            "post thpt",
-            "fresh-3 thpt",
-            "ratio",
-            "converged",
-        ],
-        [
-            [
-                row.skew,
-                row.tob_engine,
-                f"{row.window:.1f}",
-                row.moved_registers,
-                row.transferred_requests,
-                row.deferred_ops,
-                f"{row.pre_split_throughput:.2f}",
-                f"{row.window_throughput:.2f}",
-                f"{row.dip_ratio:.2f}",
-                f"{row.post_split_throughput:.2f}",
-                f"{row.fresh_throughput:.2f}",
-                f"{row.post_split_ratio:.2f}",
-                row.converged,
-            ]
-            for row in rows
-        ],
-        title="Live split under traffic: dip and post-split throughput (E13)",
-    )
+SPLIT_COLUMNS = (
+    ("skew", lambda row: row.skew),
+    ("TOB", lambda row: row.tob_engine),
+    ("window", lambda row: f"{row.window:.1f}"),
+    ("moved", lambda row: row.moved_registers),
+    ("twins", lambda row: row.transferred_requests),
+    ("deferred", lambda row: row.deferred_ops),
+    ("pre thpt", lambda row: f"{row.pre_split_throughput:.2f}"),
+    ("window thpt", lambda row: f"{row.window_throughput:.2f}"),
+    ("dip", lambda row: f"{row.dip_ratio:.2f}"),
+    ("post thpt", lambda row: f"{row.post_split_throughput:.2f}"),
+    ("fresh-3 thpt", lambda row: f"{row.fresh_throughput:.2f}"),
+    ("ratio", lambda row: f"{row.post_split_ratio:.2f}"),
+    ("converged", lambda row: row.converged),
+)
+
+CONSERVATION_COLUMNS = (
+    ("TOB", lambda row: row.tob_engine),
+    ("transfers", lambda row: row.transfers),
+    ("committed", lambda row: row.committed_transfers),
+    ("aborted", lambda row: row.aborted_transfers),
+    ("deferred subs", lambda row: row.deferred_subs),
+    ("Σ before", lambda row: row.initial_total),
+    ("Σ after", lambda row: row.final_total),
+    ("conserved", lambda row: row.conserved),
+    ("epoch", lambda row: row.epoch),
+    ("converged", lambda row: row.converged),
+)
 
 
-def render_conservation(rows: List[ConservationSplitRun]) -> str:
-    return format_table(
-        [
-            "TOB",
-            "transfers",
-            "committed",
-            "aborted",
-            "deferred subs",
-            "Σ before",
-            "Σ after",
-            "conserved",
-            "epoch",
-            "converged",
-        ],
-        [
-            [
-                row.tob_engine,
-                row.transfers,
-                row.committed_transfers,
-                row.aborted_transfers,
-                row.deferred_subs,
-                row.initial_total,
-                row.final_total,
-                row.conserved,
-                row.epoch,
-                row.converged,
-            ]
-            for row in rows
-        ],
-        title="Strong transfers through a split: conservation (E13)",
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json", metavar="FILE", help="also write the E13 artifact"
-    )
-    args = parser.parse_args(argv)
+def main() -> Dict[str, Any]:
     splits = run_splits()
-    conservation = run_conservation_matrix()
-    print(render_splits(splits))
+    conservation = [
+        run_conservation_split(engine) for engine in ("sequencer", "paxos")
+    ]
+    print(format_columns(
+        SPLIT_COLUMNS,
+        splits,
+        title="Live split under traffic: dip and post-split throughput (E13)",
+    ))
     print()
-    print(render_conservation(conservation))
+    print(format_columns(
+        CONSERVATION_COLUMNS,
+        conservation,
+        title="Strong transfers through a split: conservation (E13)",
+    ))
     print()
     worst = max(abs(1.0 - row.post_split_ratio) for row in splits)
     print(
         f"worst post-split deviation from a fresh 3-shard deployment: "
         f"{100 * worst:.1f}%"
     )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(
-                to_json(splits, conservation), handle, indent=2, sort_keys=True
-            )
-        print(f"wrote {args.json}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return to_json(splits, conservation)

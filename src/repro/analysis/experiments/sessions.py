@@ -70,7 +70,7 @@ def run_session_guarantees(*, protocol: str = MODIFIED) -> SessionGuaranteeResul
     )
 
 
-def main() -> None:  # pragma: no cover - manual entry point
+def main() -> None:
     for protocol in (ORIGINAL, MODIFIED):
         result = run_session_guarantees(protocol=protocol)
         verdicts = ", ".join(
@@ -81,7 +81,3 @@ def main() -> None:  # pragma: no cover - manual entry point
             f"{protocol:8s} read -> {result.read_value!r} "
             f"(latency {result.read_latency:.2f})  [{verdicts}]"
         )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

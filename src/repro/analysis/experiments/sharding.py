@@ -33,27 +33,25 @@ lost (Σ balances unchanged at quiescence), every shard's replicas
 converge bit-identically, and refused transfers leave both balances
 untouched.
 
-Run from the CLI (``python -m repro shard``) or directly with ``--json
-FILE`` to dump the artifact CI uploads next to E10/E11.
+Run with ``python -m repro shard`` (``--json FILE`` writes the artifact).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from dataclasses import asdict, dataclass
 from statistics import mean
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Sequence, Tuple
 
+from repro.analysis.experiments import PAXOS_TIMERS
 from repro.analysis.metrics import (
     committed_op_rate,
     replica_fingerprint,
     weak_staleness_samples,
 )
-from repro.analysis.report import format_table
+from repro.analysis.report import format_columns
 from repro.datatypes.bank import BankAccounts
 from repro.datatypes.kvstore import KVStore
-from repro.scenario import Scenario
+from repro.scenario import RunResult, Scenario
 
 #: The shared scaling workload (identical for every leg; only the shard
 #: count, key skew and TOB engine vary).
@@ -108,9 +106,20 @@ class ConservationRun:
     converged: bool
 
 
-def _keyed_scenario(n_shards: int, skew: str, tob_engine: str) -> Scenario:
+def keyed_scenario(
+    prefix: str,
+    n_shards: int,
+    skew: str,
+    tob_engine: str,
+    *,
+    keys: Sequence[str],
+    sessions: int,
+    ops_per_session: int,
+    seed: int,
+) -> Scenario:
+    """The keyed KV workload of E12 and E13 on ``n_shards`` shards."""
     scenario = (
-        Scenario(KVStore(), name=f"sharding-{n_shards}-{skew}-{tob_engine}")
+        Scenario(KVStore(), name=f"{prefix}-{n_shards}-{skew}-{tob_engine}")
         .shards(n_shards)
         .replicas(REPLICAS_PER_SHARD)
         .exec_delay(EXEC_DELAY)
@@ -118,37 +127,49 @@ def _keyed_scenario(n_shards: int, skew: str, tob_engine: str) -> Scenario:
         .config(record_perceived_traces=False)
         .workload(
             "kv",
-            keys=[f"k{i}" for i in range(N_KEYS)],
+            keys=keys,
             key_skew=skew,
-            ops_per_session=OPS_PER_SESSION,
+            ops_per_session=ops_per_session,
             think_time=0.0,
-            seed=WORKLOAD_SEED,
-            sessions=SESSIONS,
+            seed=seed,
+            sessions=sessions,
             strong_probability=STRONG_PROBABILITY,
         )
     )
     if tob_engine == "paxos":
-        scenario.tob("paxos").config(
-            heartbeat_interval=2.0, failure_timeout=7.0, paxos_retry_interval=4.0
-        )
+        scenario.tob("paxos").config(**PAXOS_TIMERS)
     return scenario
+
+
+def stop_paxos(live, tob_engine: str) -> None:
+    """Shut a Paxos deployment down and drain it (its timers never go quiet)."""
+    if tob_engine == "paxos":
+        live.shutdown()
+        live.run_until_quiescent()
 
 
 def run_scaling_case(
     n_shards: int, skew: str = "uniform", tob_engine: str = "sequencer"
 ) -> ShardingRun:
     """One scaling leg: fixed workload, ``n_shards`` shards."""
-    live = _keyed_scenario(n_shards, skew, tob_engine).build()
+    live = keyed_scenario(
+        "sharding",
+        n_shards,
+        skew,
+        tob_engine,
+        keys=[f"k{i}" for i in range(N_KEYS)],
+        sessions=SESSIONS,
+        ops_per_session=OPS_PER_SESSION,
+        seed=WORKLOAD_SEED,
+    ).build()
     live.settle(max_time=2_000.0)
-    futures = [f for s in live.workloads[0].sessions for f in s.futures]
+    futures = live.workloads[0].futures
     responded = [f for f in futures if f.response_time is not None]
     stable = [f for f in futures if f.stable_time is not None]
     staleness = weak_staleness_samples(futures)
     converged = live.converged()
     routed = list(live.router.routed_counts)
-    if tob_engine == "paxos":
-        live.shutdown()
-        live.run_until_quiescent()
+    stop_paxos(live, tob_engine)
     return ShardingRun(
         n_shards=n_shards,
         skew=skew,
@@ -187,70 +208,79 @@ def speedup(rows: List[ShardingRun], n_shards: int, *, skew: str = "uniform",
 
 
 # ----------------------------------------------------------------------
-# Conservation: cross-shard strong transfers
+# Conservation: cross-shard strong transfers (E12 here, E13 through a split)
 # ----------------------------------------------------------------------
 N_ACCOUNTS = 12
 INITIAL_BALANCE = 100
+ACCOUNTS = [f"acct{i}" for i in range(N_ACCOUNTS)]
 CONSERVATION_SHARDS = 4
+#: 12 transfers around the ring plus 3 overdraws.
+BARRAGE_TRANSFERS = N_ACCOUNTS + 3
 
 
-def run_conservation(tob_engine: str = "sequencer") -> ConservationRun:
-    """Strong transfers across 4 shards must conserve total money."""
-    accounts = [f"acct{i}" for i in range(N_ACCOUNTS)]
-    scenario = (
-        Scenario(BankAccounts(), name=f"conservation-{tob_engine}")
-        .shards(CONSERVATION_SHARDS)
-        .replicas(REPLICAS_PER_SHARD)
-        .exec_delay(0.05)
-        .message_delay(0.5)
-    )
+def bank_barrage(
+    scenario: Scenario, tob_engine: str, *, overdraw_at: float, max_time: float
+) -> Tuple[RunResult, int]:
+    """Seed every account, fire the transfer barrage, run to quiescence.
+
+    ``scenario`` is a sharded ``BankAccounts`` scenario (shard count, any
+    resharding). The barrage is a ring of strong transfers from t=6
+    (mostly cross-shard under hash placement) and, from ``overdraw_at``,
+    3 overdrawn ones that must abort without touching either balance.
+    Returns the run and the final Σ balances.
+    """
+    scenario.replicas(REPLICAS_PER_SHARD).exec_delay(0.05).message_delay(0.5)
     if tob_engine == "paxos":
-        scenario.tob("paxos").config(
-            heartbeat_interval=2.0, failure_timeout=7.0, paxos_retry_interval=4.0
-        )
-    for index, account in enumerate(accounts):
+        scenario.tob("paxos").config(**PAXOS_TIMERS)
+    for index, account in enumerate(ACCOUNTS):
         scenario.invoke(
             1.0 + 0.1 * index,
             index % REPLICAS_PER_SHARD,
             BankAccounts.deposit(account, INITIAL_BALANCE),
             label=f"seed-{account}",
         )
-    # A barrage of strong transfers around the ring (mostly cross-shard
-    # under hash placement) plus deliberately-overdrawn ones that must
-    # abort without touching either balance.
-    transfers = 0
     for index in range(N_ACCOUNTS):
-        source = accounts[index]
-        target = accounts[(index + 1) % N_ACCOUNTS]
         scenario.invoke(
             6.0 + 0.5 * index,
             index % REPLICAS_PER_SHARD,
-            BankAccounts.transfer(source, target, 10 + index),
+            BankAccounts.transfer(
+                ACCOUNTS[index], ACCOUNTS[(index + 1) % N_ACCOUNTS], 10 + index
+            ),
             strong=True,
             label=f"xfer-{index}",
         )
-        transfers += 1
     for index in range(3):
-        source = accounts[index * 3]
-        target = accounts[(index * 3 + 5) % N_ACCOUNTS]
         scenario.invoke(
-            14.0 + 0.5 * index,
+            overdraw_at + 0.5 * index,
             0,
-            BankAccounts.transfer(source, target, 10_000),  # must abort
+            BankAccounts.transfer(
+                ACCOUNTS[index * 3],
+                ACCOUNTS[(index * 3 + 5) % N_ACCOUNTS],
+                10_000,  # must abort
+            ),
             strong=True,
             label=f"overdraw-{index}",
         )
-        transfers += 1
-    result = scenario.run(well_formed=False, max_time=2_000.0)
+    result = scenario.run(well_formed=False, max_time=max_time)
+    final_total = sum(
+        result.query(BankAccounts.balance(account)) for account in ACCOUNTS
+    )
+    return result, final_total
 
+
+def run_conservation(tob_engine: str = "sequencer") -> ConservationRun:
+    """Strong transfers across 4 shards must conserve total money."""
+    scenario = Scenario(
+        BankAccounts(), name=f"conservation-{tob_engine}"
+    ).shards(CONSERVATION_SHARDS)
+    result, final_total = bank_barrage(
+        scenario, tob_engine, overdraw_at=14.0, max_time=2_000.0
+    )
     cross = sum(
         1
         for index in range(N_ACCOUNTS)
-        if result.deployment.owner_of(accounts[index])
-        != result.deployment.owner_of(accounts[(index + 1) % N_ACCOUNTS])
-    )
-    final_total = sum(
-        result.query(BankAccounts.balance(account)) for account in accounts
+        if result.deployment.owner_of(ACCOUNTS[index])
+        != result.deployment.owner_of(ACCOUNTS[(index + 1) % N_ACCOUNTS])
     )
     bit_identical = all(
         replica_fingerprint(replica) == replica_fingerprint(shard.replicas[0])
@@ -265,7 +295,7 @@ def run_conservation(tob_engine: str = "sequencer") -> ConservationRun:
         initial_total=N_ACCOUNTS * INITIAL_BALANCE,
         final_total=final_total,
         conserved=final_total == N_ACCOUNTS * INITIAL_BALANCE,
-        transfers=transfers,
+        transfers=BARRAGE_TRANSFERS,
         cross_shard_transfers=cross,
         committed_transfers=coordinator.committed_count,
         aborted_transfers=coordinator.aborted_count,
@@ -274,17 +304,13 @@ def run_conservation(tob_engine: str = "sequencer") -> ConservationRun:
     )
 
 
-def run_conservation_matrix() -> List[ConservationRun]:
-    return [run_conservation(engine) for engine in ("sequencer", "paxos")]
-
-
 # ----------------------------------------------------------------------
 # Reporting
 # ----------------------------------------------------------------------
 def to_json(
     scaling: List[ShardingRun], conservation: List[ConservationRun]
 ) -> Dict[str, Any]:
-    """The E12 artifact (uploaded by CI next to E10/E11)."""
+    """The E12 artifact."""
     return {
         "experiment": "E12-sharding",
         "speedup_4_shards_uniform": speedup(scaling, 4),
@@ -298,91 +324,48 @@ def to_json(
     }
 
 
-def render_scaling(rows: List[ShardingRun]) -> str:
-    return format_table(
-        [
-            "shards",
-            "skew",
-            "TOB",
-            "committed",
-            "thpt (ops/t)",
-            "staleness",
-            "routed/shard",
-            "converged",
-        ],
-        [
-            [
-                row.n_shards,
-                row.skew,
-                row.tob_engine,
-                row.committed_ops,
-                f"{row.committed_throughput:.2f}",
-                f"{row.weak_staleness:.2f}",
-                str(row.routed_per_shard),
-                row.converged,
-            ]
-            for row in rows
-        ],
-        title="Sharded scaling: throughput & staleness vs shard count (E12)",
-    )
+SCALING_COLUMNS = (
+    ("shards", lambda row: row.n_shards),
+    ("skew", lambda row: row.skew),
+    ("TOB", lambda row: row.tob_engine),
+    ("committed", lambda row: row.committed_ops),
+    ("thpt (ops/t)", lambda row: f"{row.committed_throughput:.2f}"),
+    ("staleness", lambda row: f"{row.weak_staleness:.2f}"),
+    ("routed/shard", lambda row: str(row.routed_per_shard)),
+    ("converged", lambda row: row.converged),
+)
+
+CONSERVATION_COLUMNS = (
+    ("TOB", lambda row: row.tob_engine),
+    ("shards", lambda row: row.n_shards),
+    ("transfers", lambda row: row.transfers),
+    ("cross-shard", lambda row: row.cross_shard_transfers),
+    ("committed", lambda row: row.committed_transfers),
+    ("aborted", lambda row: row.aborted_transfers),
+    ("Σ before", lambda row: row.initial_total),
+    ("Σ after", lambda row: row.final_total),
+    ("conserved", lambda row: row.conserved),
+    ("bit-identical", lambda row: row.shards_bit_identical),
+)
 
 
-def render_conservation(rows: List[ConservationRun]) -> str:
-    return format_table(
-        [
-            "TOB",
-            "shards",
-            "transfers",
-            "cross-shard",
-            "committed",
-            "aborted",
-            "Σ before",
-            "Σ after",
-            "conserved",
-            "bit-identical",
-        ],
-        [
-            [
-                row.tob_engine,
-                row.n_shards,
-                row.transfers,
-                row.cross_shard_transfers,
-                row.committed_transfers,
-                row.aborted_transfers,
-                row.initial_total,
-                row.final_total,
-                row.conserved,
-                row.shards_bit_identical,
-            ]
-            for row in rows
-        ],
-        title="Cross-shard strong transfers: conservation (E12)",
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json", metavar="FILE", help="also write the E12 artifact"
-    )
-    args = parser.parse_args(argv)
+def main() -> Dict[str, Any]:
     scaling = run_scaling()
-    conservation = run_conservation_matrix()
-    print(render_scaling(scaling))
+    conservation = [run_conservation(engine) for engine in ("sequencer", "paxos")]
+    print(format_columns(
+        SCALING_COLUMNS,
+        scaling,
+        title="Sharded scaling: throughput & staleness vs shard count (E12)",
+    ))
     print()
-    print(render_conservation(conservation))
+    print(format_columns(
+        CONSERVATION_COLUMNS,
+        conservation,
+        title="Cross-shard strong transfers: conservation (E12)",
+    ))
     print()
     print(
         f"committed-throughput speedup at 4 shards (uniform, sequencer): "
         f"{speedup(scaling, 4):.2f}x"
     )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(
-                to_json(scaling, conservation), handle, indent=2, sort_keys=True
-            )
-        print(f"wrote {args.json}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return to_json(scaling, conservation)

@@ -101,7 +101,7 @@ def run_theorem1_live(*, protocol: str = ORIGINAL) -> Theorem1LiveResult:
     )
 
 
-def main() -> None:  # pragma: no cover - manual entry point
+def main() -> None:
     result = run_theorem1_live()
     print(f"responses: {result.responses}")
     print(f"converged: {result.converged}")
@@ -115,7 +115,3 @@ def main() -> None:  # pragma: no cover - manual entry point
         else "unexpectedly satisfiable!",
         f"({result.search.arbitrations_tried} arbitrations examined)",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

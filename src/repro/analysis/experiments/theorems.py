@@ -176,7 +176,7 @@ def run_theorem3(
     )
 
 
-def main() -> None:  # pragma: no cover - manual entry point
+def main() -> None:
     for profile_name in DATATYPES:
         result = run_theorem2(profile_name)
         print(
@@ -196,7 +196,3 @@ def main() -> None:  # pragma: no cover - manual entry point
         f"FEC(weak)={result3.fec_weak_after.ok} "
         f"converged={result3.converged_after}"
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

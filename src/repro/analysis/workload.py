@@ -403,6 +403,11 @@ class RandomWorkload:
     def all_done(self) -> bool:
         return all(session.idle for session in self.sessions)
 
+    @property
+    def futures(self) -> list:
+        """Every submitted operation's future, session by session."""
+        return [future for session in self.sessions for future in session.futures]
+
     def latencies(self) -> List[float]:
         samples: List[float] = []
         for session in self.sessions:

@@ -8,9 +8,9 @@ from repro.analysis.metrics import (
     count_trace_final_discords,
     stable_vs_tentative_mismatches,
 )
-from repro.analysis.report import format_table
+from repro.analysis.report import format_columns, format_table
 from repro.analysis.workload import PROFILES, RandomWorkload, WorkloadProfile
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, WITH_ARTIFACT, WITH_SMOKE, build_parser, main
 from repro.core.cluster import BayouCluster, MODIFIED
 from repro.core.config import BayouConfig
 from repro.datatypes.counter import Counter
@@ -189,6 +189,23 @@ def test_format_table_handles_wide_cells():
     assert len(header_line) == len(row_line)
 
 
+def test_format_table_rejects_a_row_longer_than_the_header():
+    with pytest.raises(ValueError, match="row 1"):
+        format_table(["a"], [[0], [1, 2]])
+
+
+def test_format_table_rejects_a_row_shorter_than_the_header():
+    with pytest.raises(ValueError, match="row 0"):
+        format_table(["a", "b"], [[1]])
+
+
+def test_format_columns_declares_each_column_once():
+    columns = (("name", lambda row: row[0]), ("twice", lambda row: 2 * row[1]))
+    assert format_columns(columns, [("x", 1)], title="T") == format_table(
+        ["name", "twice"], [["x", 2]], title="T"
+    )
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -204,9 +221,15 @@ def test_cli_experiment_table_resolves_every_module():
     not the first time someone runs that experiment."""
     import importlib
 
-    for _, module, _ in EXPERIMENTS.values():
+    import inspect
+
+    assert all(len(entry) == 2 for entry in EXPERIMENTS.values())
+    assert WITH_ARTIFACT <= set(EXPERIMENTS) and WITH_SMOKE <= set(EXPERIMENTS)
+    for name, (_, module) in EXPERIMENTS.items():
         experiment = importlib.import_module(f"repro.analysis.experiments.{module}")
         assert callable(experiment.main)
+        takes_smoke = "smoke" in inspect.signature(experiment.main).parameters
+        assert takes_smoke == (name in WITH_SMOKE)
 
 
 def test_cli_runs_single_experiment(capsys):
@@ -218,6 +241,54 @@ def test_cli_runs_single_experiment(capsys):
 def test_cli_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["not-an-experiment"])
+
+
+def _stub_experiment(monkeypatch, artifact):
+    """Register ``stub``, an experiment whose ``main`` returns ``artifact``."""
+    import sys
+    import types
+
+    module = types.ModuleType("repro.analysis.experiments.stub")
+    module.main = lambda: artifact
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    monkeypatch.setitem(EXPERIMENTS, "stub", ("a stub experiment", "stub"))
+    monkeypatch.setattr("repro.cli.WITH_ARTIFACT", WITH_ARTIFACT | {"stub"})
+
+
+def test_cli_writes_a_failed_artifact_and_exits_1(monkeypatch, tmp_path, capsys):
+    import json
+
+    _stub_experiment(monkeypatch, {"ok": False, "n": 1})
+    path = tmp_path / "stub.json"
+    assert main(["stub", "--json", str(path)]) == 1
+    assert json.loads(path.read_text()) == {"ok": False, "n": 1}
+    assert f"wrote {path}" in capsys.readouterr().out
+
+
+def test_cli_exit_status_follows_ok_without_json(monkeypatch):
+    _stub_experiment(monkeypatch, {"ok": False})
+    assert main(["stub"]) == 1
+    _stub_experiment(monkeypatch, {"ok": True})
+    assert main(["stub"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure1", "--json", "FILE"],
+        ["all", "--json", "FILE"],
+        ["figure1", "--smoke"],
+        ["shard", "--smoke"],
+    ],
+)
+def test_cli_flag_the_experiment_lacks_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert not path.exists()
+    assert "==" not in capsys.readouterr().out  # nothing ran
 
 
 def test_cli_shard_smoke(capsys):
@@ -233,10 +304,8 @@ def test_shard_json_artifact(tmp_path):
     """The --json artifact CI uploads carries the headline verdicts."""
     import json
 
-    from repro.analysis.experiments import sharding
-
     path = tmp_path / "E12.json"
-    sharding.main(["--json", str(path)])
+    assert main(["shard", "--json", str(path)]) == 0
     artifact = json.loads(path.read_text())
     assert artifact["experiment"] == "E12-sharding"
     assert artifact["speedup_4_shards_uniform"] >= 2.0
@@ -260,10 +329,8 @@ def test_reshard_json_artifact(tmp_path):
     """The E13 --json artifact carries the elasticity gates CI checks."""
     import json
 
-    from repro.analysis.experiments import resharding
-
     path = tmp_path / "E13.json"
-    resharding.main(["--json", str(path)])
+    assert main(["reshard", "--json", str(path)]) == 0
     artifact = json.loads(path.read_text())
     assert artifact["experiment"] == "E13-resharding"
     assert artifact["all_converged"]
