@@ -431,24 +431,23 @@ class TypedOperations:
         return self._bound_operation(name, strong=False)
 
 
-class Session(TypedOperations):
-    """A sequential client bound to one replica of a cluster.
+class ClosedLoopSession(TypedOperations):
+    """The closed-loop client discipline every session kind shares.
 
-    Operations are queued and issued one at a time (closed loop): a new
-    invocation starts only after the previous response arrived plus an
-    optional think time, which keeps the session's history well-formed.
-    Each submission returns an :class:`OpFuture`.
+    Operations are queued and issued one at a time: a new invocation
+    starts only after the previous response arrived plus an optional think
+    time, which keeps the session's history well-formed. Each invocation
+    runs on its own simulation step, and a crashed target replica pauses
+    the queue (crash–recovery) or refuses it (crash-stop). Subclasses say
+    only how an operation is routed and launched.
     """
 
-    def __init__(
-        self,
-        cluster: "BayouCluster",
-        pid: int,
-        *,
-        think_time: float = 0.0,
-    ) -> None:
-        self.cluster = cluster
-        self.datatype = cluster.datatype
+    #: The label of the pump's simulation events.
+    pump_label = "client next"
+
+    def __init__(self, sim: Any, datatype: Any, pid: int, think_time: float) -> None:
+        self._sim = sim
+        self.datatype = datatype
         self.pid = pid
         self.think_time = think_time
         self._queue: Deque[OpFuture] = deque()
@@ -456,45 +455,31 @@ class Session(TypedOperations):
         self._pump_scheduled = False
         #: Earliest time the next invocation may run (think-time pacing).
         self._ready_at = 0.0
-        self.completed = 0
-        self.latencies: List[float] = []
         #: Every future this session ever issued, in submission order.
         self.futures: List[OpFuture] = []
-        #: Futures refused because the replica crash-stopped (they are
-        #: never invoked; their state stays pending forever).
+        #: Futures refused because the target replica crash-stopped (they
+        #: are never invoked; their state stays pending forever).
         self.refused: List[OpFuture] = []
-        self._resume_on_recovery_registered = False
+        #: Replicas this session already asked to wake it on recovery.
+        self._paused_on: List[Any] = []
 
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-    def submit(self, op: Operation, strong: bool = False) -> OpFuture:
-        """Queue an operation; it runs when all earlier ones have returned."""
-        future = OpFuture(op, strong=strong, pid=self.pid)
-        future.submit_time = self.cluster.sim.now
+    def _enqueue(self, future: OpFuture) -> OpFuture:
+        future.submit_time = self._sim.now
         self._queue.append(future)
         self.futures.append(future)
         self._maybe_schedule_pump()
         return future
 
-    def call(self, op: Operation, strong: bool = False) -> OpFuture:
-        """Invoke ``op`` immediately; raises if an operation is in flight.
+    @property
+    def completed(self) -> int:
+        """Operations answered so far."""
+        return sum(1 for future in self.futures if future.done)
 
-        The strict flavour of :meth:`submit`: instead of queueing behind
-        earlier operations it demands the session be idle, enforcing the
-        paper's well-formedness at the call site.
-        """
-        if not self.idle:
-            raise SessionProtocolError(
-                f"session on replica {self.pid} already has an operation "
-                "outstanding (well-formed histories allow one at a time); "
-                "use submit() to queue instead"
-            )
-        future = OpFuture(op, strong=strong, pid=self.pid)
-        future.submit_time = self.cluster.sim.now
-        self.futures.append(future)
-        self._launch(future)
-        return future
+    @property
+    def latencies(self) -> List[float]:
+        """Each answered operation's latency; a closed loop answers in
+        submission order."""
+        return [future.latency for future in self.futures if future.done]
 
     @property
     def idle(self) -> bool:
@@ -523,24 +508,26 @@ class Session(TypedOperations):
             or not self._queue
         ):
             return
-        delay = max(0.0, self._ready_at - self.cluster.sim.now)
+        delay = max(0.0, self._ready_at - self._sim.now)
         self._pump_scheduled = True
-        self.cluster.sim.schedule(delay, self._pump, label="client next")
+        self._sim.schedule(delay, self._pump, label=self.pump_label)
 
     def _pump(self) -> None:
         self._pump_scheduled = False
         if self._outstanding is not None or not self._queue:
             return
-        node = self.cluster.nodes[self.pid]
-        if node.crashed:
+        if not self._launchable(self._queue[0]):
+            return
+        node = self._target_node(self._queue[0])
+        if node is not None and node.crashed:
             # The server is unreachable. A crash–recovery outage pauses the
             # session (it resumes when the replica comes back); a crash-stop
             # outage refuses everything still queued — the connection is
             # gone for good, and polling would keep the simulation alive
-            # forever.
+            # forever. Hooks stay registered, so one per replica suffices.
             if node.crash_mode == "recover":
-                if not self._resume_on_recovery_registered:
-                    self._resume_on_recovery_registered = True
+                if node not in self._paused_on:
+                    self._paused_on.append(node)
                     node.register_crash_hooks(
                         on_recover=self._maybe_schedule_pump
                     )
@@ -549,6 +536,70 @@ class Session(TypedOperations):
             self._queue.clear()
             return
         self._launch(self._queue.popleft())
+
+    def _launchable(self, future: OpFuture) -> bool:
+        """Whether the head of the queue may launch now."""
+        return True
+
+    def _target_node(self, future: OpFuture) -> Any:
+        """The replica node ``future`` would be invoked on (None: no single
+        target to check)."""
+        raise NotImplementedError
+
+    def _launch(self, future: OpFuture) -> None:
+        """Make ``future`` the outstanding operation and invoke it."""
+        raise NotImplementedError
+
+    def _on_done(self, future: OpFuture) -> None:
+        if future is not self._outstanding:
+            return  # defensive: sessions track exactly one in-flight op
+        self._outstanding = None
+        self._ready_at = self._sim.now + self.think_time
+        self._maybe_schedule_pump()
+
+
+class Session(ClosedLoopSession):
+    """A sequential client bound to one replica of a cluster.
+
+    The closed loop of :class:`ClosedLoopSession`; each submission returns
+    an :class:`OpFuture`.
+    """
+
+    def __init__(
+        self,
+        cluster: "BayouCluster",
+        pid: int,
+        *,
+        think_time: float = 0.0,
+    ) -> None:
+        super().__init__(cluster.sim, cluster.datatype, pid, think_time)
+        self.cluster = cluster
+
+    def submit(self, op: Operation, strong: bool = False) -> OpFuture:
+        """Queue an operation; it runs when all earlier ones have returned."""
+        return self._enqueue(OpFuture(op, strong=strong, pid=self.pid))
+
+    def call(self, op: Operation, strong: bool = False) -> OpFuture:
+        """Invoke ``op`` immediately; raises if an operation is in flight.
+
+        The strict flavour of :meth:`submit`: instead of queueing behind
+        earlier operations it demands the session be idle, enforcing the
+        paper's well-formedness at the call site.
+        """
+        if not self.idle:
+            raise SessionProtocolError(
+                f"session on replica {self.pid} already has an operation "
+                "outstanding (well-formed histories allow one at a time); "
+                "use submit() to queue instead"
+            )
+        future = OpFuture(op, strong=strong, pid=self.pid)
+        future.submit_time = self._sim.now
+        self.futures.append(future)
+        self._launch(future)
+        return future
+
+    def _target_node(self, future: OpFuture) -> Any:
+        return self.cluster.nodes[self.pid]
 
     def _launch(self, future: OpFuture) -> None:
         """Hand one future to the cluster's shared response pipeline.
@@ -560,13 +611,3 @@ class Session(TypedOperations):
         self._outstanding = future
         future.add_done_callback(self._on_done)
         self.cluster.submit(self.pid, future.op, strong=future.strong, future=future)
-
-    def _on_done(self, future: OpFuture) -> None:
-        if future is not self._outstanding:
-            return  # defensive: sessions track exactly one in-flight op
-        self._outstanding = None
-        latency = future.latency
-        self.latencies.append(latency)
-        self.completed += 1
-        self._ready_at = self.cluster.sim.now + self.think_time
-        self._maybe_schedule_pump()

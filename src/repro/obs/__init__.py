@@ -30,6 +30,7 @@ bit-identical with telemetry on or off.
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from typing import Any, Dict, IO, Iterator, Optional, Tuple, Union
 
@@ -55,7 +56,6 @@ __all__ = [
     "SpanEvent",
     "TDigest",
     "Telemetry",
-    "TelemetryScope",
     "TraceContext",
     "TraceTree",
     "Tracer",
@@ -86,6 +86,9 @@ class Telemetry:
         self.current: Optional[TraceContext] = None
         #: Client-side trace counter (cross-shard plans have no dot).
         self._trace_counter = 0
+        #: A scoped view's op trace-id prefix and instrument labels.
+        self._prefix = ""
+        self._labels: Dict[str, Any] = {}
 
     def __bool__(self) -> bool:
         # ``if self.telemetry:`` must behave identically for an absent
@@ -126,7 +129,7 @@ class Telemetry:
     ) -> SpanEvent:
         """Record a span on the dot-derived trace of one operation."""
         return self.tracer.record(
-            time, process, name, op_trace_id(dot), span_id, parent_id, **attrs
+            time, process, name, self.trace_id(dot), span_id, parent_id, **attrs
         )
 
     def next_trace(self, prefix: str) -> str:
@@ -135,12 +138,12 @@ class Telemetry:
         return f"{prefix}{self._trace_counter}"
 
     def trace_id(self, dot: Tuple[int, int]) -> str:
-        """The op trace id for ``dot`` (unscoped; see :class:`TelemetryScope`)."""
-        return op_trace_id(dot)
+        """The op trace id for ``dot`` (prefixed in a :meth:`scoped` view)."""
+        return self._prefix + op_trace_id(dot)
 
     def named_trace(self, name: str) -> str:
-        """A non-op trace id (maintenance, migration...); unscoped here."""
-        return name
+        """A non-op trace id (maintenance, migration...)."""
+        return self._prefix + name
 
     @contextmanager
     def using(self, context: Optional[TraceContext]) -> Iterator[None]:
@@ -152,28 +155,33 @@ class Telemetry:
         finally:
             self.current = previous
 
-    def scoped(self, name: str) -> "TelemetryScope":
+    def scoped(self, name: str) -> "Telemetry":
         """A view of this plane for one named deployment (shard).
 
         Sharded deployments run several clusters whose replicas share dot
-        values (every shard has a replica 0 minting ``(0, 1)``); the scope
-        prefixes op trace ids with the cluster name (``"S1:d0.3"``) and
-        stamps a ``shard`` label on instruments so one shared plane keeps
-        every shard's story separate.
+        values (every shard has a replica 0 minting ``(0, 1)``); the view
+        shares this plane's tracer and registry, prefixes op trace ids with
+        the cluster name (``"S1:d0.3"``) and stamps a ``shard`` label on
+        instruments, so one shared plane keeps every shard's story
+        separate. Only the unscoped plane tracks ``current`` and mints
+        :meth:`next_trace` ids.
         """
-        return TelemetryScope(self, f"{name}:" if name else "", name)
+        view = copy.copy(self)
+        view._prefix = f"{name}:" if name else ""
+        view._labels = {"shard": name} if name else {}
+        return view
 
     # ------------------------------------------------------------------
     # Metrics shorthand
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
-        return self.registry.counter(name, **labels)
+        return self.registry.counter(name, **{**self._labels, **labels})
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self.registry.gauge(name, **labels)
+        return self.registry.gauge(name, **{**self._labels, **labels})
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self.registry.histogram(name, **labels)
+        return self.registry.histogram(name, **{**self._labels, **labels})
 
     # ------------------------------------------------------------------
     # Exporters
@@ -222,76 +230,3 @@ class Telemetry:
         if summary:
             lines.append(summary)
         return "\n".join(lines)
-
-
-class TelemetryScope:
-    """One deployment's view of a shared :class:`Telemetry` plane.
-
-    Same tracer, same registry; op trace ids gain the scope prefix and
-    instruments a ``shard`` label. Components hold either a
-    :class:`Telemetry` or a :class:`TelemetryScope` behind the same
-    ``self.telemetry`` attribute — both truth-test as the plane's
-    ``enabled`` flag and expose the same recording surface.
-    """
-
-    __slots__ = ("plane", "prefix", "shard")
-
-    def __init__(self, plane: Telemetry, prefix: str, shard: str) -> None:
-        self.plane = plane
-        self.prefix = prefix
-        self.shard = shard
-
-    def __bool__(self) -> bool:
-        return self.plane.enabled
-
-    @property
-    def tracer(self) -> Tracer:
-        return self.plane.tracer
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self.plane.registry
-
-    def trace_id(self, dot: Tuple[int, int]) -> str:
-        return self.prefix + op_trace_id(dot)
-
-    def named_trace(self, name: str) -> str:
-        return self.prefix + name
-
-    def op_span(
-        self,
-        time: float,
-        process: int,
-        name: str,
-        dot: Tuple[int, int],
-        span_id: str,
-        parent_id: Optional[str],
-        **attrs: Any,
-    ) -> SpanEvent:
-        return self.plane.tracer.record(
-            time, process, name, self.trace_id(dot), span_id, parent_id, **attrs
-        )
-
-    def span(
-        self,
-        time: float,
-        process: int,
-        name: str,
-        context: TraceContext,
-        **attrs: Any,
-    ) -> SpanEvent:
-        return self.plane.span(time, process, name, context, **attrs)
-
-    def _labels(self, labels: Dict[str, Any]) -> Dict[str, Any]:
-        if self.shard:
-            labels.setdefault("shard", self.shard)
-        return labels
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self.plane.registry.counter(name, **self._labels(labels))
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self.plane.registry.gauge(name, **self._labels(labels))
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self.plane.registry.histogram(name, **self._labels(labels))

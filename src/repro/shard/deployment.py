@@ -199,21 +199,9 @@ class ShardedCluster:
         self._check_resharding_endpoints(shard, None)
         if salt is None:
             salt = f"split-epoch{self.shard_maps.epoch + 1}"
-        # The Migration constructor performs every fail-fast validation;
-        # it runs *before* the destination slot is spawned, so a refused
-        # split leaks nothing (the destination index is simply the next
-        # slot, which nothing else can claim in between — migrations
-        # start synchronously).
-        dst = len(self.shards)
-        migration = Migration(
-            self,
-            Reassignment("split", shard, dst, (salt,)),
-            pid=pid,
-            transfer_delay=transfer_delay,
+        return self._migrate_to_new_shard(
+            "split", shard, (salt,), pid=pid, transfer_delay=transfer_delay
         )
-        migration.spawned_dst = True
-        self._spawn_shard()
-        return self._start_migration(migration)
 
     def isolate(
         self,
@@ -237,16 +225,9 @@ class ShardedCluster:
         if src is None:
             src = self.shard_map.owner(lo)
         self._check_resharding_endpoints(src, None)
-        dst = len(self.shards)
-        migration = Migration(
-            self,
-            Reassignment("move", src, dst, (lo, hi)),
-            pid=pid,
-            transfer_delay=transfer_delay,
+        return self._migrate_to_new_shard(
+            "move", src, (lo, hi), pid=pid, transfer_delay=transfer_delay
         )
-        migration.spawned_dst = True
-        self._spawn_shard()
-        return self._start_migration(migration)
 
     def merge(
         self, dst: int, src: int, *, pid: int = 0, transfer_delay: float = 0.0
@@ -326,6 +307,27 @@ class ShardedCluster:
                 )
         if dst is not None and src == dst:
             raise MigrationError(f"source and destination are both shard {src}")
+
+    def _migrate_to_new_shard(
+        self, kind: str, src: int, payload: tuple, *, pid: int, transfer_delay: float
+    ) -> Migration:
+        """Run a ``kind`` handoff from ``src`` onto a freshly spawned shard.
+
+        The Migration constructor performs every fail-fast validation; it
+        runs *before* the destination slot is spawned, so a refused
+        handoff leaks nothing (the destination index is simply the next
+        slot, which nothing else can claim in between — migrations start
+        synchronously).
+        """
+        migration = Migration(
+            self,
+            Reassignment(kind, src, len(self.shards), payload),
+            pid=pid,
+            transfer_delay=transfer_delay,
+        )
+        migration.spawned_dst = True
+        self._spawn_shard()
+        return self._start_migration(migration)
 
     def _spawn_shard(self) -> int:
         """Spawn a fresh cluster stack mid-run; returns its shard index."""
@@ -425,20 +427,12 @@ class ShardedCluster:
     def run_until_quiescent(self) -> float:
         return self.sim.run_until_quiescent()
 
-    def run_until_stable(
-        self, *, max_time: float = 100_000.0, check_every: float = 50.0
-    ) -> bool:
-        """Run until *every* shard converged-and-idle (for Paxos engines)."""
-        while self.sim.now < max_time:
-            self.sim.run(until=self.sim.now + check_every)
-            if self.sim.pending_events == 0:
-                # A drained queue leaves the clock where it is: stop here.
-                return self.converged()
-            if self.converged() and all(
-                shard._only_periodic_work_left() for shard in self.shards
-            ):
-                return True
-        return self.converged()
+    #: One drive-until-stable loop: its two tests, :meth:`converged` and
+    #: :meth:`_only_periodic_work_left`, quantify over every shard here.
+    run_until_stable = BayouCluster.run_until_stable
+
+    def _only_periodic_work_left(self) -> bool:
+        return all(shard._only_periodic_work_left() for shard in self.shards)
 
     def shutdown(self) -> None:
         for shard in self.shards:

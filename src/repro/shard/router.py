@@ -32,10 +32,9 @@ expects, so random keyed workloads drive sharded deployments unchanged.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Hashable, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Hashable, List, Optional, TYPE_CHECKING
 
-from repro.core.session import OpFuture, TypedOperations
+from repro.core.session import ClosedLoopSession, OpFuture
 from repro.datatypes.base import Operation
 from repro.errors import CrossShardError, MigrationInProgress
 from repro.shard.coordinator import CrossShardCoordinator, CrossShardFuture
@@ -55,7 +54,6 @@ class ShardRouter:
         #: Route spans land on the owner shard's scoped trace — the same
         #: "S1:d0.3" trace the shard's own protocol spans use.
         self.telemetry = deployment.telemetry
-        self._scopes: Dict[int, Any] = {}
         if self.telemetry is not None:
             self._m_routed: Dict[int, Any] = {}
             self._m_forwarded = self.telemetry.counter("repro_routes_forwarded")
@@ -135,12 +133,6 @@ class ShardRouter:
         elif self.telemetry:
             self._m_deferred.inc()
 
-    def _shard_scope(self, shard: int):
-        scope = self._scopes.get(shard)
-        if scope is None:
-            scope = self._scopes[shard] = self.telemetry.scoped(f"S{shard}")
-        return scope
-
     def _submit_routed(
         self,
         shard: int,
@@ -156,11 +148,10 @@ class ShardRouter:
         only then does the op have a dot, hence a trace to attach to.
         """
         self._count_routed(shard, op)
-        result = self.deployment.shards[shard].submit(
-            pid, op, strong=strong, future=future
-        )
+        cluster = self.deployment.shards[shard]
+        result = cluster.submit(pid, op, strong=strong, future=future)
         if self.telemetry and result.dot is not None:
-            self._shard_scope(shard).op_span(
+            cluster.ops.telemetry.op_span(
                 self.sim.now,
                 pid,
                 "route",
@@ -286,7 +277,7 @@ class ShardRouter:
             # other parked retry behind it. An op that *became* an
             # invalid cross-shard request under the new epoch is refused
             # quietly instead (sessions handle the same case in
-            # _refresh_route).
+            # ShardedSession._launchable).
             try:
                 self.submit(pid, op, strong=strong, future=future)
             except CrossShardError:
@@ -338,21 +329,24 @@ class ShardRouter:
         return self.datatype.execute(op, snapshot)
 
 
-class ShardedSession(TypedOperations):
+class ShardedSession(ClosedLoopSession):
     """A sequential client over the whole keyspace.
 
-    Mirrors :class:`~repro.core.session.Session` (closed loop, one
-    outstanding operation, typed proxies, think-time pacing); each
-    operation is routed to its owner shard at launch. Cross-shard strong
-    operations yield a :class:`CrossShardFuture` that responds at the
-    plan decision and stabilises with its last staged sub-operation.
+    The closed loop of :class:`~repro.core.session.ClosedLoopSession`;
+    each operation is routed to its owner shard at launch. Cross-shard
+    strong operations yield a :class:`CrossShardFuture` that responds at
+    the plan decision and stabilises with its last staged sub-operation.
 
     Routes are cached on futures *with the epoch they were computed
     under*: a queued operation whose epoch went stale by launch time is
     re-routed (forwarded) against the live epoch, and one whose keys are
     mid-handoff pauses the session until the migration activates — the
-    same pause discipline a crash-recovery window uses.
+    same pause discipline a crash-recovery window uses. Futures are also
+    refused when an epoch bump made a queued weak multi-key operation
+    cross-shard (weak operations may never span shards).
     """
+
+    pump_label = "sharded client next"
 
     def __init__(
         self,
@@ -361,24 +355,9 @@ class ShardedSession(TypedOperations):
         *,
         think_time: float = 0.0,
     ) -> None:
+        super().__init__(router.sim, router.datatype, pid, think_time)
         self.router = router
-        self.datatype = router.datatype
-        self.pid = pid
-        self.think_time = think_time
-        self._queue: Deque[OpFuture] = deque()
-        self._outstanding: Optional[OpFuture] = None
-        self._pump_scheduled = False
-        self._ready_at = 0.0
-        self.completed = 0
-        self.latencies: List[float] = []
-        #: Every future this session ever issued, in submission order.
-        self.futures: List[OpFuture] = []
-        #: Futures refused because an owner replica crash-stopped, or
-        #: because an epoch bump made a queued weak multi-key operation
-        #: cross-shard (weak operations may never span shards).
-        self.refused: List[OpFuture] = []
 
-    # -- submission ------------------------------------------------------
     def submit(self, op: Operation, strong: bool = False) -> OpFuture:
         """Queue an operation; it runs when all earlier ones returned.
 
@@ -401,34 +380,9 @@ class ShardedSession(TypedOperations):
             else:
                 future = OpFuture(op, strong=strong, pid=self.pid)
             future._route = (shard, plan, self.router.epoch)
-        future.submit_time = self.router.sim.now
-        self._queue.append(future)
-        self.futures.append(future)
-        self._maybe_schedule_pump()
-        return future
+        return self._enqueue(future)
 
-    @property
-    def idle(self) -> bool:
-        return self._outstanding is None and not self._queue
-
-    @property
-    def launch_pending(self) -> bool:
-        """True while the next invocation is a pending simulation event."""
-        return self._pump_scheduled
-
-    # -- the pump --------------------------------------------------------
-    def _maybe_schedule_pump(self) -> None:
-        if (
-            self._outstanding is not None
-            or self._pump_scheduled
-            or not self._queue
-        ):
-            return
-        delay = max(0.0, self._ready_at - self.router.sim.now)
-        self._pump_scheduled = True
-        self.router.sim.schedule(delay, self._pump, label="sharded client next")
-
-    def _refresh_route(self, future: OpFuture) -> bool:
+    def _launchable(self, future: OpFuture) -> bool:
         """Ensure the head future's route matches the live epoch.
 
         Returns True when the future is launchable now. On a stale epoch
@@ -474,8 +428,8 @@ class ShardedSession(TypedOperations):
         future._route = (shard, plan, self.router.epoch)
         return True
 
-    def _crashed_target_node(self, future: OpFuture):
-        """The crashed replica a *single-shard* head op targets (or None).
+    def _target_node(self, future: OpFuture):
+        """The replica a *single-shard* head op targets (or None).
 
         Cross-shard futures need no pre-check: the coordinator fails over
         to live replicas and defers across whole-shard recoveries itself.
@@ -483,27 +437,7 @@ class ShardedSession(TypedOperations):
         shard, plan, _epoch = future._route
         if plan is not None:
             return None
-        node = self.router.deployment.shards[shard].nodes[self.pid]
-        return node if node.crashed else None
-
-    def _pump(self) -> None:
-        self._pump_scheduled = False
-        if self._outstanding is not None or not self._queue:
-            return
-        if not self._refresh_route(self._queue[0]):
-            return
-        node = self._crashed_target_node(self._queue[0])
-        if node is not None:
-            # Same contract as Session: a crash-recovery outage pauses the
-            # session until that replica returns; a crash-stop outage
-            # refuses everything still queued.
-            if node.crash_mode == "recover":
-                node.register_crash_hooks(on_recover=self._maybe_schedule_pump)
-                return
-            self.refused.extend(self._queue)
-            self._queue.clear()
-            return
-        self._launch(self._queue.popleft())
+        return self.router.deployment.shards[shard].nodes[self.pid]
 
     def _launch(self, future: OpFuture) -> None:
         self._outstanding = future
@@ -529,19 +463,16 @@ class ShardedSession(TypedOperations):
         future.add_done_callback(self._on_done)
 
     def _on_done(self, future: OpFuture) -> None:
-        if future is not self._outstanding:
-            return
-        self._outstanding = None
-        latency = future.latency
-        self.latencies.append(latency)
-        self.completed += 1
-        self._ready_at = self.router.sim.now + self.think_time
-        if self.router.stats is not None and not future.strong:
+        if (
+            future is self._outstanding
+            and self.router.stats is not None
+            and not future.strong
+        ):
             # Weak-op staleness: how long the tentative response floated
             # before its final position committed. Sampled at stability
             # so the controller sees the freshness price of its moves.
             future.add_stable_callback(self._record_staleness)
-        self._maybe_schedule_pump()
+        super()._on_done(future)
 
     def _record_staleness(self, future: OpFuture) -> None:
         if self.router.stats is None:

@@ -238,6 +238,42 @@ def test_sharded_session_pauses_across_owner_recovery():
     assert router.query(KVStore.get("zeta")) == 9
 
 
+def test_paused_sharded_sessions_register_one_recovery_hook_each():
+    """A session pausing on a crashed replica again and again registers
+    its wake-up hook on that node once, not once per paused pump."""
+
+    def hooks_after(cycles):
+        config = BayouConfig(
+            n_replicas=3, exec_delay=0.01, message_delay=0.2, durability="memory"
+        )
+        deployment = ShardedCluster(Counter(), config, n_shards=2)
+        router = ShardRouter(deployment)
+        # Counter is unkeyed: every operation lives on the home shard 0.
+        sessions = [router.connect(1, think_time=1.0) for _ in range(3)]
+        for session in sessions:
+            for _ in range(20 * cycles + 10):
+                session.increment(1)
+        for cycle in range(cycles):
+            deployment.sim.schedule_at(
+                20.0 * cycle + 5.0, lambda: deployment.crash_replica(0, 1)
+            )
+            deployment.sim.schedule_at(
+                20.0 * cycle + 15.0, lambda: deployment.recover_replica(0, 1)
+            )
+        deployment.run(until=20.0 * cycles)
+        # Every session paused in the last window and resumed after it.
+        last_recovery = 20.0 * (cycles - 1) + 15.0
+        for session in sessions:
+            answered = session.futures[session.completed - 1]
+            assert answered.invoke_time >= last_recovery
+        return len(deployment.shards[0].nodes[1]._crash_hooks)
+
+    once = hooks_after(1)
+    assert once == 4 + 3  # the node's own components, then one per session
+    assert hooks_after(2) == once
+    assert hooks_after(4) == once
+
+
 def test_cross_shard_commit_survives_target_recovery_window():
     """The commit lands after the target shard's replica recovers — the
     run keeps going (no ReplicaUnavailableError escapes the event loop)
