@@ -8,8 +8,8 @@ to ``max_inflight`` instances. This experiment quantifies what that buys on
 a single burst of operations submitted at the leader, across three engines:
 
 - **paxos-seed** — the batched engine configured to reproduce the seed
-  engine's message pattern exactly (``max_batch=1``, unbounded inflight,
-  unicast 2B + decide broadcast);
+  engine's consensus message pattern (``max_batch=1``, unbounded inflight,
+  unicast 2B + decide broadcast; retransmissions are overdue-only);
 - **paxos-batched** — the default batched/pipelined configuration;
 - **sequencer** — the fixed-sequencer engine, as the protocol-free floor.
 

@@ -32,22 +32,31 @@ delivered history bit-identical for any seeded schedule:
   and acceptors answer 2A for an instance they know decided with a repair
   instead of a vote.
 - **Pipelining with dual 2B multicast** — up to ``max_inflight`` instances
-  may have outstanding 2A rounds; acceptors multicast 2B to *everyone*
-  (learners and proposer alike), each node counts votes and learns
-  decisions locally one message delay earlier, and the separate decide
-  broadcast disappears. ``dual_2b=False`` restores the seed's unicast-2B +
-  decide-broadcast pattern.
+  may have outstanding 2A rounds; acceptors multicast 2B to every other
+  node (learners and proposer alike) and tally their own vote locally, each
+  node counts votes and learns decisions one message delay earlier, and
+  the separate decide broadcast disappears. ``dual_2b=False`` restores the
+  seed's unicast-2B + decide-broadcast pattern.
 - **Rate-limited batched catch-up** — a lagging node asks one rotating peer
   for its missing decided suffix; responders coalesce the suffix into a
   single repair message but token-bucket the instances they ship
   (``catchup_rate``/``catchup_burst``, at most ``catchup_batch`` per
   response), so a recovering replica cannot storm the cluster. Gap NOOPs
   proposed by a new leader are likewise capped (``max_gap`` concurrent).
+- **Overdue-only retransmission** — the drive timer re-sends only what was
+  already outstanding at its previous tick: the leader re-broadcasts the 2A
+  of a proposal that was in flight then, a follower re-forwards the
+  submissions that were pending then. Entries sent since carry nothing a
+  resend would add. The anti-entropy probe (one ``status`` to a rotating
+  peer) goes out only when something is overdue: a pending key, a delivery
+  hole that was already there at the previous tick, or a delivery frontier
+  below the phase-1 quorum's decided watermark. A fault-free run sends
+  none.
 
 ``max_batch=1, max_inflight=None, dual_2b=False`` reproduces the seed
-engine's message pattern exactly; the delivered sequence is identical in
-either mode because both drain the same FIFO submission queue at the same
-leader.
+engine's consensus message pattern (its retransmissions are overdue-only,
+as above); the delivered sequence is identical in either mode because both
+drain the same FIFO submission queue at the same leader.
 
 Liveness requires a majority of responsive acceptors and an eventually
 accurate Ω — i.e. the paper's *stable runs*. Under a lasting partition a
@@ -65,6 +74,7 @@ from typing import (
     Deque,
     Dict,
     Hashable,
+    Iterable,
     List,
     Optional,
     Set,
@@ -138,12 +148,15 @@ class ProposerInstance:
     ``decided`` is only used in classic (non-dual-2B) mode, marking the
     window between the majority ack and the decide broadcast arriving back;
     dual-2B proposals are popped outright when the vote tally decides.
+    ``overdue`` is set by the first drive tick that finds the proposal in
+    flight; only an overdue proposal's 2A is re-broadcast.
     """
 
     ballot: Ballot
     value: Any
     acks: Set[int] = field(default_factory=set)
     decided: bool = False
+    overdue: bool = False
 
 
 class PaxosTOB(TotalOrderBroadcast):
@@ -200,6 +213,9 @@ class PaxosTOB(TotalOrderBroadcast):
         # its drain order *is* the delivered order, which is why batched
         # and seed-mode histories are bit-identical.
         self._pending: Dict[Hashable, Any] = {}
+        #: The pending keys the previous drive tick saw; a key still pending
+        #: at the next tick is overdue.
+        self._pending_at_tick: Set[Hashable] = set()
         self._queue: Deque[Hashable] = deque()
         self._inflight_keys: Set[Hashable] = set()
         self._known_keys: Set[Hashable] = set()
@@ -235,6 +251,9 @@ class PaxosTOB(TotalOrderBroadcast):
         self._decided_keys: Set[Hashable] = set()
         self._votes: Dict[int, Dict[Ballot, Set[int]]] = {}
         self._next_deliver = 0
+        #: ``_next_deliver`` when the previous drive tick found a delivery
+        #: hole (an undecided instance below a decided one), else None.
+        self._hole_at_tick: Optional[int] = None
         self._delivered: List[Hashable] = []
         self._delivered_keys: Set[Hashable] = set()
 
@@ -330,7 +349,7 @@ class PaxosTOB(TotalOrderBroadcast):
             self._become_leader()
         else:
             self._is_leader = False
-            self._forward_pending()
+            self._forward_pending(self._pending)
 
     def _become_leader(self) -> None:
         self._is_leader = True
@@ -458,10 +477,9 @@ class PaxosTOB(TotalOrderBroadcast):
             if self.dual_2b:
                 # Dual 2B multicast: learners and proposer alike count the
                 # votes, so decisions land one message delay earlier and
-                # the decide broadcast disappears.
-                self.node.broadcast_component(
-                    self.tag, ("p2b", ballot, instance), include_self=True
-                )
+                # the decide broadcast disappears. Our own vote is tallied
+                # here, so it goes to the other nodes only.
+                self.node.broadcast_component(self.tag, ("p2b", ballot, instance))
                 self._tally_vote(instance, ballot, self.node.pid)
             else:
                 self.node.send_component(sender, self.tag, ("p2b", ballot, instance))
@@ -744,14 +762,17 @@ class PaxosTOB(TotalOrderBroadcast):
         self._arm_flush()
         self._ensure_driving()
 
-    def _forward_pending(self) -> None:
-        """Send pending submissions to the node currently trusted as leader."""
+    def _forward_pending(self, keys: Iterable[Hashable]) -> None:
+        """Send the pending submissions ``keys`` to the node currently
+        trusted as leader."""
         leader = self.omega.leader()
         if leader == self.node.pid:
             self._arm_flush()
             return
-        for key, payload in self._pending.items():
-            self.node.send_component(leader, self.tag, ("submit", key, payload))
+        for key in keys:
+            self.node.send_component(
+                leader, self.tag, ("submit", key, self._pending[key])
+            )
 
     # --- flush: same-instant submission coalescing ---------------------
     def _arm_flush(self) -> None:
@@ -843,9 +864,12 @@ class PaxosTOB(TotalOrderBroadcast):
         )
 
     def _drive(self) -> None:
+        """Retransmit and probe for what is overdue: outstanding since the
+        previous tick. Anything sent since then is still on its way."""
         self._drive_timer = None
         if self._stopped or not self._has_work():
             return
+        overdue_keys = [key for key in self._pending if key in self._pending_at_tick]
         self._maybe_lead()
         if self._is_leader:
             if not self._phase1_complete:
@@ -857,17 +881,25 @@ class PaxosTOB(TotalOrderBroadcast):
                 for instance, proposal in self._proposals.items():
                     if proposal.decided:
                         continue
+                    if not proposal.overdue:
+                        proposal.overdue = True
+                        continue
                     self.node.broadcast_component(
                         self.tag,
                         ("p2a", proposal.ballot, instance, proposal.value),
                         include_self=True,
                     )
-        else:
-            self._forward_pending()
+        elif overdue_keys:
+            self._forward_pending(overdue_keys)
+        self._pending_at_tick = set(self._pending)
         # Anti-entropy: ask one rotating peer for decided instances we might
         # be missing (a pending key may have been decided while we were
         # partitioned; the responder's token bucket bounds the repair).
-        self._request_catchup()
+        hole = bool(self._decided) and self._next_deliver <= max(self._decided)
+        stuck = hole and self._hole_at_tick == self._next_deliver
+        self._hole_at_tick = self._next_deliver if hole else None
+        if overdue_keys or stuck or self._next_deliver < self._floor:
+            self._request_catchup()
         self._ensure_driving()
 
     # ------------------------------------------------------------------
@@ -931,6 +963,8 @@ class PaxosTOB(TotalOrderBroadcast):
         self._next_instance = 0
         self._votes = {}
         self._inflight_keys = set()
+        self._pending_at_tick = set()
+        self._hole_at_tick = None
         self._bucket = float(self.catchup_burst)
         self._bucket_stamp = self.node.now
         if self.store is not None:

@@ -1,7 +1,9 @@
 """Eager reliable broadcast (RB).
 
 Implements the classic eager algorithm from Guerraoui & Rodrigues: on first
-delivery of a message, relay it to everyone else before delivering locally.
+delivery of a message, relay it to everyone except itself and the node it
+came from before delivering locally. That node logged the payload before it
+sent it, so a relay back would carry nothing new.
 This gives *uniform* reliability under crash-stop faults: if any correct
 process delivers a message, every correct process eventually delivers it —
 even if the original sender crashed mid-broadcast. Combined with the
@@ -116,7 +118,10 @@ class ReliableBroadcast:
             return
         self._absorb(key, payload)
         # Relay before delivering: uniform reliability despite sender crashes.
-        self.node.broadcast_component(self.tag, ("cast", key, payload))
+        message = ("cast", key, payload)
+        for pid in range(self.node.n_processes):
+            if pid != self.node.pid and pid != sender:
+                self.node.send_component(pid, self.tag, message)
         self._deliver(key, payload)
 
     def _absorb(self, key: Hashable, payload: Any) -> None:

@@ -284,20 +284,11 @@ class CrossShardCoordinator:
             node for node in cluster.nodes if node.crash_mode == "recover"
         ]
         if recoverable:
-            # One-shot: crash hooks persist and re-fire at every later
-            # recovery of the node, but the sub-operation must be staged
-            # exactly once.
-            retry = self._retry(key, op, pid=pid, deliver=deliver,
-                                future=future, plan=plan, phase=phase)
-            fired = [False]
-
-            def once() -> None:
-                if fired[0]:
-                    return
-                fired[0] = True
-                retry()
-
-            recoverable[0].register_crash_hooks(on_recover=once)
+            # Staged exactly once, at the node's next recovery.
+            recoverable[0].on_next_recovery(
+                self._retry(key, op, pid=pid, deliver=deliver,
+                            future=future, plan=plan, phase=phase)
+            )
             return
         self.lost_count += 1
         self._count_sub("lost")

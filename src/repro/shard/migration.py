@@ -482,7 +482,7 @@ class Migration:
 
             for node in destination.nodes:
                 if node.crashed and node.crash_mode == "recover":
-                    node.register_crash_hooks(on_recover=retry)
+                    node.on_next_recovery(retry)
             return
         self._install_pid = replica.pid
         install = Operation(

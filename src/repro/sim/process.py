@@ -20,6 +20,9 @@ Two crash modes are supported (:meth:`Process.crash`):
   hooks (:meth:`register_crash_hooks`); a recovery hook's job is to discard
   volatile state, reload whatever the component persisted to its
   :class:`~repro.core.durability.DurableStore`, and resume periodic work.
+  Work parked until the next recovery only (a cross-shard sub-operation, a
+  migration's install) registers a one-shot hook
+  (:meth:`on_next_recovery`), which leaves the list when it fires.
 
 Timer bookkeeping distinguishes three terminal fates of a timer scheduled
 through :meth:`set_timer`:
@@ -121,7 +124,10 @@ class Process:
         self.crash_mode: Optional[str] = None
         self.crash_count = 0
         self.recovery_count = 0
-        self._crash_hooks: List[Tuple[Optional[CrashHook], Optional[RecoverHook]]] = []
+        #: ``(on_crash, on_recover, one_shot)`` in registration order.
+        self._crash_hooks: List[
+            Tuple[Optional[CrashHook], Optional[RecoverHook], bool]
+        ] = []
         self._suppressed_timers: List[ProcessTimer] = []
 
     @property
@@ -202,7 +208,15 @@ class Process:
         so a component can rebuild its state ahead of its periodic loop
         restarting.
         """
-        self._crash_hooks.append((on_crash, on_recover))
+        self._crash_hooks.append((on_crash, on_recover, False))
+
+    def on_next_recovery(self, callback: RecoverHook) -> None:
+        """Run ``callback`` at this process's next recovery only.
+
+        It takes its turn among the ``on_recover`` hooks in registration
+        order and is removed from the hook list when it fires.
+        """
+        self._crash_hooks.append((None, callback, True))
 
     def crash(self, mode: str = CRASH_STOP) -> None:
         """Silently stop the process; all further events are ignored.
@@ -218,7 +232,7 @@ class Process:
         self.crashed = True
         self.crash_mode = mode
         self.crash_count += 1
-        for on_crash, _ in self._crash_hooks:
+        for on_crash, _, _ in self._crash_hooks:
             if on_crash is not None:
                 on_crash(mode)
 
@@ -235,7 +249,14 @@ class Process:
         self.crash_mode = None
         self.recovery_count += 1
         suppressed, self._suppressed_timers = self._suppressed_timers, []
-        for _, on_recover in self._crash_hooks:
+        hooks = self._crash_hooks
+        index = 0
+        while index < len(hooks):
+            _, on_recover, one_shot = hooks[index]
+            if one_shot:
+                del hooks[index]
+            else:
+                index += 1
             if on_recover is not None:
                 on_recover()
         for timer in suppressed:

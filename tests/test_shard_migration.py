@@ -798,6 +798,9 @@ def test_destination_outage_with_recovery_retries_the_install():
     assert result.epoch == 1
     assert migration.activated_at >= 18.0  # the retry waited for recovery
     assert result.converged
+    # Each destination node's waiter left the hook list when it fired.
+    for node in result.deployment.shards[2].nodes:
+        assert not any(one_shot for _, _, one_shot in node._crash_hooks)
 
 
 # ----------------------------------------------------------------------

@@ -300,6 +300,36 @@ def test_cross_shard_commit_survives_target_recovery_window():
     assert router.query(BankAccounts.balance("zeta")) == 30
 
 
+def test_recovery_waiters_leave_the_hook_list_when_they_fire():
+    """A transfer that waits out a whole-shard outage parks its credit on
+    the shard's first recovering replica, once. Four such outages in a
+    row leave that node's hook list as long as it was after the first."""
+    router, deployment = _router(
+        BankAccounts(),
+        n_shards=2,
+        partitioner=RangePartitioner(["m"]),
+        durability="memory",
+    )
+    router.submit(0, BankAccounts.deposit("alpha", 100))
+    deployment.run_until_quiescent()
+    node = deployment.shards[1].nodes[0]
+    hooks = []
+    for _ in range(4):
+        deployment.crash_replica(1, 0)
+        deployment.crash_replica(1, 1)
+        future = router.submit(
+            0, BankAccounts.transfer("alpha", "zeta", 10), strong=True
+        )
+        now = deployment.sim.now
+        deployment.sim.schedule_at(now + 5.0, lambda: deployment.recover_replica(1, 0))
+        deployment.sim.schedule_at(now + 5.5, lambda: deployment.recover_replica(1, 1))
+        deployment.run_until_quiescent()
+        assert future.value is True and future.stable
+        hooks.append(len(node._crash_hooks))
+    assert hooks == [hooks[0]] * 4
+    assert router.query(BankAccounts.balance("zeta")) == 40
+
+
 def test_cross_shard_commit_fails_over_to_live_replica():
     """Preferred target replica crash-stopped: the credit is staged on a
     surviving replica of the owner shard instead (the non-sequencer
