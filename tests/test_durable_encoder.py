@@ -290,9 +290,9 @@ def test_a_cyclic_wire_value_is_a_wire_error():
 #: move them. They move when what the replicas write moves (a protocol or
 #: schedule change), and are then re-recorded on purpose.
 JOURNAL_SHA256 = {
-    "node0": "fd0d98b5268d4868b0990fc73ef35a479ca2599765bfe790f4a040692b8ab06e",
-    "node1": "875caf7a35a5cf59e7a920fef39fa9b5cfc6561a4bfb0d762990f823e92aac9e",
-    "node2": "bb6d7dd6bb6ff7975648d897313fca0639f5bf97b3df2a7158dc28a79baa8e71",
+    "node0": "b655bf69a5f8fbd00b88d83c0b7bec70b5f60830aabf46d6ab1941b8e515d6fc",
+    "node1": "33c0971550638f212841f6ab10f129aa26760cd1decbb0c176726e82c127c336",
+    "node2": "840496b4ede27bd793be72e57849167f54aa40b90114b10b6cf9200e38532b38",
 }
 
 _GOLDEN_VALUES = (
