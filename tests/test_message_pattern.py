@@ -190,7 +190,7 @@ def test_lost_2a_is_retransmitted_by_the_drive(sends):
 
     filters = MessageFilter()
     filters.add(drop_first_2a)
-    cluster = BayouCluster(KVStore(), _config(), filters=filters)
+    cluster = BayouCluster(KVStore(), config, filters=filters)
     _schedule_ops(cluster, 20)
     while not dropped and cluster.sim.now < 60.0:
         cluster.run(until=cluster.sim.now + 0.5)
