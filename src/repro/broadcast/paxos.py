@@ -443,13 +443,24 @@ class PaxosTOB(TotalOrderBroadcast):
             touched.append(instance)
             if state.accepted_ballot is not None:
                 accepted[instance] = (state.accepted_ballot, state.accepted_value)
-        self._baseline_promise = ballot
+        previous, self._baseline_promise = self._baseline_promise, ballot
         self._persist_acceptor(touched)
         self.node.send_component(
             sender, self.tag, ("p1b", ballot, accepted, self._next_deliver)
         )
         if first_instance < self._next_deliver:
             self._send_repairs(sender, first_instance)
+        if (
+            sender != self.node.pid
+            and previous[1] == sender
+            and ballot > previous
+            and sender == self.omega.leader()
+        ):
+            # The leader we trust started a new term of its own without a
+            # leader change here (no ``_on_leader_change`` forward): it may
+            # have crashed and recovered inside Ω's timeout, losing the
+            # submissions sent to it. Re-forward them; it drops duplicates.
+            self._forward_pending(self._pending)
 
     def _acceptor_state(self, instance: int) -> AcceptorInstance:
         state = self._acceptor.get(instance)
@@ -478,9 +489,12 @@ class PaxosTOB(TotalOrderBroadcast):
                 # Dual 2B multicast: learners and proposer alike count the
                 # votes, so decisions land one message delay earlier and
                 # the decide broadcast disappears. Our own vote is tallied
-                # here, so it goes to the other nodes only.
+                # here, so it goes to the other nodes only. A 2A from the
+                # ballot's owner is its owner's vote too (``_send_2a``).
                 self.node.broadcast_component(self.tag, ("p2b", ballot, instance))
-                self._tally_vote(instance, ballot, self.node.pid)
+                owner_vote = (sender,) if sender == ballot[1] else ()
+                if self._tally_vote(instance, ballot, self.node.pid, *owner_vote):
+                    self._after_decision()
             else:
                 self.node.send_component(sender, self.tag, ("p2b", ballot, instance))
         else:
@@ -543,14 +557,49 @@ class PaxosTOB(TotalOrderBroadcast):
 
     def _propose(self, instance: int, value: Any) -> None:
         assert self._ballot is not None
-        self._proposals[instance] = ProposerInstance(ballot=self._ballot, value=value)
+        proposal = ProposerInstance(ballot=self._ballot, value=value)
+        self._proposals[instance] = proposal
         if self.telemetry:
             if isinstance(value, Batch):
                 self._m_batch.observe(len(value.entries))
             self._m_inflight.set(self._inflight())
-        self.node.broadcast_component(
-            self.tag, ("p2a", self._ballot, instance, value), include_self=True
-        )
+        self._send_2a(instance, proposal)
+
+    def _send_2a(self, instance: int, proposal: ProposerInstance) -> None:
+        """Broadcast ``proposal``'s 2A (a first send or a drive resend).
+
+        In dual-2B mode the proposer's own acceptor sits in this process:
+        it accepts the value here, durably, and *then* the 2A leaves, to
+        the other nodes only. That order is the invariant the followers
+        rely on — a 2A from the ballot's owner carries the owner's vote
+        (``_handle_p2a``) — so an acceptor that has promised a higher
+        ballot lets no 2A leave: the leader has been pre-empted and treats
+        it as the rejection its own acceptor would send. Callers never
+        propose into an instance known decided, where that acceptor's
+        state may be pruned (``_handle_p2a`` answers such a 2A with a
+        repair, never a vote). The own vote is tallied only here, so at
+        n = 1 it decides the instance on the spot (delivery only: the
+        caller is already draining, in FIFO order).
+        """
+        message = ("p2a", proposal.ballot, instance, proposal.value)
+        if not self.dual_2b:
+            self.node.broadcast_component(self.tag, message, include_self=True)
+            return
+        state = self._acceptor_state(instance)
+        if state.promised > proposal.ballot:
+            self.node.send_component(
+                self.node.pid, self.tag, ("nack", proposal.ballot, state.promised)
+            )
+            return
+        if state.accepted_ballot == proposal.ballot:  # a resend: voted already
+            self.node.broadcast_component(self.tag, message)
+            return
+        state.promised = state.accepted_ballot = proposal.ballot
+        state.accepted_value = proposal.value
+        self._persist_acceptor([instance])
+        self.node.broadcast_component(self.tag, message)
+        if self._tally_vote(instance, proposal.ballot, self.node.pid):
+            self._deliver_ready()
 
     def _drain_pending(self) -> None:
         """Drain queued keys into batched proposals, up to the pipeline cap.
@@ -577,6 +626,8 @@ class PaxosTOB(TotalOrderBroadcast):
                 self._inflight_keys.add(key)
             if not entries:
                 break
+            while self._next_instance in self._decided:  # under a rival ballot
+                self._next_instance += 1
             instance = self._next_instance
             self._next_instance += 1
             self._propose(instance, Batch(tuple(entries)))
@@ -617,15 +668,17 @@ class PaxosTOB(TotalOrderBroadcast):
                 if budget <= 0:
                     return
 
-    def _tally_vote(self, instance: int, ballot: Ballot, voter: int) -> None:
+    def _tally_vote(self, instance: int, ballot: Ballot, *voters: int) -> bool:
+        """Count ``voters`` for ``ballot``; True if that decided ``instance``."""
         if instance in self._decided:
-            return
+            return False
         votes = self._votes.setdefault(instance, {}).setdefault(ballot, set())
-        votes.add(voter)
-        if len(votes) >= self.majority:
-            self._learn_from_votes(instance, ballot)
+        votes.update(voters)
+        return len(votes) >= self.majority and self._learn_from_votes(
+            instance, ballot
+        )
 
-    def _learn_from_votes(self, instance: int, ballot: Ballot) -> None:
+    def _learn_from_votes(self, instance: int, ballot: Ballot) -> bool:
         """Dual-2B learning: a majority voted ``ballot`` — find its value.
 
         The proposer has it in its proposal record; an acceptor that voted
@@ -642,8 +695,12 @@ class PaxosTOB(TotalOrderBroadcast):
             if state is not None and state.accepted_ballot == ballot:
                 value = state.accepted_value
         if value is None:
-            return
+            return False
         self._record_decided(instance, value)
+        return True
+
+    def _after_decision(self) -> None:
+        """Deliver what became contiguous and refill the pipeline."""
         self._deliver_ready()
         self._drain_pending()
         self._ensure_driving()
@@ -651,7 +708,8 @@ class PaxosTOB(TotalOrderBroadcast):
     def _handle_p2b(self, sender: int, args: Tuple) -> None:
         ballot, instance = args
         if self.dual_2b:
-            self._tally_vote(instance, ballot, sender)
+            if self._tally_vote(instance, ballot, sender):
+                self._after_decision()
             return
         proposal = self._proposals.get(instance)
         if proposal is None or proposal.ballot != ballot or proposal.decided:
@@ -695,9 +753,7 @@ class PaxosTOB(TotalOrderBroadcast):
         if instance in self._decided:
             return
         self._record_decided(instance, value)
-        self._deliver_ready()
-        self._drain_pending()
-        self._ensure_driving()
+        self._after_decision()
 
     def _deliver_ready(self, *, notify: bool = True) -> None:
         """Advance the delivery frontier over contiguous decided instances.
@@ -838,9 +894,7 @@ class PaxosTOB(TotalOrderBroadcast):
         (repairs,) = args
         for instance in sorted(repairs):
             self._record_decided(instance, repairs[instance])
-        self._deliver_ready()
-        self._drain_pending()
-        self._ensure_driving()
+        self._after_decision()
 
     # ------------------------------------------------------------------
     # Drive timer: retransmission + anti-entropy
@@ -878,17 +932,13 @@ class PaxosTOB(TotalOrderBroadcast):
             else:
                 self._drain_pending()
                 self._fill_gaps()
-                for instance, proposal in self._proposals.items():
+                for instance, proposal in list(self._proposals.items()):
                     if proposal.decided:
                         continue
                     if not proposal.overdue:
                         proposal.overdue = True
                         continue
-                    self.node.broadcast_component(
-                        self.tag,
-                        ("p2a", proposal.ballot, instance, proposal.value),
-                        include_self=True,
-                    )
+                    self._send_2a(instance, proposal)
         elif overdue_keys:
             self._forward_pending(overdue_keys)
         self._pending_at_tick = set(self._pending)

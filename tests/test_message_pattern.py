@@ -1,10 +1,14 @@
 """The message pattern of a fault-free Paxos run carries nothing redundant.
 
 The paper's protocol RB-casts every request and TOB-casts it; the Paxos TOB
-then costs a 2A round and a dual-2B round per instance. Four kinds of send
-would carry nothing the receiver does not already have, and none of them
-may appear:
+then costs a 2A round and a dual-2B round per instance. In dual-2B mode the
+leader's own acceptor accepts a value in the leader's process, durably,
+before the 2A leaves, so the 2A is the leader's vote and its acceptance is
+a local write, not a message. Six kinds of send would carry nothing the
+receiver does not already have, and none of them may appear:
 
+- a ``p2a`` addressed to its own sender;
+- a ``p2b`` from the ballot's owner (its 2A carried that vote);
 - a ``p2b`` addressed to its own sender (the acceptor tallies its own vote
   locally);
 - an RB relay back to the node the relaying receiver got the cast from
@@ -39,12 +43,13 @@ from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
 OPS = 100
-#: Sends per op of the fault-free run below: per instance three 2A (one
-#: self-addressed) and six 2B; per op four RB casts (two from the origin,
-#: one relay from each peer) and two thirds of a ``submit``; then Ω
-#: heartbeats and one phase 1 (14.38 in all). The redundant sends above
-#: cost six more (20.52).
-SENDS_PER_OP_CEILING = 14.5
+#: Sends per op of the fault-free run below: per instance two 2A and four
+#: 2B (each follower's to the two other nodes); per op four RB casts (two
+#: from the origin, one relay from each peer) and two thirds of a
+#: ``submit``; then Ω heartbeats and one phase 1 (11.38 in all). A
+#: self-addressed 2A and the leader's two 2Bs cost three more (14.38), the
+#: other redundant sends above six more again (20.52).
+SENDS_PER_OP_CEILING = 11.5
 
 
 def _config(**overrides: Any) -> BayouConfig:
@@ -135,6 +140,20 @@ def test_no_p2b_is_addressed_to_its_sender(fault_free_run):
     p2b = [(s, r) for s, r, payload in sends if _kind(payload) == ("paxos", "p2b")]
     assert p2b, "the run must exercise the dual-2B path"
     assert [(s, r) for s, r in p2b if s == r] == []
+
+
+def test_the_leaders_2a_is_its_vote(fault_free_run):
+    """No 2A to its own sender and no 2B from the ballot's owner."""
+    _, sends, _ = fault_free_run
+    p2a = [(s, r) for s, r, payload in sends if _kind(payload) == ("paxos", "p2a")]
+    assert p2a, "the run must exercise the 2A path"
+    assert [(s, r) for s, r in p2a if s == r] == []
+    owner_p2b = [
+        (s, r)
+        for s, r, payload in sends
+        if _kind(payload) == ("paxos", "p2b") and payload[1][1][1] == s
+    ]
+    assert owner_p2b == []
 
 
 def test_no_rb_relay_goes_back_to_where_it_came_from(fault_free_run):

@@ -22,7 +22,7 @@ from repro.sim.kernel import Simulator
 class Rig:
     """A bare 3-node Paxos rig with configurable engine knobs."""
 
-    def __init__(self, n=3, stores=None, **knobs):
+    def __init__(self, n=3, stores=None, omega_timeout=10.0, **knobs):
         knobs.setdefault("retry_interval", 8.0)
         self.sim = Simulator()
         self.network = Network(self.sim, n, latency=FixedLatency(1.0))
@@ -32,7 +32,9 @@ class Rig:
         self.omegas = []
         for node in self.nodes:
             deliver = lambda key, payload, pid=node.pid: self.delivered[pid].append(key)
-            omega = OmegaFailureDetector(node, heartbeat_interval=3.0, timeout=10.0)
+            omega = OmegaFailureDetector(
+                node, heartbeat_interval=3.0, timeout=omega_timeout
+            )
             self.omegas.append(omega)
             self.sim.schedule(0.0, omega.start)
             store = stores[node.pid] if stores else None
@@ -357,7 +359,11 @@ def test_meta_is_written_per_ballot_change_not_per_accept():
 # ---------------------------------------------------------------------------
 # Dual 2B vs classic decide broadcast
 # ---------------------------------------------------------------------------
-def test_dual_2b_decides_one_message_delay_earlier():
+def test_dual_2b_decides_two_message_delays_earlier_at_a_follower():
+    """Classic: 2A, 2B to the leader, decide back (three delays). Dual: the
+    leader's 2A is its own vote, so a follower at n = 3 decides on the 2A
+    alone (one delay). The classic time carries the network's 1e-9 FIFO
+    spacing of the leader's back-to-back sends."""
     times = {}
     for mode, dual in (("classic", False), ("dual", True)):
         rig = Rig(max_batch=1, max_inflight=None, dual_2b=dual)
@@ -371,4 +377,175 @@ def test_dual_2b_decides_one_message_delay_earlier():
         rig.run()
         rig.shutdown()
         times[mode] = stamp["x"]
-    assert times["dual"] == times["classic"] - 1.0
+    assert times["dual"] == 6.0
+    assert round(times["classic"] - times["dual"], 6) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# The leader's 2A is its own vote
+# ---------------------------------------------------------------------------
+def test_leader_journals_its_acceptance_before_its_2a_leaves(monkeypatch):
+    """The invariant a follower relies on when it counts a 2A as the
+    owner's vote: the owner's ``paxos.acc`` line is written first."""
+    events = []
+    send = Network.send
+
+    def recording_send(self, sender, receiver, payload):
+        tag, message = payload
+        if tag == "paxos" and message[0] == "p2a" and sender == 0:
+            events.append(("p2a", message[2]))
+        return send(self, sender, receiver, payload)
+
+    monkeypatch.setattr(Network, "send", recording_send)
+    stores = [InMemoryStore() for _ in range(3)]
+
+    def recording_write(name, record):
+        if name == "paxos.acc":
+            events.append(("acc", record[0]))
+
+    stores[0]._write = recording_write  # bound into each log as it opens
+    rig = Rig(stores=stores, max_batch=2)
+    for i in range(10):
+        rig.sim.schedule(2.0 + 0.5 * i, lambda i=i: rig.endpoints[0].tob_cast(i, i))
+    rig.run()
+    rig.shutdown()
+    assert rig.delivered[1] == list(range(10))
+    sent = {instance for kind, instance in events if kind == "p2a"}
+    assert sent
+    for instance in sent:
+        first_send = events.index(("p2a", instance))
+        assert ("acc", instance) in events[:first_send]
+
+
+def test_preempted_leader_lets_no_2a_leave_on_its_stale_ballot(monkeypatch):
+    """After node 0's acceptor promises node 1's higher ballot, node 0 (still
+    leader) sends no 2A on its old ballot: a follower counting that 2A as
+    node 0's vote would decide a value node 0's acceptor no longer stands
+    behind. Node 0 re-leads above the rival and decides the cast there."""
+    p2a_ballots = []
+    send = Network.send
+
+    def recording_send(self, sender, receiver, payload):
+        tag, message = payload
+        if tag == "paxos" and message[0] == "p2a":
+            p2a_ballots.append(message[1])
+        return send(self, sender, receiver, payload)
+
+    monkeypatch.setattr(Network, "send", recording_send)
+    rig = Rig()
+    rig.run(until=3.0)
+    leader = rig.endpoints[0]
+    assert leader._is_leader and leader._ballot == (1, 0)
+    # A rival's phase 1 reaches node 0's acceptor only.
+    leader._handle_p1a(1, ((2, 1), 0))
+    decided_by = {}
+    for endpoint in rig.endpoints[1:]:
+        learn = endpoint._learn_from_votes
+
+        def recording_learn(instance, ballot, learn=learn, pid=endpoint.node.pid):
+            decided_by.setdefault(pid, []).append(ballot)
+            return learn(instance, ballot)
+
+        endpoint._learn_from_votes = recording_learn
+    rig.sim.schedule(4.0, lambda: leader.tob_cast("x", 1))
+    rig.run()
+    rig.shutdown()
+    assert (1, 0) not in p2a_ballots
+    assert all((1, 0) not in ballots for ballots in decided_by.values())
+    assert leader._ballot > (2, 1)
+    assert rig.delivered[0] == rig.delivered[1] == rig.delivered[2] == ["x"]
+
+
+def test_leader_never_proposes_into_an_instance_it_knows_decided():
+    """A leader that learned its next instance's decision (a rival's, by
+    repair) proposes the next cast one instance higher: its acceptor's
+    state there may be pruned, so its 2A could carry no honest vote."""
+    rig = Rig(retry_interval=2.0)
+    rig.run(until=3.0)
+    leader = rig.endpoints[0]
+    taken = leader._next_instance
+    leader._record_decided(taken, Batch(((("rival", 0), "p"),)))
+    rig.sim.schedule(4.0, lambda: leader.tob_cast("x", 1))
+    rig.run(until=60.0)
+    rig.shutdown()
+    assert leader._next_instance == taken + 2
+    for pid in range(3):
+        assert rig.delivered[pid] == [("rival", 0), "x"]
+
+
+def test_five_node_follower_waits_for_a_third_vote():
+    """At n = 5 a majority is 3: the 2A (the owner's vote) and a follower's
+    own vote are two, so with every 2B lost no follower decides."""
+    rig = Rig(n=5)
+    rig.network.filters.add(
+        lambda _src, _dst, payload, _time: MessageFilter.DROP
+        if payload[0] == "paxos" and payload[1][0] == "p2b"
+        else None
+    )
+    rig.sim.schedule(5.0, lambda: rig.endpoints[0].tob_cast("x", 1))
+    rig.run(until=60.0)
+    assert all(not endpoint._decided for endpoint in rig.endpoints)
+    assert all(rig.delivered[pid] == [] for pid in range(5))
+    rig.shutdown()
+
+
+@pytest.mark.parametrize("knobs", [{}, dict(max_batch=3, max_inflight=2)])
+def test_single_replica_burst_is_delivered_in_fifo_order(knobs):
+    """At n = 1 the leader's own vote decides inside the proposal; the
+    delivery it triggers must not start a second drain that overtakes the
+    one in progress."""
+    rig = Rig(n=1, **knobs)
+    keys = [f"k{i}" for i in range(50)]
+    rig.sim.schedule(1.0, lambda: [rig.endpoints[0].tob_cast(k, k) for k in keys])
+    rig.run()
+    rig.shutdown()
+    assert rig.delivered[0] == keys
+
+
+def test_single_replica_replays_its_accepted_suffix_before_a_burst():
+    """A single replica restarts with three accepted, undecided instances
+    on disk and 50 casts queued behind its phase 1. Each re-proposal
+    decides on the spot; a drain started by one of them would claim an
+    instance number the replay has yet to reach."""
+    store = InMemoryStore()
+    store.put("paxos.meta", {"max_round_seen": 1, "baseline_promise": (1, 0)})
+    old = [f"old{i}" for i in range(3)]
+    for instance, key in enumerate(old):
+        store.log("paxos.acc").append(
+            (instance, (1, 0), (1, 0), Batch(((key, instance),)))
+        )
+    rig = Rig(n=1, stores=[store], max_batch=4, max_inflight=2)
+    keys = [f"k{i}" for i in range(50)]
+    rig.sim.schedule(1.5, lambda: [rig.endpoints[0].tob_cast(k, k) for k in keys])
+    rig.run()
+    rig.shutdown()
+    assert rig.delivered[0] == old + keys
+
+
+# ---------------------------------------------------------------------------
+# A leader back inside Ω's timeout
+# ---------------------------------------------------------------------------
+def test_follower_reforwards_to_a_leader_that_recovered_unnoticed():
+    """Leader 0 is down over [10, 25), shorter than Ω's timeout, so no
+    follower sees a leader change. A submission sent to it at 12 is lost
+    with its volatile state; its new ballot's 1A tells follower 1 to send
+    it again, well before the follower's drive would."""
+    retry = 20.0
+    rig = Rig(
+        stores=[InMemoryStore() for _ in range(3)],
+        omega_timeout=35.0,
+        retry_interval=retry,
+    )
+    stamp = {}
+    rig.endpoints[1]._deliver = lambda key, payload: stamp.setdefault(
+        key, rig.sim.now
+    )
+    rig.sim.schedule(10.0, lambda: rig.nodes[0].crash("recover"))
+    rig.sim.schedule(12.0, lambda: rig.endpoints[1].tob_cast("late", 1))
+    rig.sim.schedule(25.0, rig.nodes[0].recover)
+    rig.run(until=25.0 + retry)
+    assert rig.omegas[1].leader() == 0
+    assert stamp.get("late", float("inf")) < 25.0 + retry
+    rig.run()
+    rig.shutdown()
+    assert rig.delivered[2] == ["late"]
