@@ -290,9 +290,9 @@ def test_a_cyclic_wire_value_is_a_wire_error():
 #: move them. They move when what the replicas write moves (a protocol or
 #: schedule change), and are then re-recorded on purpose.
 JOURNAL_SHA256 = {
-    "node0": "b655bf69a5f8fbd00b88d83c0b7bec70b5f60830aabf46d6ab1941b8e515d6fc",
-    "node1": "33c0971550638f212841f6ab10f129aa26760cd1decbb0c176726e82c127c336",
-    "node2": "840496b4ede27bd793be72e57849167f54aa40b90114b10b6cf9200e38532b38",
+    "node0": "a6317ab6c73e1836d62c4655ed1e2a785314dca47bc3b6b684bcbc35d1990d23",
+    "node1": "838a37762776fe514c081289c101431eb3e2da41e239154561e929472efddc1d",
+    "node2": "31b4fa5a38f76c8c2e4c76067b19586b7bbd368871e3ce1a64c45e5d06b0bb38",
 }
 
 _GOLDEN_VALUES = (

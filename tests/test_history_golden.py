@@ -229,11 +229,11 @@ GOLDEN = {
         ((0, 1), 0, "append('a')", 'weak', 1.0, 1.0, "'a'", 1.0, False, True, 0, (), False, 1),
         ((1, 1), 1, "append('b')", 'weak', 1.1, 1.1, "'b'", 0.40000000000000013, False, True, 1, (), False, 2),
         ((2, 1), 2, 'read()', 'weak', 1.2, 1.2, "''", 1.45, True, False, None, (), False, 3),
-        ((1, 2), 1, 'duplicate()', 'strong', 1.3, 3.6505462589333297, "'abcabc'", 0.6000000000000001, False, True, 3, ((0, 1), (1, 1), (2, 2)), True, 4),
-        ((2, 2), 2, "append('c')", 'weak', 1.4, 1.4, "'c'", 1.65, False, True, 2, (), False, 5),
+        ((1, 2), 1, 'duplicate()', 'strong', 1.3, 2.7869874268831705, "'abab'", 0.6000000000000001, False, True, 2, ((0, 1), (1, 1)), True, 4),
+        ((2, 2), 2, "append('c')", 'weak', 1.4, 1.4, "'c'", 1.65, False, True, 3, (), False, 5),
         ((0, 2), 0, 'read()', 'weak', 1.5, 1.5, "'a'", 1.5, True, False, None, ((0, 1),), False, 6),
-        ((0, 3), 0, 'read()', 'strong', 2.6, 3.9280461555110096, "'abcabc'", 2.6, True, True, 4, ((0, 1), (1, 1), (2, 2), (1, 2)), True, 7),
-        ((1, 3), 1, 'read()', 'weak', 9.0, 9.0, "'abcabc'", 8.3, True, False, None, ((0, 1), (1, 1), (2, 2), (1, 2), (0, 3)), False, 8),
+        ((0, 3), 0, 'read()', 'strong', 2.6, 3.9985372183572507, "'ababc'", 2.6, True, True, 4, ((0, 1), (1, 1), (1, 2), (2, 2)), True, 7),
+        ((1, 3), 1, 'read()', 'weak', 9.0, 9.0, "'ababc'", 8.3, True, False, None, ((0, 1), (1, 1), (1, 2), (2, 2), (0, 3)), False, 8),
     ],
     'modified-sequencer': [
         ((0, 1), 0, "append('a')", 'weak', 1.0, 1.0, "'a'", 1.0, False, True, 0, (), False, 1),
@@ -259,10 +259,10 @@ GOLDEN = {
         ((0, 1), 0, "append('a')", 'weak', 1.0, 1.05, "'a'", 1.0, False, True, 0, (), False, 1),
         ((1, 1), 1, "append('b')", 'weak', 1.1, 1.1500000000000001, "'b'", 0.40000000000000013, False, True, 2, (), False, 2),
         ((2, 1), 2, 'read()', 'weak', 1.2, 1.6, "''", 1.45, True, True, 3, (), False, 3),
-        ((1, 2), 1, 'duplicate()', 'strong', 1.3, 3.5579461559725485, "'abab'", 0.6000000000000001, False, True, 4, ((0, 1), (0, 2), (1, 1), (2, 1)), True, 4),
-        ((2, 2), 2, "append('c')", 'weak', 1.4, 5.2, "'ababc'", 1.65, False, True, 5, ((0, 1), (0, 2), (1, 1), (2, 1), (1, 2)), True, 5),
+        ((1, 2), 1, 'duplicate()', 'strong', 1.3, 2.9316464258273185, "'abab'", 0.6000000000000001, False, True, 4, ((0, 1), (0, 2), (1, 1), (2, 1)), True, 4),
+        ((2, 2), 2, "append('c')", 'weak', 1.4, 4.3999999999999995, "'ababc'", 1.65, False, True, 5, ((0, 1), (0, 2), (1, 1), (2, 1), (1, 2)), True, 5),
         ((0, 2), 0, 'read()', 'weak', 1.5, 1.55, "'a'", 1.5, True, True, 1, ((0, 1),), False, 6),
-        ((0, 3), 0, 'read()', 'strong', 2.6, 3.9278049921858047, "'ababc'", 2.6, True, True, 6, ((0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)), True, 7),
+        ((0, 3), 0, 'read()', 'strong', 2.6, 3.887296871517094, "'ababc'", 2.6, True, True, 6, ((0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)), True, 7),
         ((1, 3), 1, 'read()', 'weak', 9.0, 9.05, "'ababc'", 8.3, True, True, 7, ((0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2), (0, 3)), False, 8),
     ],
     'original-sequencer': [
@@ -290,10 +290,10 @@ COUNTS = {
     'anti-entropy-heal': ([1, 1, 6], [12, 12, 17]),
     'crash-recovery': ([0, 0, 0], [5, 5, 8]),
     'filtered-jitter': ([11, 10, 1], [19, 18, 9]),
-    'modified-paxos': ([6, 5, 4], [11, 10, 9]),
+    'modified-paxos': ([7, 5, 3], [12, 10, 8]),
     'modified-sequencer': ([6, 5, 4], [11, 10, 9]),
     'modified-sequencer-batched': ([6, 5, 3], [11, 10, 8]),
-    'original-paxos': ([11, 10, 2], [19, 18, 10]),
+    'original-paxos': ([14, 9, 1], [22, 17, 9]),
     'original-sequencer': ([8, 7, 1], [16, 15, 9]),
     'original-sequencer-batched': ([8, 7, 0], [16, 15, 8]),
 }
@@ -301,10 +301,10 @@ EVENTS = {
     'anti-entropy-heal': (195, 101, 101, 0, 0),
     'crash-recovery': (73, 48, 44, 4, 0),
     'filtered-jitter': (170, 81, 81, 0, 4),
-    'modified-paxos': (220, 132, 132, 0, 0),
+    'modified-paxos': (205, 117, 117, 0, 0),
     'modified-sequencer': (73, 32, 32, 0, 0),
     'modified-sequencer-batched': (56, 32, 32, 0, 0),
-    'original-paxos': (309, 181, 181, 0, 0),
+    'original-paxos': (287, 157, 157, 0, 0),
     'original-sequencer': (128, 64, 64, 0, 0),
     'original-sequencer-batched': (95, 64, 64, 0, 0),
 }
