@@ -384,7 +384,8 @@ class BayouCluster:
     # Convergence diagnostics
     # ------------------------------------------------------------------
     def converged(self) -> bool:
-        """All live replicas agree on the order and have fully executed it.
+        """All live replicas agree on the order, on how much of it is
+        committed, and have fully executed it.
 
         Crashed replicas are excluded: a crash-stop replica can never catch
         up (by definition), and a crash–recovery replica rejoins the check
@@ -399,6 +400,10 @@ class BayouCluster:
             return False
         orders = [[r.dot for r in replica.current_order()] for replica in live]
         if any(order != orders[0] for order in orders[1:]):
+            return False
+        # Equal orders still differ while a commit is on its way to one
+        # replica: it holds those requests tentatively, in the same places.
+        if any(len(r.committed) != len(live[0].committed) for r in live[1:]):
             return False
         if any(replica.backlog for replica in live):
             return False
