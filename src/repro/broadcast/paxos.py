@@ -35,8 +35,13 @@ delivered history bit-identical for any seeded schedule:
   may have outstanding 2A rounds; acceptors multicast 2B to every other
   node (learners and proposer alike) and tally their own vote locally, each
   node counts votes and learns decisions one message delay earlier, and
-  the separate decide broadcast disappears. ``dual_2b=False`` restores the
-  seed's unicast-2B + decide-broadcast pattern.
+  the separate decide broadcast disappears. The leader's 2A is its own
+  vote: its acceptor accepts the value in-process and journals it before
+  the 2A leaves (to the other nodes only), and an acceptor counts a 2A from
+  the ballot's owner as the owner's vote besides its own. At n = 3 a
+  follower thus decides when the 2A arrives, and the leader sends no 2B.
+  ``dual_2b=False`` restores the seed's unicast-2B + decide-broadcast
+  pattern.
 - **Rate-limited batched catch-up** — a lagging node asks one rotating peer
   for its missing decided suffix; responders coalesce the suffix into a
   single repair message but token-bucket the instances they ship
@@ -932,7 +937,7 @@ class PaxosTOB(TotalOrderBroadcast):
             else:
                 self._drain_pending()
                 self._fill_gaps()
-                for instance, proposal in list(self._proposals.items()):
+                for instance, proposal in self._proposals.items():
                     if proposal.decided:
                         continue
                     if not proposal.overdue:
