@@ -50,6 +50,7 @@ Scenario invariants worth knowing before editing:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -167,9 +168,12 @@ class DivergentSuffixRig:
         assert replica.backlog == 0, "setup did not drain"
         return self
 
-    def run_waves(self) -> None:
-        """The measured region: ``waves`` full-suffix rollback–replays."""
+    def run_waves(self) -> float:
+        """The measured region: ``waves`` full-suffix rollback–replays.
+        Returns the window's wall-clock seconds."""
+        started = time.perf_counter()
         self.cluster.run(until=self.t_waves_end)
+        return time.perf_counter() - started
 
     def finish(self) -> ReorderRun:
         """Untimed: release held messages, flood commits, check and distil."""
@@ -314,10 +318,8 @@ def run_drifting_clock(
 
 
 def main() -> None:
-    import time as _time
-
     for engine, interval in (("stepwise", None), ("batched", 256)):
-        started = _time.perf_counter()
+        started = time.perf_counter()
         rig = build_divergent_suffix(
             5_000,
             waves=3,
@@ -325,11 +327,9 @@ def main() -> None:
             checkpoint_interval=interval,
             record_perceived_traces=False,
         ).settle_setup()
-        wave_started = _time.perf_counter()
-        rig.run_waves()
-        wave_elapsed = _time.perf_counter() - wave_started
+        wave_elapsed = rig.run_waves()
         result = rig.finish()
-        total = _time.perf_counter() - started
+        total = time.perf_counter() - started
         print(
             f"{engine:8s} ckpt={interval!s:5s} waves={wave_elapsed:.3f}s "
             f"total={total:.3f}s rollbacks={result.rollbacks[0]} "

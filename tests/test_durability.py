@@ -228,7 +228,7 @@ _writes = st.lists(
 
 
 @pytest.mark.parametrize("backend", ["memory", "jsonl"])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(writes=_writes)
 def test_any_interleaving_of_writes_round_trips(backend, writes):
     logs, kv = {}, {}

@@ -82,7 +82,7 @@ def _check(value) -> None:
     assert dumps(from_jsonable(json.loads(text))) == text
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.one_of(values, batches, st.sampled_from(sorted(CODEC_EXAMPLES.values(), key=repr))))
 def test_loads_equals_the_two_pass_decoder(value):
     _check(value)

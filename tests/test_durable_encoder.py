@@ -92,7 +92,7 @@ def _reference_dumps(value: Any) -> str:
 batches = st.builds(Batch, st.lists(st.tuples(dots, reqs), max_size=3).map(tuple))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.one_of(values, batches, st.sampled_from(sorted(CODEC_EXAMPLES.values(), key=repr))))
 def test_dumps_matches_the_two_pass_encoder(value):
     text = dumps(value)

@@ -13,7 +13,7 @@ Covers the load-bearing invariants of the reproduction:
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster import BayouCluster, MODIFIED, ORIGINAL
@@ -27,11 +27,7 @@ from repro.datatypes.orset import SetType
 from repro.datatypes.rlist import RList
 from repro.framework.relations import Relation
 
-SLOW = settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SLOW = settings(max_examples=25)
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +169,7 @@ def test_readonly_ops_never_influence_later_returns(data):
 # ----------------------------------------------------------------------
 # Replica convergence under random schedules
 # ----------------------------------------------------------------------
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=10)
 @given(
     seed=st.integers(0, 10_000),
     protocol=st.sampled_from([ORIGINAL, MODIFIED]),
@@ -206,7 +202,7 @@ def test_random_schedules_always_converge(seed, protocol, n_ops):
     assert cluster.replicas[0].state.snapshot()["counter:value"] == expected_total
 
 
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=10)
 @given(seed=st.integers(0, 10_000))
 def test_partition_heal_always_converges(seed):
     from repro.net.partition import PartitionSchedule

@@ -7,7 +7,7 @@ is shared, anti-entropy version vectors converge.
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broadcast.anti_entropy import AntiEntropy
@@ -19,11 +19,7 @@ from repro.net.partition import PartitionSchedule
 from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
-SLOW = settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SLOW = settings(max_examples=15)
 
 
 def build_rig(endpoint_factory, n=3, partitions=None):

@@ -12,7 +12,7 @@ trade *order*. Random schedules and random knob settings pin the contract:
   survivors agree on one history containing every cast exactly once.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broadcast.failure_detector import OmegaFailureDetector
@@ -23,11 +23,7 @@ from repro.net.node import RoutingNode
 from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
-SLOW = settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SLOW = settings(max_examples=15)
 
 SEED_MODE = dict(max_batch=1, max_inflight=None, dual_2b=False)
 

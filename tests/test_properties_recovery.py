@@ -8,7 +8,7 @@ under both dissemination substrates.
 """
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
 from repro.core.cluster import BayouCluster
 from repro.core.config import BayouConfig
@@ -16,11 +16,7 @@ from repro.datatypes.counter import Counter
 from repro.net.faults import CrashSchedule
 from repro.net.partition import PartitionSchedule
 
-SLOW = settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SLOW = settings(max_examples=20)
 
 
 @st.composite

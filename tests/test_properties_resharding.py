@@ -16,16 +16,12 @@ the static run breaks bit-identity.
 """
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
 from repro.datatypes.bank import BankAccounts
 from repro.scenario import Scenario
 
-SLOW = settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SLOW = settings(max_examples=15)
 
 KEYS = [f"k{i}" for i in range(8)]
 

@@ -7,7 +7,7 @@ protocol must pass the paper's conjunction — this is the strongest
 single statement of Theorem 2 in the test suite.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.workload import PROFILES, RandomWorkload
@@ -19,11 +19,7 @@ from repro.framework.guarantees import check_fec, check_seq
 from repro.framework.history import STRONG, WEAK
 
 
-@settings(
-    max_examples=12,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=12)
 @given(
     profile_name=st.sampled_from(sorted(DATATYPES)),
     seed=st.integers(0, 10_000),

@@ -17,7 +17,7 @@ paper's literal ``adjustExecution`` (Algorithm 1 lines 35–40).
 import random
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster import BayouCluster, MODIFIED, ORIGINAL
@@ -35,11 +35,7 @@ from repro.runtime.sim import SimRuntime
 from repro.sim.clock import DriftingClock
 from repro.sim.kernel import Simulator
 
-SLOW = settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SLOW = settings(max_examples=20)
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +435,7 @@ _ACTIONS = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @example(
     # A batch whose requests land at two different depths of the executed
     # prefix (the cut belongs at the lower one), then commits of a non-head

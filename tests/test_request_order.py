@@ -28,7 +28,7 @@ requests = st.builds(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(requests, requests)
 def test_comparisons_agree_with_order_key(a, b):
     assert (a < b) == (a.order_key < b.order_key)

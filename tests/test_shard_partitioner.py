@@ -22,7 +22,7 @@ from repro.shard.partitioner import (
 # ----------------------------------------------------------------------
 # Determinism (satellite: hypothesis over seeds and key sets)
 # ----------------------------------------------------------------------
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     seed=st.integers(min_value=0, max_value=2**32),
     n_shards=st.integers(min_value=1, max_value=8),
@@ -41,7 +41,7 @@ def test_hash_placement_deterministic_across_instances(seed, n_shards, keys):
     assert all(0 <= shard < n_shards for _, shard in first)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     n_shards=st.integers(min_value=2, max_value=8),

@@ -275,7 +275,7 @@ def test_filter_shard_scope_requires_sharded_mode():
 # ----------------------------------------------------------------------
 # Routing determinism at the scenario level
 # ----------------------------------------------------------------------
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(seed=st.integers(min_value=0, max_value=2**16))
 def test_sharded_runs_reproduce_bit_identically(seed):
     """Same (seed, partitioner) ⇒ same placement, same histories."""

@@ -14,14 +14,18 @@ there means observation leaked into control.
 
 A third check runs the instrumented scenario twice and requires the span
 stream itself to be deterministic — same spans, same order, same
-timestamps — so traces are reproducible evidence, not samples.
+timestamps — so traces are reproducible evidence, not samples. A fourth
+runs a small E10 reorder storm with the plane absent, disabled and enabled:
+the deterministic half of the wall-clock overhead gate.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
 
+from repro.analysis.experiments.reorder import build_divergent_suffix
 from repro.datatypes import KVStore
+from repro.obs import Telemetry
 from repro.scenario import Scenario
 
 KEYS = [f"k{i:02d}" for i in range(16)]
@@ -143,3 +147,30 @@ def test_span_stream_is_reproducible():
     first, second = _span_stream(), _span_stream()
     assert first == second
     assert len(first) > 0
+
+
+# ---------------------------------------------------------------------------
+# The reorder storm: absent, disabled and enabled planes agree
+# ---------------------------------------------------------------------------
+
+
+def _storm(telemetry):
+    rig = build_divergent_suffix(
+        200, waves=2, record_perceived_traces=False, telemetry=telemetry
+    ).settle_setup()
+    rig.run_waves()
+    return rig.finish()
+
+
+def test_reorder_storm_outcome_identical_across_planes():
+    """The deterministic half of the telemetry overhead gate
+    (``benchmarks/test_bench_timing.py``), at a scale tier-1 can afford."""
+    enabled = Telemetry(trace_capacity=500)
+    none, disabled, traced = (
+        _storm(plane) for plane in (None, Telemetry(enabled=False), enabled)
+    )
+    assert none.observables() == disabled.observables() == traced.observables()
+    assert [run.rollbacks for run in (none, disabled, traced)] == [[400, 0, 0]] * 3
+    assert len(enabled.tracer) == 500
+    assert enabled.tracer.dropped > 0
+    assert enabled.registry.counter_total("repro_rollbacks") == 400
