@@ -13,8 +13,11 @@ returns it); setup and the final commit flood are identical across modes.
 - **Telemetry overhead**: an attached-but-disabled plane costs ≤ 5 % over
   no plane (every site guards with one ``if self.telemetry:`` branch), an
   enabled one — span ring, counters, t-digests — ≤ 25 %. Rounds interleave
-  the three modes and each keeps its best, so a background hiccup hurts
-  one round of one mode, not a whole mode.
+  the three modes, each plane's window is divided by the no-plane window
+  of its own round, and the gate holds on the median round: a host that
+  speeds up or slows down between rounds moves a whole round, and a
+  hiccup in one window (or one lucky window) decides nothing. Each storm
+  collects before its window, so no window pays for an earlier build.
 - **E10 speedup**: the checkpointed batched engine drains the 10⁴ storm
   ≥ 3× faster than the checkpoint-free stepwise path, best of two rounds.
   Perceived traces are off so O(n²) formal-framework bookkeeping does not
@@ -23,6 +26,9 @@ returns it); setup and the final commit flood are identical across modes.
 Both re-assert at scale what tier-1 checks small: identical observables,
 ``waves × log_length`` rollbacks, the ring bound, restores firing.
 """
+
+import gc
+import statistics
 
 import pytest
 
@@ -53,6 +59,9 @@ def _storm(log_length=LOG_LENGTH, waves=WAVES, **knobs):
     rig = build_divergent_suffix(
         log_length, waves=waves, record_perceived_traces=False, **knobs
     ).settle_setup()
+    # The build, and the rig it replaces, leave a full collection owed
+    # (0.2-0.5 s on a 2-core VM): paid here, it lands in no mode's window.
+    gc.collect()
     return rig.run_waves(), rig
 
 
@@ -66,20 +75,20 @@ def test_telemetry_overhead_gates():
         "disabled": lambda: Telemetry(enabled=False),
         "enabled": lambda: Telemetry(trace_capacity=TRACE_CAPACITY),
     }
-    best = {name: float("inf") for name in modes}
+    rounds = []
     results = {}
     enabled_plane = None
     for round_index in range(ROUNDS):
         windows = {}
         for name, make in modes.items():
             windows[name], rig = _storm(telemetry=make())
-            best[name] = min(best[name], windows[name])
             # The distillation (commit flood + history build) costs far
             # more than the timed window; one per mode is enough.
             if round_index == ROUNDS - 1:
                 results[name] = rig.finish()
                 if name == "enabled":
                     enabled_plane = rig.cluster.telemetry
+        rounds.append(windows)
         print(f"telemetry round {round_index}:", _seconds(windows))
 
     # Purity at scale: the storm's outcome is mode-independent.
@@ -94,18 +103,15 @@ def test_telemetry_overhead_gates():
         WAVES * LOG_LENGTH
     )
 
-    disabled_ratio = best["disabled"] / best["none"]
-    assert best["disabled"] <= best["none"] * DISABLED_CEILING + JITTER_SLACK_S, (
-        f"disabled plane overhead {100 * (disabled_ratio - 1):.1f}% "
-        f"(gate {100 * (DISABLED_CEILING - 1):.0f}%; "
-        f"{best['disabled']:.3f}s vs {best['none']:.3f}s)"
-    )
-    enabled_ratio = best["enabled"] / best["none"]
-    assert best["enabled"] <= best["none"] * ENABLED_CEILING + JITTER_SLACK_S, (
-        f"enabled plane overhead {100 * (enabled_ratio - 1):.1f}% "
-        f"(gate {100 * (ENABLED_CEILING - 1):.0f}%; "
-        f"{best['enabled']:.3f}s vs {best['none']:.3f}s)"
-    )
+    for name, ceiling in (("disabled", DISABLED_CEILING), ("enabled", ENABLED_CEILING)):
+        # window <= none * ceiling + slack, in the median round
+        ratio = statistics.median(
+            (window[name] - JITTER_SLACK_S) / window["none"] for window in rounds
+        )
+        assert ratio <= ceiling, (
+            f"{name} plane overhead {100 * (ratio - 1):.1f}% in the median round "
+            f"(gate {100 * (ceiling - 1):.0f}%, less {JITTER_SLACK_S}s of slack)"
+        )
 
 
 def _time_waves(reorder_engine, checkpoint_interval, *, rounds=2):

@@ -36,20 +36,26 @@ hook turns each tagged object into its value as the object closes.
 :func:`from_jsonable` inverts it bottom-up through the same tag table;
 the replica's checkpoint keeps its state in that tree form.
 
-A :class:`JsonLinesStore` encodes each request once: it keeps a memo from
-``id(req)`` to ``(req, text)`` for the requests its records contain (a
-request is written to the WAL, the dissemination log and both Paxos logs).
-Each entry holds its request, so the id cannot be reused while the entry
-lives. The memo lives as long as the store, holds at most 1,024 requests
-(``_MEMO_REQUESTS``) and is emptied when full; a request written again after
-that is encoded again, to the same text.
+The journal encodes each value once per process. Every
+:class:`JsonLinesStore` shares one memo from ``id(value)`` to ``(value,
+text)``, for requests and for values of registered codec types whose class
+is a frozen dataclass (the Paxos ``Batch``): a request reaches the WAL, the
+dissemination log and both Paxos logs of every replica in the process, and
+a batch both Paxos logs. Each entry holds its value, so the id cannot be
+reused while the entry lives. The memo holds at most 2,048 values
+(``_MEMO_ENTRIES``) and drops the oldest first; a value written again after
+that is encoded again, to the same text. :func:`dumps` keeps a memo per
+call. The encoder resolves the ``isinstance`` order for a type it has not
+seen once and caches the result; :func:`register_codec` empties that cache.
 
 The journal holds one JSON line per write, in write order: ``[name,
 record]`` for ``log(name).append(record)``, ``["~kv", [key, value]]`` for
-``put(key, value)``. The file is opened once, for append, when the store is
-built; every write is flushed to the operating system before the call
-returns (no fsync: it survives ``kill -9``, not a power cut) and nothing is
-buffered across calls. Opening a store replays the journal once: a final
+``put(key, value)``. The file is opened once, for unbuffered binary
+append, when the store is built, and closed by :meth:`JsonLinesStore.close`.
+Each line is written with one call (a short write is completed, never
+dropped), so it is in the operating system before the call returns (no
+fsync: it survives ``kill -9``, not a power cut) and nothing is buffered
+across calls. Opening a store replays the journal once: a final
 line without its newline (a write cut short by a kill) is truncated off the
 file, an undecodable whole line raises :class:`DurabilityError`, and so does
 a directory in the older one-file-per-log layout (refused, never read).
@@ -129,6 +135,7 @@ def register_codec(
         raise DurabilityError(f"codec tag {tag!r} already registered")
     _CODECS[tag] = (cls, encode, decode)
     _UNTAG[tag] = decode
+    _ENCODERS.clear()  # a type resolved before may now match this codec
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -136,11 +143,26 @@ _int_repr = int.__repr__
 _float_repr = float.__repr__
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-#: The most requests a store's memo holds before it is emptied: about 0.3 MB
-#: of text, and a Paxos request's four writes fall inside it.
-_MEMO_REQUESTS = 1024
+#: The most values the journal's memo holds before it drops its oldest. A
+#: request and its batch take two entries, so it spans about 1,000 requests:
+#: a replica that recovers after an outage of several hundred requests still
+#: finds the values its catch-up writes (at 1,024 entries, a 600-request
+#: outage re-encoded each of them). Three stores' 1,024-request memos, the
+#: memo this one replaced, held up to 3,072 texts.
+_MEMO_ENTRIES = 2048
 
-_Memo = Dict[int, Tuple[Req, str]]
+_Memo = Dict[int, Tuple[Any, str]]
+
+#: The journal's memo, shared by every JsonLinesStore of the process:
+#: ``id(value) -> (value, text)`` in insertion order. It takes no lock: a
+#: process journals from one thread (the simulator's or a server's loop).
+_MEMO: _Memo = {}
+
+_Encoder = Callable[[Any, _Memo], str]
+
+#: exact type -> its encoder, resolved on first sight by :func:`_resolve`
+#: for every value the fast path in :func:`_encode` does not handle.
+_ENCODERS: Dict[type, _Encoder] = {}
 
 
 def dumps(value: Any) -> str:
@@ -165,16 +187,20 @@ def to_jsonable(value: Any) -> Any:
 
 
 def _encode(value: Any, memo: _Memo) -> str:
-    # The exact types records are made of come first; anything else (scalar
-    # subclasses, registered codec types, dicts) takes the isinstance order
-    # in _encode_other.
+    # The exact types records are made of come first; any other type
+    # (scalar subclasses, registered codec types, dicts) takes the encoder
+    # _resolve picked for it.
     kind = type(value)
     if kind is str:
         return _encode_str(value)
     if kind is int:
         return _int_repr(value)
     if kind is tuple:
-        # Dots and ballots are pairs of ints: no call per int.
+        # Dots and ballots are pairs of ints: no call and no list for them.
+        if len(value) == 2:
+            first, second = value
+            if type(first) is int and type(second) is int:
+                return f'{{"~t": [{_int_repr(first)}, {_int_repr(second)}]}}'
         items = [
             _int_repr(item) if type(item) is int else _encode(item, memo)
             for item in value
@@ -193,7 +219,36 @@ def _encode(value: Any, memo: _Memo) -> str:
         return "true"
     if value is False:
         return "false"
-    return _encode_other(value, memo)
+    encoder = _ENCODERS.get(kind)
+    if encoder is None:
+        encoder = _ENCODERS[kind] = _resolve(kind)
+    return encoder(value, memo)
+
+
+def _resolve(kind: type) -> _Encoder:
+    """The encoder of exact type ``kind``: the first class in this order
+    that it subclasses (scalars, requests and operations, registered codecs
+    in registration order, then sequence and dict subclasses)."""
+    if issubclass(kind, str):
+        return lambda value, memo: _encode_str(value)
+    if issubclass(kind, int):  # an IntEnum, say; bool never gets here
+        return lambda value, memo: _int_repr(value)
+    if issubclass(kind, float):
+        return lambda value, memo: _encode(float(value), memo)
+    if issubclass(kind, Req):
+        return _encode_req
+    if issubclass(kind, Operation):
+        return _encode_op
+    for tag, (cls, encode, _decode) in _CODECS.items():
+        if issubclass(kind, cls):
+            return _codec_encoder(tag, encode, memoize=_is_frozen_dataclass(kind))
+    if issubclass(kind, tuple):  # a namedtuple, say
+        return lambda value, memo: _encode(tuple(value), memo)
+    if issubclass(kind, list):
+        return lambda value, memo: _encode(list(value), memo)
+    if issubclass(kind, dict):
+        return _encode_dict
+    return _refuse
 
 
 def _encode_req(req: Req, memo: _Memo) -> str:
@@ -208,35 +263,47 @@ def _encode_req(req: Req, memo: _Memo) -> str:
     return entry[1]
 
 
-def _encode_other(value: Any, memo: _Memo) -> str:
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, int):  # an IntEnum, say; bool never gets here
-        return _int_repr(value)
-    if isinstance(value, float):
-        text = _float_repr(value)
-        return _NON_FINITE.get(text, text)
-    if isinstance(value, Req):
-        return _encode_req(value, memo)
-    if isinstance(value, Operation):
-        return f'{{"~op": [{_encode(value.name, memo)}, {_encode(value.args, memo)}]}}'
-    for tag, (cls, encode, _decode) in _CODECS.items():
-        if isinstance(value, cls):
-            return f"{{{_encode_str(tag)}: {_encode(encode(value), memo)}}}"
-    if isinstance(value, tuple):  # a namedtuple, say
-        return _encode(tuple(value), memo)
-    if isinstance(value, list):
-        return _encode(list(value), memo)
-    if isinstance(value, dict):
-        if all(isinstance(key, str) and not key.startswith("~") for key in value):
-            items = [
-                f"{_encode_str(key)}: {_encode(item, memo)}" for key, item in value.items()
-            ]
-            return "{" + ", ".join(items) + "}"
+def _encode_op(value: Operation, memo: _Memo) -> str:
+    return f'{{"~op": [{_encode(value.name, memo)}, {_encode(value.args, memo)}]}}'
+
+
+def _is_frozen_dataclass(kind: type) -> bool:
+    # The class itself, not a base: a plain subclass may add mutable state.
+    params = vars(kind).get("__dataclass_params__")
+    return params is not None and params.frozen
+
+
+def _codec_encoder(tag: str, encode: Callable[[Any], Any], *, memoize: bool) -> _Encoder:
+    head = f"{{{_encode_str(tag)}: "
+
+    def encode_codec(value: Any, memo: _Memo) -> str:
+        return f"{head}{_encode(encode(value), memo)}}}"
+
+    if not memoize:
+        return encode_codec
+
+    def encode_frozen(value: Any, memo: _Memo) -> str:
+        entry = memo.get(id(value))
+        if entry is None:
+            entry = memo[id(value)] = (value, encode_codec(value, memo))
+        return entry[1]
+
+    return encode_frozen
+
+
+def _encode_dict(value: Dict[Any, Any], memo: _Memo) -> str:
+    if all(isinstance(key, str) and not key.startswith("~") for key in value):
         items = [
-            f"[{_encode(key, memo)}, {_encode(item, memo)}]" for key, item in value.items()
+            f"{_encode_str(key)}: {_encode(item, memo)}" for key, item in value.items()
         ]
-        return '{"~d": [' + ", ".join(items) + "]}"
+        return "{" + ", ".join(items) + "}"
+    items = [
+        f"[{_encode(key, memo)}, {_encode(item, memo)}]" for key, item in value.items()
+    ]
+    return '{"~d": [' + ", ".join(items) + "]}"
+
+
+def _refuse(value: Any, memo: _Memo) -> str:
     raise DurabilityError(
         f"cannot persist {value!r} of type {type(value).__name__}; the "
         "JSON-lines backend handles scalars, tuples, lists, dicts, "
@@ -333,6 +400,9 @@ class DurableStore:
     def get(self, key: str, default: Any = None) -> Any:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the store holds open; a second call does nothing."""
+
 
 _KV = "~kv"  #: the key–value area's name in the journal (never a log's)
 
@@ -403,8 +473,13 @@ class JsonLinesStore(InMemoryStore):
             self._replay(path)
         elif any(entry.endswith(".jsonl") for entry in os.listdir(directory)):
             raise DurabilityError(f"{directory}: per-log *.jsonl layout is not read")
-        self._journal = open(path, "a", encoding="utf-8")
-        self._memo: _Memo = {}
+        self._journal = open(path, "ab", buffering=0)
+        #: log name -> the line's ``["name", `` head, encoded once
+        self._heads: Dict[str, str] = {}
+
+    def close(self) -> None:
+        """Close the journal file; the store takes no write after it."""
+        self._journal.close()
 
     def _replay(self, path: str) -> None:
         with open(path, "rb") as handle:
@@ -422,17 +497,32 @@ class JsonLinesStore(InMemoryStore):
             os.truncate(path, os.path.getsize(path) - len(torn))
 
     def _write(self, name: str, record: Any) -> None:
-        if len(self._memo) >= _MEMO_REQUESTS:
-            self._memo.clear()
+        head = self._heads.get(name)
+        if head is None:
+            head = self._heads[name] = f"[{_encode_str(name)}, "
         try:
-            line = f"[{_encode_str(name)}, {_encode(record, self._memo)}]\n"
+            text = _encode(record, _MEMO)
         except RecursionError as error:
             raise DurabilityError(
                 f"cannot persist a record of type {type(record).__name__} to "
                 f"{name!r}: it contains itself (or nests too deep)"
             ) from error
-        self._journal.write(line)
-        self._journal.flush()
+        while len(_MEMO) > _MEMO_ENTRIES:
+            _MEMO.pop(next(iter(_MEMO)), None)
+        line = f"{head}{text}]\n".encode("ascii")
+        written = self._journal.write(line)
+        if written != len(line):
+            self._write_rest(line, written)
+
+    def _write_rest(self, line: bytes, written: int) -> None:
+        # A short write (a signal, a nearly full disk): the rest of the line
+        # follows before the call returns, so no line is left cut short.
+        view = memoryview(line)
+        while written < len(line):
+            step = self._journal.write(view[written:])
+            if not step:
+                raise DurabilityError(f"{self.directory}: the journal took no bytes")
+            written += step
 
 
 def open_store(backend: str, *, directory: Optional[str] = None) -> Optional[DurableStore]:

@@ -178,13 +178,14 @@ class ReplicaServer:
         #: simulator keeps, released once the op is stable (a server lives
         #: long; a History is never frozen here).
         self.ops = OpLedger(self.runtime.now, self.telemetry)
+        self.store = open_replica_store(config, pid, config.durability_dir)
         self.replica, self.omega = build_replica_stack(
             self.node,
             clock,
             DATATYPES[spec.datatype](),
             config,
             self.ops,
-            store=open_replica_store(config, pid, config.durability_dir),
+            store=self.store,
             telemetry=self.telemetry,
         )
         self.runtime.rpc_handler = self._handle_rpc
@@ -267,6 +268,9 @@ class ReplicaServer:
         if self.omega is not None:
             self.omega.stop()
         await self.runtime.stop()
+        # Only now: work still in flight when the stack stopped may journal.
+        if self.store is not None:
+            self.store.close()
 
     async def run_forever(self) -> str:
         """Serve until SIGTERM/SIGINT or a ``shutdown`` RPC; returns why."""

@@ -1,7 +1,10 @@
 """Unit tests for the durable-store layer (stable storage for recovery)."""
 
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -159,9 +162,19 @@ class TestStores:
         for i in range(20):
             store.log(f"log{i % 3}").append(i)
             store.put("k", i)
-        assert open_modes == ["a"]  # nothing to replay, no reopen per write
+        assert open_modes == ["ab"]  # nothing to replay, no reopen per write
         JsonLinesStore(str(tmp_path))
-        assert open_modes == ["a", "rb", "a"]
+        assert open_modes == ["ab", "rb", "ab"]
+
+    def test_close_is_idempotent_and_ends_writes(self, tmp_path):
+        store = JsonLinesStore(str(tmp_path))
+        store.log("a").append(1)
+        store.close()
+        store.close()
+        with pytest.raises(ValueError):
+            store.log("a").append(2)
+        assert JsonLinesStore(str(tmp_path)).log("a").records() == [1]
+        InMemoryStore().close()  # nothing held open, nothing to do
 
     def test_torn_final_line_is_dropped_and_cut_off(self, tmp_path):
         """A write cut short by ``kill -9`` loses that record only, and the
@@ -275,7 +288,7 @@ class TestJsonlCluster:
         # three ``replica.wal`` lines in node 1's.
         for pid in range(3):
             assert os.listdir(tmp_path / f"node{pid}") == ["journal.jsonl"]
-        assert open_modes == ["a"] * 3  # once per store: recovery reopens nothing
+        assert open_modes == ["ab"] * 3  # once per store: recovery reopens nothing
         journal = (tmp_path / "node1" / "journal.jsonl").read_text()
         assert journal.count('["replica.wal", ') == 3
 
@@ -316,3 +329,53 @@ class TestJsonlCluster:
             BayouConfig(durability="memory", durability_dir="/tmp/x").validate()
         with pytest.raises(ValueError):
             BayouConfig(durability="postgres").validate()
+
+
+# ----------------------------------------------------------------------
+# The journal file is closed, never left to the collector
+# ----------------------------------------------------------------------
+_CLOSED_STORES = textwrap.dedent(
+    """
+    import asyncio, gc, sys
+    from repro.core.durability import JsonLinesStore
+    from repro.datatypes import KVStore
+    from repro.runtime.serve import ClusterSpec, ReplicaServer
+
+    root = sys.argv[1]
+    store = JsonLinesStore(root + "/store")
+    store.log("a").append((1, "x"))
+    store.close()
+    del store
+
+    async def serve():
+        spec = ClusterSpec(
+            n_replicas=1, ports=[0], durability="jsonl", durability_dir=root + "/wal"
+        )
+        server = ReplicaServer(spec, 0)
+        await server.start()
+        reply = await server._handle_rpc(
+            "invoke", {"op": KVStore.put("k", 1), "strong": True, "wait": "stable"}
+        )
+        assert reply["stable"], reply
+        await server.stop()
+
+    asyncio.run(serve())
+    gc.collect()
+    """
+)
+
+
+def test_closed_stores_leave_no_unclosed_file(tmp_path):
+    """Under ``-W error::ResourceWarning`` a journal left to the collector
+    is reported on stderr; a closed store and a stopped server leave none."""
+    result = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-c", _CLOSED_STORES, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    journal = (tmp_path / "wal" / "node0" / "journal.jsonl").read_text()
+    assert journal.count('["replica.wal", ') == 1

@@ -8,9 +8,14 @@ the oracle.
 
 Also pinned here:
 
-- the store's per-request memo (a request is encoded once per store, equal
-  but distinct requests keep their own text, a recycled ``id`` never
-  serves stale text);
+- the journal's per-process memo (a request and a Paxos batch are encoded
+  once per process, across every store, equal but distinct requests keep
+  their own text, a recycled ``id`` never serves stale text, and a mutable
+  codec value is never memoized);
+- the per-type dispatch cache keeps the ``isinstance`` order: scalar
+  subclasses before codecs, codecs in registration order, and a
+  registration replaces what a type resolved to before;
+- a short ``write`` still leaves whole lines on disk;
 - a record that contains itself fails with the codec's own error and
   leaves the journal and the in-memory log untouched;
 - the journals of one seeded crash-recovery run, by sha256.
@@ -19,6 +24,7 @@ Also pinned here:
 from __future__ import annotations
 
 import collections
+import dataclasses
 import enum
 import hashlib
 import json
@@ -171,39 +177,121 @@ def test_a_codec_cannot_claim_plain_tuples():
     assert "~seq" not in _CODECS
 
 
+@pytest.fixture
+def register():
+    """``register_codec`` for one test: its tags are gone afterwards."""
+    tags = []
+
+    def register_for_test(tag, cls, encode, decode):
+        durability.register_codec(tag, cls, encode, decode)
+        tags.append(tag)
+
+    yield register_for_test
+    for tag in tags:
+        del durability._CODECS[tag]
+        del durability._UNTAG[tag]
+    durability._ENCODERS.clear()
+
+
+class _Celsius(float):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class _Base:
+    value: Any
+
+
+@dataclasses.dataclass(frozen=True)
+class _Derived(_Base):
+    pass
+
+
+class _Bag(dict):
+    pass
+
+
+def test_a_codec_for_a_scalar_subclass_stays_a_scalar(register):
+    """The scalar checks come before the codecs, as ``isinstance`` ran them."""
+    register("~celsius", _Celsius, float, _Celsius)
+    register("~name", _Name, str, _Name)
+    value = [_Celsius(21.5), {"n": _Name("x")}, (_Celsius(math.inf),)]
+    assert dumps(value) == _reference_dumps(value) == '[21.5, {"n": "x"}, {"~t": [Infinity]}]'
+
+
+def test_a_codec_subclass_takes_the_earlier_registration(register):
+    register("~base", _Base, lambda b: [b.value], lambda p: _Base(p[0]))
+    register("~derived", _Derived, lambda d: [d.value], lambda p: _Derived(p[0]))
+    value = (_Derived(1), _Base(2))
+    assert dumps(value) == _reference_dumps(value) == (
+        '{"~t": [{"~base": [1]}, {"~base": [2]}]}'
+    )
+
+
+def test_a_registration_replaces_a_type_resolved_before(register):
+    with pytest.raises(DurabilityError):
+        dumps(_Base(1))
+    assert dumps(_Bag(k=1)) == '{"k": 1}'  # a dict, until its codec arrives
+    register("~base", _Base, lambda b: [b.value], lambda p: _Base(p[0]))
+    register("~bag", _Bag, dict, _Bag)
+    value = [_Base(1), _Bag(k=1)]
+    assert dumps(value) == _reference_dumps(value) == '[{"~base": [1]}, {"~bag": {"k": 1}}]'
+
+
 # ----------------------------------------------------------------------
-# The store's memo: once per store, never stale
+# The journal's memo: once per process, never stale
 # ----------------------------------------------------------------------
 def _journal_lines(directory) -> list:
     with open(directory / "journal.jsonl", encoding="ascii") as handle:
         return handle.read().splitlines()
 
 
-def test_a_request_in_four_logs_is_encoded_once(tmp_path, monkeypatch):
-    req = Req(1.25, (1, 4), True, Operation("put", ("k", 1)))
-    seen = []
+def test_each_request_and_batch_is_encoded_once_per_process(tmp_path, monkeypatch):
+    """Three replicas in one process journal every request to the WAL, the
+    dissemination log and both Paxos logs, and every batch to both Paxos
+    logs: the shared memo encodes each body once (3 and about 6 times with
+    a memo per store)."""
+    monkeypatch.setattr(durability, "_MEMO", {})
+    bodies = []  # holds every encoded body, so no id is reused meanwhile
     encode = durability._encode
 
-    def counting(value, memo):
-        if value is req.op:
-            seen.append(value)
+    def counting(value, memo):  # an Operation is reached when its request is encoded
+        if memo is durability._MEMO and type(value) is Operation:
+            bodies.append(value)
         return encode(value, memo)
 
+    cls, batch_payload, decode = durability._CODECS["~paxb"]
+
+    def counting_payload(batch):
+        bodies.append(batch)
+        return batch_payload(batch)
+
     monkeypatch.setattr(durability, "_encode", counting)
-    store = JsonLinesStore(str(tmp_path))
-    batch = Batch(((req.dot, req),))
-    records = {
-        "replica.wal": req,
-        "rb.log": (req.dot, req),
-        "paxos.acc": (0, (1, 0), (1, 0), batch),
-        "paxos.decided": (0, batch),
-    }
-    for name, record in records.items():
-        store.log(name).append(record)
-    assert len(seen) == 1
-    assert _journal_lines(tmp_path) == [
-        _reference_dumps([name, record]) for name, record in records.items()
-    ]
+    monkeypatch.setitem(durability._CODECS, "~paxb", (cls, counting_payload, decode))
+    monkeypatch.setattr(durability, "_ENCODERS", {})
+    scenario = (
+        Scenario(KVStore(), name="memo")
+        .replicas(3)
+        .config(message_delay=1.0, exec_delay=0.05, tob_engine="paxos")
+        .seed(11)
+        .durability("jsonl", directory=str(tmp_path))
+    )
+    for index in range(24):
+        scenario.invoke(1.0 + index * 0.25, index % 3, KVStore.put(f"k{index % 5}", index),
+                        strong=index % 4 == 0)
+    live = scenario.build()
+    live.run(until=100.0)
+    live.settle()
+    assert live.converged()
+    counts = collections.Counter(id(body) for body in bodies)
+    ops = [body for body in bodies if type(body) is Operation]
+    batches = [body for body in bodies if type(body) is Batch]
+    assert len(ops) == 24 and batches
+    assert set(counts.values()) == {1}
 
 
 def test_equal_but_distinct_requests_keep_their_own_text(tmp_path):
@@ -215,24 +303,27 @@ def test_equal_but_distinct_requests_keep_their_own_text(tmp_path):
         (Req(2.0, (1, 1), True, Operation("get", ("k",))),
          Req(2, (1, 1), True, Operation("get", ("k",)))),
     ]
-    store = JsonLinesStore(str(tmp_path))
+    stores = [JsonLinesStore(str(tmp_path / name)) for name in ("a", "b")]
     written = []
     for first, second in pairs:
         assert first == second
         for record in (first, (first.dot, second), second, [first, second]):
-            store.log("log").append(record)
+            for store in stores:  # one memo serves both
+                store.log("log").append(record)
             written.append(record)
-    assert _journal_lines(tmp_path) == [
-        _reference_dumps(["log", record]) for record in written
-    ]
-    assert len(set(_journal_lines(tmp_path))) == len(written)
+    for name in ("a", "b"):
+        assert _journal_lines(tmp_path / name) == [
+            _reference_dumps(["log", record]) for record in written
+        ]
+        assert len(set(_journal_lines(tmp_path / name))) == len(written)
 
 
 def test_a_recycled_id_is_never_served_stale_text(tmp_path, monkeypatch):
     """Overwritten kv values are dropped by the store; only the memo keeps a
-    request alive, until the memo is emptied. After that the allocator hands
+    request alive, until the memo drops it. After that the allocator hands
     the freed ids to new requests, which must get their own text."""
-    monkeypatch.setattr(durability, "_MEMO_REQUESTS", 8)
+    monkeypatch.setattr(durability, "_MEMO", {})
+    monkeypatch.setattr(durability, "_MEMO_ENTRIES", 8)
     store = JsonLinesStore(str(tmp_path))
     ids = set()  # an id seen before belonged to a request that is gone
     recycled = 0
@@ -247,8 +338,71 @@ def test_a_recycled_id_is_never_served_stale_text(tmp_path, monkeypatch):
         held = weakref.ref(req)
         del req
         assert held() is not None  # the memo entry holds it
+        assert len(durability._MEMO) <= 8
     assert recycled > 0
     assert _journal_lines(tmp_path) == expected
+
+
+@dataclasses.dataclass
+class _Box:
+    items: list
+
+
+def test_a_mutable_codec_value_is_never_served_stale_text(tmp_path, register):
+    """Only frozen dataclasses are memoized: a value that can change between
+    writes is encoded at each write."""
+    register("~box", _Box, lambda box: list(box.items), _Box)
+    store = JsonLinesStore(str(tmp_path))
+    box = _Box([1])
+    expected = []
+    for item in (2, "three", (4,)):
+        store.log("log").append(box)
+        store.put("box", (0, box))
+        expected += [_reference_dumps(["log", box]), _reference_dumps(["~kv", ["box", (0, box)]])]
+        box.items.append(item)
+    assert _journal_lines(tmp_path) == expected
+    assert len(set(expected)) == len(expected)
+    assert id(box) not in durability._MEMO
+
+
+class _ShortWrites:
+    """A journal handle that takes at most ``limit`` bytes per call."""
+
+    def __init__(self, raw, limit):
+        self.raw, self.limit, self.calls = raw, limit, 0
+
+    def write(self, data):
+        self.calls += 1
+        return self.raw.write(bytes(data[: self.limit]))
+
+    def close(self):
+        self.raw.close()
+
+
+def test_a_short_write_still_leaves_whole_lines(tmp_path):
+    store = JsonLinesStore(str(tmp_path))
+    short = store._journal = _ShortWrites(store._journal, 7)
+    req = Req(1.5, (0, 1), True, Operation("put", ("k", "é")))
+    records = [("a", (1, "x")), ("b", req), ("a", [req, {"k": None}])]
+    for name, record in records:
+        store.log(name).append(record)
+    store.put("k", 3)
+    lines = _journal_lines(tmp_path)
+    assert lines == [_reference_dumps(list(pair)) for pair in records] + [
+        _reference_dumps(["~kv", ["k", 3]])
+    ]
+    assert short.calls > len(lines)
+    reopened = JsonLinesStore(str(tmp_path))
+    assert reopened.log("a").records() == [(1, "x"), [req, {"k": None}]]
+    assert reopened.log("b").records() == [req]
+    assert reopened.get("k") == 3
+
+
+def test_a_write_that_takes_nothing_is_an_error(tmp_path):
+    store = JsonLinesStore(str(tmp_path))
+    store._journal = _ShortWrites(store._journal, 0)
+    with pytest.raises(DurabilityError, match="took no bytes"):
+        store.log("a").append(1)
 
 
 # ----------------------------------------------------------------------
