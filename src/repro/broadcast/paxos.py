@@ -16,8 +16,11 @@ delivered history bit-identical for any seeded schedule:
 - **Batching** — the leader drains its submission queue into a single
   instance whose value is a :class:`Batch` of ``(key, payload)`` entries
   (up to ``max_batch``), delivered in order within the batch. A zero-delay
-  *flush* timer coalesces same-instant submissions, so light-load latency
-  is unchanged (a lone submission still proposes at its arrival time).
+  *flush* event coalesces same-instant submissions, so light-load latency
+  is unchanged (a lone submission still proposes at its arrival time). The
+  flush is a plain runtime event, not a process timer: it keeps no handle
+  (a flag says it is armed), returns at once on a crashed node, and
+  recovery clears the flag.
 - **Proactive prepares** — a stable leader holds its phase-1 quorum over an
   open-ended instance window (the seed did this too), and additionally
   asserts leadership the moment Ω trusts it — at startup via a zero-delay
@@ -846,7 +849,7 @@ class PaxosTOB(TotalOrderBroadcast):
         if self._flush_armed or self._stopped:
             return
         self._flush_armed = True
-        self.node.set_timer(0.0, self._flush, label="paxos.flush")
+        self.node.runtime.schedule(0.0, self._flush, label="paxos.flush")
 
     def _flush(self) -> None:
         self._flush_armed = False

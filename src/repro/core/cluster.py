@@ -320,6 +320,16 @@ class BayouCluster:
         for omega in self.omegas:
             omega.stop()
 
+    def close(self) -> None:
+        """Close every replica store (a ``jsonl`` journal is an open file).
+
+        Not part of :meth:`shutdown`: events still in flight after it may
+        journal. Call it once the run is over; a second call does nothing.
+        """
+        for store in self.stores:
+            if store is not None:
+                store.close()
+
     # ------------------------------------------------------------------
     # Probing and history construction
     # ------------------------------------------------------------------

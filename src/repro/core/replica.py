@@ -12,7 +12,11 @@ The handlers below map line-for-line onto the pseudocode:
 - the two ``upon`` internal events (lines 41–55) run as *schedulable
   simulation steps* with a per-replica processing delay, which is what makes
   the paper's "local execution is for some reason delayed" (Figure 1) and
-  the slow replica of Section 2.3 expressible.
+  the slow replica of Section 2.3 expressible. A step is one plain runtime
+  event (``bayou.step``; ``bayou.batch`` for the batched engine), not a
+  process timer: it needs none of a timer's crash bookkeeping. A step that
+  comes due while the node is down returns at once and lets go of its
+  handle, and recovery arms a new one for the rebuilt backlog.
 
 ``adjustExecution`` (lines 35–40) is the one place that does not: the
 pseudocode recomputes the longest common prefix of ``executed`` and the new
@@ -145,7 +149,8 @@ class BayouReplica:
         self.rb: Optional[ReliableBroadcast] = None
         self.tob: Optional[TotalOrderBroadcast] = None
 
-        # Engine bookkeeping. A timer is armed while its handle is held.
+        # Engine bookkeeping. The step (a runtime event) and the retransmit
+        # timer are armed while their handles are held.
         self._step_timer = None
         self._retransmit_timer = None
         self._stopped = False
@@ -390,7 +395,12 @@ class BayouReplica:
     def _schedule_step(self) -> None:
         if self._stopped:
             return
-        if not self.backlog:
+        cursor = self.cursor
+        if (
+            len(self.state.trace) == cursor
+            and len(self.committed) + len(self.tentative) == cursor
+        ):
+            # No backlog: nothing to roll back, nothing left to execute.
             self._maybe_persist_checkpoint()
             return
         if self._batched:
@@ -398,22 +408,27 @@ class BayouReplica:
             return
         if self._step_timer is not None:
             return
-        self._step_timer = self.node.set_timer(
-            self.config.exec_delay_for(self.pid),
-            self._step,
-            label="bayou.step",
+        self._step_timer = self.node.runtime.schedule(
+            self.config.exec_delay_for(self.pid), self._step, label="bayou.step"
         )
 
     def _step(self) -> None:
         self._step_timer = None
+        if self.node.crashed:
+            return
         trace = self.state.trace
-        if len(trace) > self.cursor:
+        cursor = self.cursor
+        if len(trace) > cursor:
             self.state.rollback(trace[-1])
             self.rollback_count += 1
             if self.telemetry:
                 self._m_rollbacks.inc()
-        elif self._unexecuted():
-            self._execute_one(self._next_request())
+        else:
+            committed = self.committed
+            if cursor < len(committed):
+                self._execute_one(committed[cursor])
+            elif cursor - len(committed) < len(self.tentative):
+                self._execute_one(self.tentative[cursor - len(committed)])
         self._schedule_step()
 
     # -- batched engine -------------------------------------------------
@@ -440,7 +455,7 @@ class BayouReplica:
             self._batch_deadline = base + fresh * self.config.exec_delay_for(self.pid)
             self._batch_charged = backlog
         if self._batch_deadline is not None and self._step_timer is None:
-            self._step_timer = self.node.set_timer(
+            self._step_timer = self.node.runtime.schedule(
                 self._batch_deadline - self.node.now,
                 self._batch_step,
                 label="bayou.batch",
@@ -448,12 +463,12 @@ class BayouReplica:
 
     def _batch_step(self) -> None:
         self._step_timer = None
-        if self._stopped or self._batch_deadline is None:
+        if self.node.crashed or self._stopped or self._batch_deadline is None:
             return
         remaining = self._batch_deadline - self.node.now
         if remaining > 1e-9:
             # The deadline moved while we were queued: re-arm for the rest.
-            self._step_timer = self.node.set_timer(
+            self._step_timer = self.node.runtime.schedule(
                 remaining, self._batch_step, label="bayou.batch"
             )
             return
@@ -677,10 +692,13 @@ class BayouReplica:
         if self.crash_time is not None:
             self.downtime += self.node.now - self.crash_time
             self.crash_time = None
-        # Engine timers are volatile with or without stable storage: a
-        # step/retransmit timer suppressed during the downtime
+        # Engine timers are volatile with or without stable storage. A step
+        # armed before the crash and not yet due is dropped here (the
+        # rebuild below re-arms one for whatever backlog there is); one
+        # that came due during the downtime already let go of its handle.
+        # A retransmit timer suppressed during the downtime
         # (resurrect=False) would otherwise stay held with nothing behind
-        # it — armed forever, stalling the engine.
+        # it — armed forever.
         for timer in (self._step_timer, self._retransmit_timer):
             if timer is not None:
                 timer.cancel()

@@ -792,16 +792,19 @@ class Scenario:
         caps the simulated time instead and yields a *snapshot*: probes and
         the engine shutdown are skipped so the clock never advances past
         the cap (for richer mid-run control prefer :meth:`build` +
-        :class:`LiveRun`).
+        :class:`LiveRun`). The run's stores are closed on return.
         """
         live = self.build()
-        if until is not None:
-            live.run(until=until)
-        else:
-            live.settle(max_time=max_time)
-        return live.finish(
-            well_formed=well_formed, max_time=max_time, settle=until is None
-        )
+        try:
+            if until is not None:
+                live.run(until=until)
+            else:
+                live.settle(max_time=max_time)
+            return live.finish(
+                well_formed=well_formed, max_time=max_time, settle=until is None
+            )
+        finally:
+            live.close()
 
 
 #: The per-level guarantee checkers ``Scenario.checks()`` can request.
@@ -994,6 +997,10 @@ class LiveRun:
 
     def shutdown(self) -> None:
         self._target.shutdown()
+
+    def close(self) -> None:
+        """Close the run's stores; what was built stays readable."""
+        self._target.close()
 
     def converged(self) -> bool:
         return self._target.converged()

@@ -438,6 +438,13 @@ class ShardedCluster:
         for shard in self.shards:
             shard.shutdown()
 
+    def close(self) -> None:
+        """Close every shard's replica stores and the placement store."""
+        for shard in self.shards:
+            shard.close()
+        if self._placement_store is not None:
+            self._placement_store.close()
+
     # ------------------------------------------------------------------
     # Convergence
     # ------------------------------------------------------------------

@@ -383,15 +383,16 @@ class TestClusterRecovery:
         assert cluster.replicas[2].state.snapshot()["counter:value"] == 8
 
     def test_store_less_recovery_unsticks_suppressed_step_timer(self):
-        """A step timer suppressed during the downtime must not leave
-        ``_step_timer`` held after a durability='none' recovery (the
-        replica would otherwise never execute again)."""
+        """A step that comes due during the downtime does nothing and lets go
+        of ``_step_timer``, so a durability='none' recovery re-arms the
+        step and the replica executes its backlog (a handle still held
+        after recovery would stall it for good)."""
         config = BayouConfig(n_replicas=3, exec_delay=2.0, message_delay=0.5)
         crashes = CrashSchedule()
         crashes.add(2, crash_at=10.0, recover_at=20.0)
         cluster = BayouCluster(Counter(), config, crashes=crashes)
-        # Invoked just before the crash: its bayou.step timer comes due at
-        # ~11.5, while the replica is down, and is suppressed.
+        # Invoked just before the crash: its bayou.step event comes due at
+        # ~11.5, while the replica is down.
         cluster.schedule_invoke(9.5, 2, Counter.increment(7))
         cluster.run_until_quiescent()
         assert cluster.converged()

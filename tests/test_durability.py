@@ -291,6 +291,7 @@ class TestJsonlCluster:
         assert open_modes == ["ab"] * 3  # once per store: recovery reopens nothing
         journal = (tmp_path / "node1" / "journal.jsonl").read_text()
         assert journal.count('["replica.wal", ') == 3
+        cluster.close()
 
     def test_cluster_restart_over_jsonl_directory_keeps_state(self, tmp_path):
         """A *new* cluster over the same directory models an OS-level
@@ -309,6 +310,7 @@ class TestJsonlCluster:
         first.run_until_quiescent()
         expected = first.replicas[0].state.snapshot()
         assert expected["list:items"] == ("a", "b")
+        first.close()
 
         restarted = BayouCluster(RList(), config)
         assert all(replica.restored_from_store for replica in restarted.replicas)
@@ -323,6 +325,7 @@ class TestJsonlCluster:
             (0, 1),
             (1, 1),
         ]
+        restarted.close()
 
     def test_validate_rejects_dir_without_jsonl(self):
         with pytest.raises(ValueError):
@@ -360,6 +363,42 @@ _CLOSED_STORES = textwrap.dedent(
         await server.stop()
 
     asyncio.run(serve())
+
+    from repro.core.cluster import BayouCluster
+    from repro.core.config import BayouConfig
+    from repro.datatypes import Counter
+    from repro.net.faults import CrashSchedule
+    from repro.scenario import Scenario
+
+    def scenario_run():
+        result = (
+            Scenario(Counter())
+            .replicas(3)
+            .durability("jsonl", directory=root + "/scenario")
+            .crash(1, 5.0, recover_at=15.0)
+            .invoke(1.0, 1, Counter.increment(1))
+            .invoke(20.0, 1, Counter.increment(2))
+            .run()
+        )
+        assert result.convergence["converged"], result.convergence
+
+    def crash_recovery_cluster():
+        config = BayouConfig(
+            n_replicas=3, exec_delay=0.05, message_delay=0.5,
+            durability="jsonl", durability_dir=root + "/cluster",
+        )
+        crashes = CrashSchedule()
+        crashes.add(1, crash_at=5.0, recover_at=15.0)
+        cluster = BayouCluster(Counter(), config, crashes=crashes)
+        cluster.schedule_invoke(1.0, 1, Counter.increment(1))
+        cluster.schedule_invoke(20.0, 1, Counter.increment(4))
+        cluster.run_until_quiescent()
+        assert cluster.converged()
+        cluster.close()
+        cluster.close()  # a second close does nothing
+
+    scenario_run()
+    crash_recovery_cluster()
     gc.collect()
     """
 )
@@ -367,7 +406,8 @@ _CLOSED_STORES = textwrap.dedent(
 
 def test_closed_stores_leave_no_unclosed_file(tmp_path):
     """Under ``-W error::ResourceWarning`` a journal left to the collector
-    is reported on stderr; a closed store and a stopped server leave none."""
+    is reported on stderr; a closed store, a stopped server, a finished
+    ``Scenario.run()`` and a closed cluster leave none."""
     result = subprocess.run(
         [sys.executable, "-W", "error::ResourceWarning", "-c", _CLOSED_STORES, str(tmp_path)],
         capture_output=True,

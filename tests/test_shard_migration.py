@@ -348,6 +348,7 @@ def test_epoch_chain_replays_at_reconstruction(tmp_path):
     owners = {key: deployment.owner_of(key) for key in keys}
     values = {key: router.query(KVStore.get(key)) for key in keys}
     assert deployment.epoch == 1 and deployment.n_shards == 3
+    deployment.close()
 
     # An operating-system restart: a fresh deployment over the same root.
     rebuilt = _deployment(KVStore(), durability="jsonl", durability_dir=root)
@@ -359,6 +360,7 @@ def test_epoch_chain_replays_at_reconstruction(tmp_path):
     assert {
         key: rebuilt_router.query(KVStore.get(key)) for key in keys
     } == values
+    rebuilt.close()
 
 
 def test_chained_migrations_carry_installed_only_keys():
