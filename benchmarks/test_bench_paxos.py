@@ -2,27 +2,28 @@
 
 Shapes reproduced / asserted:
 
-- **throughput**: on a 1000-op burst submitted at the leader, the batched
-  engine commits at >= 3x the wall-clock rate of the seed configuration
-  (``max_batch=1``, unbounded inflight, unicast 2B + decide broadcast) —
-  measured headroom is ~10x, the gate keeps a wide margin for CI noise;
-- **amortization**: batching collapses the per-op message cost from the
-  seed's ~9 messages/op to under one, >= 5x fewer messages per committed
-  op, while consuming far fewer consensus instances than ops;
-- **order is untouched**: the burst histories of the seed configuration,
-  the batched configuration and the fixed sequencer are bit-identical —
-  batching changes the cost of the total order, never the order;
+- **amortization**: on a 1000-op burst submitted at the leader, batching
+  collapses the per-op message cost from the unbatched configuration's
+  (``max_batch=1``, no pipeline cap: one instance per op) ~6 messages/op
+  to under one, >= 5x fewer messages per committed op, while consuming
+  far fewer consensus instances than ops;
+- **order is untouched**: the burst histories of the unbatched
+  configuration, the batched configuration and the fixed sequencer are
+  bit-identical — batching changes the cost of the total order, never the
+  order;
 - **the E13 dip collapses**: the live-resharding handoff window on the
   Paxos engine is no longer a multiple of the sequencer's — proactive
   prepares plus the pipelined barrier keep it within 2x (measured: equal).
+
+The wall-clock gate on the same burst (batched >= 3x the unbatched
+committed-op rate) is a ratio of two timed runs, so it lives in
+``test_bench_timing.py`` under the ``timing`` marker.
 """
 
 from repro.analysis.experiments.batching import run_leg
 from repro.analysis.experiments.resharding import run_split_case
 
-#: Wall-clock committed-op throughput: batched vs seed configuration.
-THROUGHPUT_SPEEDUP_FLOOR = 3.0
-#: Messages per committed op: seed vs batched configuration.
+#: Messages per committed op: unbatched vs batched configuration.
 AMORTIZATION_FLOOR = 5.0
 #: E13 handoff window: paxos vs sequencer engine.
 DIP_WINDOW_CEILING = 2.0
@@ -31,23 +32,20 @@ BURST_OPS = 1000
 
 
 def test_batched_burst_throughput_and_amortization(bench):
-    """The 1000-op burst: >=3x wall throughput, >=5x fewer messages/op."""
-    seed, seed_history = bench(run_leg, "paxos-seed", BURST_OPS, bench_rounds=2)
-    batched, batched_history = run_leg("paxos-batched", BURST_OPS)
-    assert batched_history == seed_history  # bit-identical total order
-    speedup = batched.wall_ops_per_sec / seed.wall_ops_per_sec
-    assert speedup >= THROUGHPUT_SPEEDUP_FLOOR, (
-        f"batched engine only {speedup:.1f}x the seed configuration "
-        f"({batched.wall_ops_per_sec:,.0f} vs {seed.wall_ops_per_sec:,.0f} ops/s)"
+    """The 1000-op burst: >=5x fewer messages/op, the same history."""
+    unbatched, unbatched_history = bench(
+        run_leg, "paxos-unbatched", BURST_OPS, bench_rounds=2
     )
-    amortization = seed.messages_per_op / batched.messages_per_op
+    batched, batched_history = run_leg("paxos-batched", BURST_OPS)
+    assert batched_history == unbatched_history  # bit-identical total order
+    amortization = unbatched.messages_per_op / batched.messages_per_op
     assert amortization >= AMORTIZATION_FLOOR, (
         f"messages/op only improved {amortization:.1f}x "
-        f"({seed.messages_per_op:.2f} -> {batched.messages_per_op:.2f})"
+        f"({unbatched.messages_per_op:.2f} -> {batched.messages_per_op:.2f})"
     )
     # Batching is real: far fewer consensus instances than operations,
-    # and the seed configuration really does pay one instance per op.
-    assert seed.instances == BURST_OPS
+    # and the unbatched configuration really does pay one instance per op.
+    assert unbatched.instances == BURST_OPS
     assert batched.instances <= BURST_OPS // 10
 
 

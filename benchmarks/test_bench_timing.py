@@ -1,4 +1,5 @@
-"""Wall-clock gates on the E10 divergent-suffix reorder storm.
+"""Wall-clock gates on the E10 divergent-suffix reorder storm and the E16
+consensus burst.
 
 A ratio of wall-clock windows depends on the host as well as the code, so
 this module carries the ``timing`` marker: tier-1 deselects it and CI's
@@ -22,9 +23,15 @@ returns it); setup and the final commit flood are identical across modes.
   ≥ 3× faster than the checkpoint-free stepwise path, best of two rounds.
   Perceived traces are off so O(n²) formal-framework bookkeeping does not
   drown the engines' difference.
+- **E16 speedup**: on the 1000-op burst at the leader, batched Paxos
+  commits at ≥ 3× the wall-clock rate of its unbatched configuration
+  (``max_batch=1``, no pipeline cap). Each leg's rate covers its whole
+  run, every simulation event included; tier-1
+  (``test_bench_paxos.py``) asserts the burst's exact counts and history.
 
-Both re-assert at scale what tier-1 checks small: identical observables,
-``waves × log_length`` rollbacks, the ring bound, restores firing.
+The E10 gates re-assert at scale what tier-1 checks small: identical
+observables, ``waves × log_length`` rollbacks, the ring bound, restores
+firing.
 """
 
 import gc
@@ -32,6 +39,7 @@ import statistics
 
 import pytest
 
+from repro.analysis.experiments.batching import run_leg
 from repro.analysis.experiments.reorder import build_divergent_suffix
 from repro.obs import Telemetry
 
@@ -52,6 +60,9 @@ SPEEDUP_FLOOR = 3.0
 SCALE_LOG_LENGTH = 10_000
 SCALE_WAVES = 3
 CHECKPOINT_INTERVAL = 256
+
+#: E16: wall-clock committed-op throughput, batched vs unbatched.
+THROUGHPUT_SPEEDUP_FLOOR = 3.0
 
 
 def _storm(log_length=LOG_LENGTH, waves=WAVES, **knobs):
@@ -143,6 +154,27 @@ def test_divergent_suffix_speedup_at_scale():
     assert speedup >= SPEEDUP_FLOOR, (
         f"checkpointed batched engine only {speedup:.2f}x faster "
         f"({stepwise_time:.3f}s vs {checkpointed_time:.3f}s)"
+    )
+
+
+def test_batched_burst_wall_speedup(bench):
+    """E16: the batched engine commits the 1000-op burst at ≥ 3× the
+    unbatched configuration's wall-clock rate."""
+    # The storms before this test leave a collection owed; paid here, it
+    # lands in neither leg's run.
+    gc.collect()
+    unbatched, _ = bench(run_leg, "paxos-unbatched", bench_rounds=2)
+    gc.collect()
+    batched, _ = run_leg("paxos-batched")
+    speedup = batched.wall_ops_per_sec / unbatched.wall_ops_per_sec
+    print(
+        f"E16 burst: unbatched {unbatched.wall_seconds:.3f}s "
+        f"batched {batched.wall_seconds:.3f}s speedup {speedup:.2f}x"
+    )
+    assert speedup >= THROUGHPUT_SPEEDUP_FLOOR, (
+        f"batched engine only {speedup:.1f}x the unbatched configuration "
+        f"({batched.wall_ops_per_sec:,.0f} vs "
+        f"{unbatched.wall_ops_per_sec:,.0f} ops/s)"
     )
 
 

@@ -1,15 +1,13 @@
 """Experiment E16 — consensus amortization: ops per message round.
 
-The seed Paxos TOB paid one full consensus round — and roughly ``3n``
-messages — per operation. The batched, pipelined engine drains the
-submission queue into multi-op instance values, holds the phase-1 quorum
-proactively, multicasts 2B to learners and proposer alike, and pipelines up
-to ``max_inflight`` instances. This experiment quantifies what that buys on
-a single burst of operations submitted at the leader, across three engines:
+Without batching, Paxos TOB pays one consensus instance — a 2A and a round
+of 2B votes — per operation. The batched, pipelined engine drains the
+submission queue into multi-op instance values and pipelines up to
+``max_inflight`` instances. This experiment quantifies what that buys on a
+single burst of operations submitted at the leader, across three engines:
 
-- **paxos-seed** — the batched engine configured to reproduce the seed
-  engine's consensus message pattern (``max_batch=1``, unbounded inflight,
-  unicast 2B + decide broadcast; retransmissions are overdue-only);
+- **paxos-unbatched** — the same engine with ``max_batch=1`` and no
+  pipeline cap: one instance per operation;
 - **paxos-batched** — the default batched/pipelined configuration;
 - **sequencer** — the fixed-sequencer engine, as the protocol-free floor.
 
@@ -44,8 +42,8 @@ TIME_LIMIT = 400.0
 
 #: Engine legs: name → PaxosTOB knobs (None = the sequencer engine).
 LEGS: Dict[str, Optional[Dict[str, Any]]] = {
-    "paxos-seed": dict(max_batch=1, max_inflight=None, dual_2b=False),
-    "paxos-batched": dict(max_batch=32, max_inflight=8, dual_2b=True),
+    "paxos-unbatched": dict(max_batch=1, max_inflight=None),
+    "paxos-batched": dict(max_batch=32, max_inflight=8),
     "sequencer": None,
 }
 
@@ -174,13 +172,15 @@ def run_burst_comparison(ops: int = OPS) -> Tuple[List[EngineRun], bool]:
 def to_json(rows: List[EngineRun], identical: bool) -> Dict[str, Any]:
     """The E16 amortization artifact."""
     by_engine = {row.engine: row for row in rows}
-    seed = by_engine["paxos-seed"]
+    unbatched = by_engine["paxos-unbatched"]
     batched = by_engine["paxos-batched"]
     return {
         "experiment": "E16-batching",
         "histories_identical": identical,
-        "message_amortization": seed.messages_per_op / batched.messages_per_op,
-        "wall_speedup": batched.wall_ops_per_sec / seed.wall_ops_per_sec,
+        "message_amortization": (
+            unbatched.messages_per_op / batched.messages_per_op
+        ),
+        "wall_speedup": batched.wall_ops_per_sec / unbatched.wall_ops_per_sec,
         "runs": [asdict(row) for row in rows],
     }
 

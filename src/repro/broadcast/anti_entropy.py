@@ -70,15 +70,12 @@ class AntiEntropy:
         *,
         deliver_batch: Optional[DeliverBatchFn] = None,
         sync_interval: float = 2.0,
-        deliver_own: bool = False,
         store: Optional["DurableStore"] = None,
-        tag: str = _TAG,
         telemetry: Optional[Any] = None,
     ) -> None:
         self.node = node
         self._deliver = deliver
         self._deliver_batch = deliver_batch
-        self._deliver_own = deliver_own
         self.sync_interval = sync_interval
         #: Volume counters only: anti-entropy ships whole log suffixes, so
         #: per-op spans here would be noise — sync traffic is not op history.
@@ -88,7 +85,6 @@ class AntiEntropy:
             self._m_shipped = telemetry.counter("repro_ae_updates_shipped")
             self._m_delivered = telemetry.counter("repro_ae_updates_delivered")
         self.store = store
-        self.tag = tag
         #: origin -> {event_no: payload} for everything we know.
         self._log: Dict[int, Dict[int, Any]] = {}
         #: origin -> highest contiguous event number delivered here.
@@ -98,9 +94,9 @@ class AntiEntropy:
         self._next_peer_offset = 1
         self._stopped = False
         self._timer_armed = False
-        node.register_component(tag, self._on_message)
+        node.register_component(_TAG, self._on_message)
         node.register_crash_hooks(on_recover=self._on_node_recover)
-        if store is not None and len(store.log(f"{tag}.log")):
+        if store is not None and len(store.log(f"{_TAG}.log")):
             # A pre-existing durable log (e.g. a JSON-lines directory from a
             # previous operating-system process) seeds the endpoint.
             self._reload()
@@ -129,8 +125,6 @@ class AntiEntropy:
                 f"rb_cast of foreign dot {key!r} on replica {self.node.pid}"
             )
         self._absorb(key, payload)  # own origin: logged, never re-delivered
-        if self._deliver_own:
-            self._deliver(key, payload)
         self._arm_timer()
 
     def stop(self) -> None:
@@ -151,7 +145,7 @@ class AntiEntropy:
             # Write-ahead, non-contiguous entries included: the version
             # vector is recomputed from the log at recovery, so everything
             # absorbed must be reloadable.
-            self.store.log(f"{self.tag}.log").append((key, payload))
+            self.store.log(f"{_TAG}.log").append((key, payload))
         # Advance the contiguous frontier, collecting in per-origin order.
         new_frontier = self._version_vector.get(origin, 0)
         ready: List[Tuple[Hashable, Any]] = []
@@ -199,7 +193,7 @@ class AntiEntropy:
         """Rebuild the log and version vector from stable storage."""
         self._log = {}
         self._version_vector = {}
-        for key, payload in self.store.log(f"{self.tag}.log").records():
+        for key, payload in self.store.log(f"{_TAG}.log").records():
             origin, number = key
             self._log.setdefault(origin, {})[number] = payload
         for origin, numbers in self._log.items():
@@ -230,7 +224,7 @@ class AntiEntropy:
             for peer in range(self.node.n_processes):
                 if peer != self.node.pid:
                     self.node.send_component(
-                        peer, self.tag, ("pull", dict(self._version_vector))
+                        peer, _TAG, ("pull", dict(self._version_vector))
                     )
         if not self._timer_armed:
             # A suppressed sync tick resurrects itself; if the loop was idle
@@ -249,7 +243,7 @@ class AntiEntropy:
                 if self.telemetry:
                     self._m_syncs.inc()
                 self.node.send_component(
-                    peer, self.tag, ("pull", dict(self._version_vector))
+                    peer, _TAG, ("pull", dict(self._version_vector))
                 )
         if self._has_unsynced_state():
             self._arm_timer()
@@ -295,7 +289,7 @@ class AntiEntropy:
             self._m_shipped.inc(len(updates))
         if updates or reply_always:
             self.node.send_component(
-                peer, self.tag, ("push", (updates, dict(self._version_vector)))
+                peer, _TAG, ("push", (updates, dict(self._version_vector)))
             )
 
     def _on_message(self, sender: int, message: Tuple) -> None:

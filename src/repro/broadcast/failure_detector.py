@@ -35,16 +35,15 @@ class OmegaFailureDetector:
         *,
         heartbeat_interval: float = 5.0,
         timeout: float = 20.0,
-        on_leader_change: Optional[Callable[[int], None]] = None,
-        tag: str = _TAG,
     ) -> None:
         if timeout <= heartbeat_interval:
             raise ValueError("timeout must exceed heartbeat_interval")
         self.node = node
         self.heartbeat_interval = heartbeat_interval
         self.timeout = timeout
-        self.on_leader_change = on_leader_change
-        self.tag = tag
+        #: Called with the new leader's pid when it changes (the Paxos
+        #: engine assigns it).
+        self.on_leader_change: Optional[Callable[[int], None]] = None
         # Construction reads no clock (the asyncio runtime has none before
         # its loop runs): nobody is suspected until start() opens the
         # window, so the smallest pid leads.
@@ -54,7 +53,7 @@ class OmegaFailureDetector:
         self._stopped = False
         self._tick_timer = None
         self._current_leader = 0
-        node.register_component(tag, self._on_heartbeat)
+        node.register_component(_TAG, self._on_heartbeat)
         node.register_crash_hooks(on_recover=self._on_node_recover)
 
     def start(self) -> None:
@@ -83,7 +82,7 @@ class OmegaFailureDetector:
             # return silently killed heartbeats forever, so a recovered
             # node stayed suspected and its own leader view went stale).
             return
-        self.node.broadcast_component(self.tag, None)
+        self.node.broadcast_component(_TAG, None)
         self._last_heard[self.node.pid] = self.node.now
         self._recheck_leader()
         self._tick_timer = self.node.set_timer(

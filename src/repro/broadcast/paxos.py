@@ -36,21 +36,19 @@ delivered history bit-identical for any seeded schedule:
   instead of a vote.
 - **Pipelining with dual 2B multicast** — up to ``max_inflight`` instances
   may have outstanding 2A rounds; acceptors multicast 2B to every other
-  node (learners and proposer alike) and tally their own vote locally, each
-  node counts votes and learns decisions one message delay earlier, and
-  the separate decide broadcast disappears. The leader's 2A is its own
+  node (learners and proposer alike) and tally their own vote locally, so
+  each node counts votes and learns decisions itself, with no decide
+  broadcast from the proposer. The leader's 2A is its own
   vote: its acceptor accepts the value in-process and journals it before
   the 2A leaves (to the other nodes only), and an acceptor counts a 2A from
   the ballot's owner as the owner's vote besides its own. At n = 3 a
   follower thus decides when the 2A arrives, and the leader sends no 2B.
-  ``dual_2b=False`` restores the seed's unicast-2B + decide-broadcast
-  pattern.
 - **Rate-limited batched catch-up** — a lagging node asks one rotating peer
   for its missing decided suffix; responders coalesce the suffix into a
   single repair message but token-bucket the instances they ship
   (``catchup_rate``/``catchup_burst``, at most ``catchup_batch`` per
   response), so a recovering replica cannot storm the cluster. Gap NOOPs
-  proposed by a new leader are likewise capped (``max_gap`` concurrent).
+  proposed by a new leader are likewise capped (``max_inflight`` concurrent).
 - **Overdue-only retransmission** — the drive timer re-sends only what was
   already outstanding at its previous tick: the leader re-broadcasts the 2A
   of a proposal that was in flight then, a follower re-forwards the
@@ -61,10 +59,10 @@ delivered history bit-identical for any seeded schedule:
   below the phase-1 quorum's decided watermark. A fault-free run sends
   none.
 
-``max_batch=1, max_inflight=None, dual_2b=False`` reproduces the seed
-engine's consensus message pattern (its retransmissions are overdue-only,
-as above); the delivered sequence is identical in either mode because both
-drain the same FIFO submission queue at the same leader.
+``max_batch=1, max_inflight=None`` proposes one entry per instance with no
+pipeline cap; the delivered sequence is identical under every knob setting
+because every setting drains the same FIFO submission queue at the same
+leader.
 
 Liveness requires a majority of responsive acceptors and an eventually
 accurate Ω — i.e. the paper's *stable runs*. Under a lasting partition a
@@ -75,7 +73,7 @@ minority component keeps retrying without ever deciding: the paper's
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -153,17 +151,13 @@ class AcceptorInstance:
 class ProposerInstance:
     """Leader-side bookkeeping for one in-flight instance.
 
-    ``decided`` is only used in classic (non-dual-2B) mode, marking the
-    window between the majority ack and the decide broadcast arriving back;
-    dual-2B proposals are popped outright when the vote tally decides.
+    A proposal is popped when the vote tally decides its instance.
     ``overdue`` is set by the first drive tick that finds the proposal in
     flight; only an overdue proposal's 2A is re-broadcast.
     """
 
     ballot: Ballot
     value: Any
-    acks: Set[int] = field(default_factory=set)
-    decided: bool = False
     overdue: bool = False
 
 
@@ -179,14 +173,11 @@ class PaxosTOB(TotalOrderBroadcast):
         retry_interval: float = 15.0,
         max_batch: int = 32,
         max_inflight: Optional[int] = 8,
-        dual_2b: bool = True,
-        max_gap: Optional[int] = None,
         catchup_batch: int = 64,
         catchup_rate: float = 32.0,
         catchup_burst: float = 64.0,
         deliver_batch: Optional[DeliverBatchFn] = None,
         store: Optional["DurableStore"] = None,
-        tag: str = _TAG,
         telemetry: Optional[Any] = None,
     ) -> None:
         self.node = node
@@ -196,8 +187,6 @@ class PaxosTOB(TotalOrderBroadcast):
         self.retry_interval = retry_interval
         self.max_batch = max(1, max_batch)
         self.max_inflight = max_inflight
-        self.dual_2b = dual_2b
-        self.max_gap = max_gap if max_gap is not None else max_inflight
         self.catchup_batch = max(1, catchup_batch)
         self.catchup_rate = catchup_rate
         self.catchup_burst = catchup_burst
@@ -211,15 +200,14 @@ class PaxosTOB(TotalOrderBroadcast):
             self._m_rounds = telemetry.histogram("repro_paxos_rounds_per_op")
             self._m_inflight = telemetry.gauge("repro_paxos_inflight")
         self.store = store
-        self.tag = tag
         self.n = node.n_processes
         self.majority = self.n // 2 + 1
 
         # Client-facing submission state. ``_pending`` holds every key
         # awaiting a decision (for retransmission); ``_queue`` is the
         # leader-side FIFO of keys not yet inside an in-flight proposal —
-        # its drain order *is* the delivered order, which is why batched
-        # and seed-mode histories are bit-identical.
+        # its drain order *is* the delivered order, which is why every knob
+        # setting yields the same history.
         self._pending: Dict[Hashable, Any] = {}
         #: The pending keys the previous drive tick saw; a key still pending
         #: at the next tick is overdue.
@@ -284,16 +272,15 @@ class PaxosTOB(TotalOrderBroadcast):
             "p2a": self._handle_p2a,
             "p2b": self._handle_p2b,
             "nack": self._handle_nack,
-            "decide": self._handle_decide,
             "submit": self._handle_submit,
             "status": self._handle_status,
             "repair": self._handle_repair,
         }
-        node.register_component(tag, self._on_message)
+        node.register_component(_TAG, self._on_message)
         node.register_crash_hooks(on_recover=self._on_node_recover)
         omega.on_leader_change = self._on_leader_change
         if store is not None and (
-            store.get(f"{tag}.meta") is not None or len(store.log(f"{tag}.decided"))
+            store.get(f"{_TAG}.meta") is not None or len(store.log(f"{_TAG}.decided"))
         ):
             self._reload()
         # Proactive prepare: Ω computes its initial leader before this
@@ -327,7 +314,7 @@ class PaxosTOB(TotalOrderBroadcast):
         if leader == self.node.pid:
             self._arm_flush()
         else:
-            self.node.send_component(leader, self.tag, ("submit", key, payload))
+            self.node.send_component(leader, _TAG, ("submit", key, payload))
         self._ensure_driving()
 
     def prewarm(self) -> None:
@@ -376,7 +363,7 @@ class PaxosTOB(TotalOrderBroadcast):
         self._ballot = (round_number, self.node.pid)
         self._phase1_first_instance = self._next_deliver
         self.node.broadcast_component(
-            self.tag,
+            _TAG,
             ("p1a", self._ballot, self._phase1_first_instance),
             include_self=True,
         )
@@ -398,7 +385,7 @@ class PaxosTOB(TotalOrderBroadcast):
         if self.store is not None and meta != self._persisted_meta:
             self._persisted_meta = meta
             self.store.put(
-                f"{self.tag}.meta",
+                f"{_TAG}.meta",
                 {
                     "max_round_seen": self._max_round_seen,
                     "baseline_promise": self._baseline_promise,
@@ -413,7 +400,7 @@ class PaxosTOB(TotalOrderBroadcast):
         the log last-write-wins."""
         if self.store is None:
             return
-        log = self.store.log(f"{self.tag}.acc")
+        log = self.store.log(f"{_TAG}.acc")
         for instance in instances:
             state = self._acceptor[instance]
             log.append(
@@ -435,7 +422,7 @@ class PaxosTOB(TotalOrderBroadcast):
         )
         if highest_promise > ballot:
             self.node.send_component(
-                sender, self.tag, ("nack", ballot, highest_promise)
+                sender, _TAG, ("nack", ballot, highest_promise)
             )
             return
         # Slim 1B: report only the live accepted suffix (state below our
@@ -454,7 +441,7 @@ class PaxosTOB(TotalOrderBroadcast):
         previous, self._baseline_promise = self._baseline_promise, ballot
         self._persist_acceptor(touched)
         self.node.send_component(
-            sender, self.tag, ("p1b", ballot, accepted, self._next_deliver)
+            sender, _TAG, ("p1b", ballot, accepted, self._next_deliver)
         )
         if first_instance < self._next_deliver:
             self._send_repairs(sender, first_instance)
@@ -484,7 +471,7 @@ class PaxosTOB(TotalOrderBroadcast):
             # Known decided (and possibly pruned): vote would be useless or
             # unsafe to synthesize — answer with the decision itself.
             self.node.send_component(
-                sender, self.tag, ("repair", {instance: self._decided[instance]})
+                sender, _TAG, ("repair", {instance: self._decided[instance]})
             )
             return
         state = self._acceptor_state(instance)
@@ -493,21 +480,18 @@ class PaxosTOB(TotalOrderBroadcast):
             state.accepted_ballot = ballot
             state.accepted_value = value
             self._persist_acceptor([instance])
-            if self.dual_2b:
-                # Dual 2B multicast: learners and proposer alike count the
-                # votes, so decisions land one message delay earlier and
-                # the decide broadcast disappears. Our own vote is tallied
-                # here, so it goes to the other nodes only. A 2A from the
-                # ballot's owner is its owner's vote too (``_send_2a``).
-                self.node.broadcast_component(self.tag, ("p2b", ballot, instance))
-                owner_vote = (sender,) if sender == ballot[1] else ()
-                if self._tally_vote(instance, ballot, self.node.pid, *owner_vote):
-                    self._after_decision()
-            else:
-                self.node.send_component(sender, self.tag, ("p2b", ballot, instance))
+            # Dual 2B multicast: learners and proposer alike count the
+            # votes, so each node learns the decision from the 2Bs and no
+            # decide broadcast is needed. Our own vote is tallied here, so
+            # it goes to the other nodes only. A 2A from the ballot's owner
+            # is its owner's vote too (``_send_2a``).
+            self.node.broadcast_component(_TAG, ("p2b", ballot, instance))
+            owner_vote = (sender,) if sender == ballot[1] else ()
+            if self._tally_vote(instance, ballot, self.node.pid, *owner_vote):
+                self._after_decision()
         else:
             self.node.send_component(
-                sender, self.tag, ("nack", ballot, state.promised)
+                sender, _TAG, ("nack", ballot, state.promised)
             )
 
     def _handle_nack(self, sender: int, args: Tuple) -> None:
@@ -560,9 +544,6 @@ class PaxosTOB(TotalOrderBroadcast):
         self._fill_gaps()
         self._drain_pending()
 
-    def _inflight(self) -> int:
-        return sum(1 for p in self._proposals.values() if not p.decided)
-
     def _propose(self, instance: int, value: Any) -> None:
         assert self._ballot is not None
         proposal = ProposerInstance(ballot=self._ballot, value=value)
@@ -570,42 +551,39 @@ class PaxosTOB(TotalOrderBroadcast):
         if self.telemetry:
             if isinstance(value, Batch):
                 self._m_batch.observe(len(value.entries))
-            self._m_inflight.set(self._inflight())
+            self._m_inflight.set(len(self._proposals))
         self._send_2a(instance, proposal)
 
     def _send_2a(self, instance: int, proposal: ProposerInstance) -> None:
         """Broadcast ``proposal``'s 2A (a first send or a drive resend).
 
-        In dual-2B mode the proposer's own acceptor sits in this process:
-        it accepts the value here, durably, and *then* the 2A leaves, to
-        the other nodes only. That order is the invariant the followers
-        rely on — a 2A from the ballot's owner carries the owner's vote
-        (``_handle_p2a``) — so an acceptor that has promised a higher
-        ballot lets no 2A leave: the leader has been pre-empted and treats
-        it as the rejection its own acceptor would send. Callers never
-        propose into an instance known decided, where that acceptor's
-        state may be pruned (``_handle_p2a`` answers such a 2A with a
-        repair, never a vote). The own vote is tallied only here, so at
-        n = 1 it decides the instance on the spot (delivery only: the
-        caller is already draining, in FIFO order).
+        The proposer's own acceptor sits in this process: it accepts the
+        value here, durably, and *then* the 2A leaves, to the other nodes
+        only. That order is the invariant the followers rely on — a 2A
+        from the ballot's owner carries the owner's vote (``_handle_p2a``)
+        — so an acceptor that has promised a higher ballot lets no 2A
+        leave: the leader has been pre-empted and treats it as the
+        rejection its own acceptor would send. Callers never propose into
+        an instance known decided, where that acceptor's state may be
+        pruned (``_handle_p2a`` answers such a 2A with a repair, never a
+        vote). The own vote is tallied only here, so at n = 1 it decides
+        the instance on the spot (delivery only: the caller is already
+        draining, in FIFO order).
         """
         message = ("p2a", proposal.ballot, instance, proposal.value)
-        if not self.dual_2b:
-            self.node.broadcast_component(self.tag, message, include_self=True)
-            return
         state = self._acceptor_state(instance)
         if state.promised > proposal.ballot:
             self.node.send_component(
-                self.node.pid, self.tag, ("nack", proposal.ballot, state.promised)
+                self.node.pid, _TAG, ("nack", proposal.ballot, state.promised)
             )
             return
         if state.accepted_ballot == proposal.ballot:  # a resend: voted already
-            self.node.broadcast_component(self.tag, message)
+            self.node.broadcast_component(_TAG, message)
             return
         state.promised = state.accepted_ballot = proposal.ballot
         state.accepted_value = proposal.value
         self._persist_acceptor([instance])
-        self.node.broadcast_component(self.tag, message)
+        self.node.broadcast_component(_TAG, message)
         if self._tally_vote(instance, proposal.ballot, self.node.pid):
             self._deliver_ready()
 
@@ -619,7 +597,7 @@ class PaxosTOB(TotalOrderBroadcast):
         if not (self._is_leader and self._phase1_complete):
             return
         while self._queue and (
-            self.max_inflight is None or self._inflight() < self.max_inflight
+            self.max_inflight is None or len(self._proposals) < self.max_inflight
         ):
             entries: List[Tuple[Hashable, Any]] = []
             while self._queue and len(entries) < self.max_batch:
@@ -651,20 +629,20 @@ class PaxosTOB(TotalOrderBroadcast):
         value has it accepted at a majority, which phase 1 must intersect —
         and instances below the quorum watermark (``_floor``), where
         acceptors may have pruned their evidence, are never filled at all;
-        they are fetched via catch-up. At most ``max_gap`` NOOPs are in
-        flight at once (the drive re-arms until every hole is plugged), so
-        a leader change over a long gap cannot storm the cluster.
+        they are fetched via catch-up. At most ``max_inflight`` NOOPs are
+        in flight at once (the drive re-arms until every hole is plugged),
+        so a leader change over a long gap cannot storm the cluster.
         """
         assert self._is_leader and self._phase1_complete
         if not self._decided:
             return
         frontier = max(self._decided)
         budget = None
-        if self.max_gap is not None:
+        if self.max_inflight is not None:
             gaps_inflight = sum(
                 1 for p in self._proposals.values() if p.value == NOOP
             )
-            budget = self.max_gap - gaps_inflight
+            budget = self.max_inflight - gaps_inflight
             if budget <= 0:
                 return
         for instance in range(max(self._next_deliver, self._floor), frontier):
@@ -687,7 +665,7 @@ class PaxosTOB(TotalOrderBroadcast):
         )
 
     def _learn_from_votes(self, instance: int, ballot: Ballot) -> bool:
-        """Dual-2B learning: a majority voted ``ballot`` — find its value.
+        """A majority voted ``ballot`` — find its value.
 
         The proposer has it in its proposal record; an acceptor that voted
         has it in its accepted state. A node with neither (its own 2A still
@@ -715,19 +693,8 @@ class PaxosTOB(TotalOrderBroadcast):
 
     def _handle_p2b(self, sender: int, args: Tuple) -> None:
         ballot, instance = args
-        if self.dual_2b:
-            if self._tally_vote(instance, ballot, sender):
-                self._after_decision()
-            return
-        proposal = self._proposals.get(instance)
-        if proposal is None or proposal.ballot != ballot or proposal.decided:
-            return
-        proposal.acks.add(sender)
-        if len(proposal.acks) >= self.majority:
-            proposal.decided = True
-            self.node.broadcast_component(
-                self.tag, ("decide", instance, proposal.value), include_self=True
-            )
+        if self._tally_vote(instance, ballot, sender):
+            self._after_decision()
 
     # --- learner -------------------------------------------------------
     def _record_decided(self, instance: int, value: Any) -> None:
@@ -736,13 +703,13 @@ class PaxosTOB(TotalOrderBroadcast):
             return
         self._decided[instance] = value
         if self.store is not None:
-            self.store.log(f"{self.tag}.decided").append((instance, value))
+            self.store.log(f"{_TAG}.decided").append((instance, value))
         self._votes.pop(instance, None)
         proposal = self._proposals.pop(instance, None)
         if proposal is not None:
             if self.telemetry and isinstance(value, Batch):
                 self._m_rounds.observe(1.0 / len(value.entries))
-                self._m_inflight.set(self._inflight())
+                self._m_inflight.set(len(self._proposals))
             if proposal.value != value:
                 # Another leader decided this instance differently; our
                 # entries are not decided — requeue them for a fresh slot.
@@ -755,13 +722,6 @@ class PaxosTOB(TotalOrderBroadcast):
             self._decided_keys.add(key)
             self._pending.pop(key, None)
             self._inflight_keys.discard(key)
-
-    def _handle_decide(self, sender: int, args: Tuple) -> None:
-        instance, value = args
-        if instance in self._decided:
-            return
-        self._record_decided(instance, value)
-        self._after_decision()
 
     def _deliver_ready(self, *, notify: bool = True) -> None:
         """Advance the delivery frontier over contiguous decided instances.
@@ -835,7 +795,7 @@ class PaxosTOB(TotalOrderBroadcast):
             return
         for key in keys:
             self.node.send_component(
-                leader, self.tag, ("submit", key, self._pending[key])
+                leader, _TAG, ("submit", key, self._pending[key])
             )
 
     # --- flush: same-instant submission coalescing ---------------------
@@ -869,7 +829,7 @@ class PaxosTOB(TotalOrderBroadcast):
         if peer == self.node.pid:
             peer = (peer + 1) % self.n
         self._catchup_peer = peer
-        self.node.send_component(peer, self.tag, ("status", self._next_deliver))
+        self.node.send_component(peer, _TAG, ("status", self._next_deliver))
 
     def _catchup_take(self, want: int) -> int:
         """Token bucket: how many instances this response may carry."""
@@ -892,7 +852,7 @@ class PaxosTOB(TotalOrderBroadcast):
         if take <= 0:
             return
         repairs = {i: self._decided[i] for i in missing[:take]}
-        self.node.send_component(peer, self.tag, ("repair", repairs))
+        self.node.send_component(peer, _TAG, ("repair", repairs))
 
     def _handle_status(self, sender: int, args: Tuple) -> None:
         (their_next,) = args
@@ -941,8 +901,6 @@ class PaxosTOB(TotalOrderBroadcast):
                 self._drain_pending()
                 self._fill_gaps()
                 for instance, proposal in self._proposals.items():
-                    if proposal.decided:
-                        continue
                     if not proposal.overdue:
                         proposal.overdue = True
                         continue
@@ -971,13 +929,13 @@ class PaxosTOB(TotalOrderBroadcast):
         everything contiguous was delivered (and consumed by the hosting
         replica, which persists its own commit log) before the crash.
         """
-        meta = self.store.get(f"{self.tag}.meta") or {}
+        meta = self.store.get(f"{_TAG}.meta") or {}
         self._max_round_seen = meta.get("max_round_seen", 0)
         self._baseline_promise = tuple(meta.get("baseline_promise", (-1, -1)))
         self._persisted_meta = (self._max_round_seen, self._baseline_promise)
         self._acceptor = {}
         # Last write per instance wins (the log records every mutation).
-        for record in self.store.log(f"{self.tag}.acc").records():
+        for record in self.store.log(f"{_TAG}.acc").records():
             instance, promised, accepted_ballot, accepted_value = record
             self._acceptor[instance] = AcceptorInstance(
                 promised=tuple(promised),
@@ -986,7 +944,7 @@ class PaxosTOB(TotalOrderBroadcast):
                 ),
                 accepted_value=accepted_value,
             )
-        self._decided = dict(self.store.log(f"{self.tag}.decided").records())
+        self._decided = dict(self.store.log(f"{_TAG}.decided").records())
         self._decided_keys = set()
         for value in self._decided.values():
             self._decided_keys.update(value_keys(value))
@@ -1043,7 +1001,7 @@ class PaxosTOB(TotalOrderBroadcast):
         for peer in range(self.n):
             if peer != self.node.pid:
                 self.node.send_component(
-                    peer, self.tag, ("status", self._next_deliver)
+                    peer, _TAG, ("status", self._next_deliver)
                 )
         self.node.set_timer(0.0, self._post_recovery_kick, label="paxos.rekick")
 

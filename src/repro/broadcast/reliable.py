@@ -52,10 +52,6 @@ class ReliableBroadcast:
         performed here; Bayou simulates immediate local RB-delivery inside
         ``invoke`` (Algorithm 1, line 14), so the endpoint marks the key as
         delivered without invoking the callback for the sender.
-    deliver_own:
-        If True (default False), the endpoint also invokes ``deliver`` for
-        locally broadcast messages (after the relay), which generic users of
-        RB outside Bayou want.
     store:
         Optional stable storage; enables the recovery sync described in the
         module docstring.
@@ -66,18 +62,14 @@ class ReliableBroadcast:
         node: RoutingNode,
         deliver: DeliverFn,
         *,
-        deliver_own: bool = False,
         store: Optional["DurableStore"] = None,
-        tag: str = _TAG,
     ) -> None:
         self.node = node
         self._deliver = deliver
-        self._deliver_own = deliver_own
         #: key -> payload for everything cast or delivered here.
         self._log: Dict[Hashable, Any] = {}
         self.store = store
-        self.tag = tag
-        node.register_component(tag, self._on_message)
+        node.register_component(_TAG, self._on_message)
         node.register_crash_hooks(on_recover=self._on_node_recover)
         if store is not None:
             self._reload()
@@ -92,9 +84,7 @@ class ReliableBroadcast:
         if key in self._log:
             return
         self._absorb(key, payload)
-        self.node.broadcast_component(self.tag, ("cast", key, payload))
-        if self._deliver_own:
-            self._deliver(key, payload)
+        self.node.broadcast_component(_TAG, ("cast", key, payload))
 
     # ------------------------------------------------------------------
     # Message handling
@@ -121,13 +111,13 @@ class ReliableBroadcast:
         message = ("cast", key, payload)
         for pid in range(self.node.n_processes):
             if pid != self.node.pid and pid != sender:
-                self.node.send_component(pid, self.tag, message)
+                self.node.send_component(pid, _TAG, message)
         self._deliver(key, payload)
 
     def _absorb(self, key: Hashable, payload: Any) -> None:
         self._log[key] = payload
         if self.store is not None:
-            self.store.log(f"{self.tag}.log").append((key, payload))
+            self.store.log(f"{_TAG}.log").append((key, payload))
 
     # ------------------------------------------------------------------
     # Crash recovery
@@ -135,7 +125,7 @@ class ReliableBroadcast:
     def _reload(self) -> None:
         self._log = {
             key: payload
-            for key, payload in self.store.log(f"{self.tag}.log").records()
+            for key, payload in self.store.log(f"{_TAG}.log").records()
         }
 
     def _on_node_recover(self) -> None:
@@ -151,7 +141,7 @@ class ReliableBroadcast:
 
     def announce_recovery(self) -> None:
         """Broadcast our key set so peers repair us (and we repair them)."""
-        self.node.broadcast_component(self.tag, ("sync", sorted(self._log, key=repr)))
+        self.node.broadcast_component(_TAG, ("sync", sorted(self._log, key=repr)))
 
     def _handle_sync(self, sender: int, keys: List[Hashable]) -> None:
         known = set(keys)
@@ -159,12 +149,12 @@ class ReliableBroadcast:
             (key, payload) for key, payload in self._log.items() if key not in known
         ]
         if missing_there:
-            self.node.send_component(sender, self.tag, ("repair", missing_there))
+            self.node.send_component(sender, _TAG, ("repair", missing_there))
         missing_here = [key for key in keys if key not in self._log]
         if missing_here:
-            self.node.send_component(sender, self.tag, ("want", missing_here))
+            self.node.send_component(sender, _TAG, ("want", missing_here))
 
     def _handle_want(self, sender: int, keys: List[Hashable]) -> None:
         available = [(key, self._log[key]) for key in keys if key in self._log]
         if available:
-            self.node.send_component(sender, self.tag, ("repair", available))
+            self.node.send_component(sender, _TAG, ("repair", available))

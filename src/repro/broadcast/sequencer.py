@@ -52,7 +52,6 @@ class SequencerTOB(TotalOrderBroadcast):
         *,
         sequencer_pid: int = 0,
         store: Optional["DurableStore"] = None,
-        tag: str = _TAG,
         telemetry: Optional[Any] = None,
     ) -> None:
         self.node = node
@@ -65,7 +64,6 @@ class SequencerTOB(TotalOrderBroadcast):
                 "repro_tob_delivers", engine="sequencer"
             )
         self.store = store
-        self.tag = tag
         # Sequencer-side state: the assignment log, ordered by seqno.
         self._order_log: List[Tuple[Hashable, Any]] = []
         self._ordered_keys: Set[Hashable] = set()
@@ -73,7 +71,7 @@ class SequencerTOB(TotalOrderBroadcast):
         self._holdback: Dict[int, Tuple[Hashable, Any]] = {}
         self._next_to_deliver = 0
         self._delivered: List[Hashable] = []
-        node.register_component(tag, self._on_message)
+        node.register_component(_TAG, self._on_message)
         node.register_crash_hooks(on_recover=self._on_node_recover)
         if store is not None:
             self._reload()
@@ -89,7 +87,7 @@ class SequencerTOB(TotalOrderBroadcast):
     def tob_cast(self, key: Hashable, payload: Any) -> None:
         """Forward the message to the sequencer for global ordering."""
         self.node.send_component(
-            self.sequencer_pid, self.tag, ("propose", key, payload)
+            self.sequencer_pid, _TAG, ("propose", key, payload)
         )
         if self.telemetry:
             self._m_casts.inc()
@@ -129,9 +127,9 @@ class SequencerTOB(TotalOrderBroadcast):
         seqno = self._next_seqno
         self._order_log.append((key, payload))
         if self.store is not None:
-            self.store.log(f"{self.tag}.order").append((key, payload))
+            self.store.log(f"{_TAG}.order").append((key, payload))
         self.node.broadcast_component(
-            self.tag, ("order", seqno, key, payload), include_self=True
+            _TAG, ("order", seqno, key, payload), include_self=True
         )
 
     def _sequencer_handle_replay(self, sender: int, from_seqno: int) -> None:
@@ -140,7 +138,7 @@ class SequencerTOB(TotalOrderBroadcast):
             return
         for seqno in range(from_seqno, len(self._order_log)):
             key, payload = self._order_log[seqno]
-            self.node.send_component(sender, self.tag, ("order", seqno, key, payload))
+            self.node.send_component(sender, _TAG, ("order", seqno, key, payload))
 
     def _endpoint_handle_order(self, seqno: int, key: Hashable, payload: Any) -> None:
         if seqno < self._next_to_deliver:
@@ -151,7 +149,7 @@ class SequencerTOB(TotalOrderBroadcast):
             self._next_to_deliver += 1
             self._delivered.append(ordered_key)
             if self.store is not None:
-                self.store.log(f"{self.tag}.delivered").append(ordered_key)
+                self.store.log(f"{_TAG}.delivered").append(ordered_key)
             if self.telemetry:
                 self._m_delivers.inc()
                 if (
@@ -175,9 +173,9 @@ class SequencerTOB(TotalOrderBroadcast):
     # Crash recovery
     # ------------------------------------------------------------------
     def _reload(self) -> None:
-        self._order_log = list(self.store.log(f"{self.tag}.order").records())
+        self._order_log = list(self.store.log(f"{_TAG}.order").records())
         self._ordered_keys = {key for key, _ in self._order_log}
-        self._delivered = list(self.store.log(f"{self.tag}.delivered").records())
+        self._delivered = list(self.store.log(f"{_TAG}.delivered").records())
         self._next_to_deliver = len(self._delivered)
         self._holdback = {}
 
@@ -194,7 +192,7 @@ class SequencerTOB(TotalOrderBroadcast):
             self._holdback = {}
         if self.node.pid != self.sequencer_pid:
             self.node.send_component(
-                self.sequencer_pid, self.tag, ("replay", self._next_to_deliver)
+                self.sequencer_pid, _TAG, ("replay", self._next_to_deliver)
             )
         else:
             # The sequencer replays its own assignment log to itself: an

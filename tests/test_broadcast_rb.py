@@ -8,7 +8,7 @@ from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import Simulator
 
 
-def build(n=3, partitions=None, deliver_own=False):
+def build(n=3, partitions=None):
     sim = Simulator()
     network = Network(sim, n, latency=FixedLatency(1.0), partitions=partitions)
     nodes = [RoutingNode(SimRuntime(sim, network), pid) for pid in range(n)]
@@ -19,7 +19,6 @@ def build(n=3, partitions=None, deliver_own=False):
             ReliableBroadcast(
                 node,
                 lambda key, payload, pid=node.pid: inboxes[pid].append(key),
-                deliver_own=deliver_own,
             )
         )
     return sim, nodes, endpoints, inboxes
@@ -35,13 +34,6 @@ def test_all_other_processes_deliver_once():
     # simulates immediate local delivery inside invoke).
     assert inboxes[0] == []
     assert "m1" in endpoints[0].delivered_keys
-
-
-def test_deliver_own_mode():
-    sim, nodes, endpoints, inboxes = build(deliver_own=True)
-    endpoints[0].rb_cast("m1", None)
-    sim.run()
-    assert inboxes[0] == ["m1"]
 
 
 def test_duplicate_casts_are_ignored():

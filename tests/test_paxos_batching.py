@@ -69,12 +69,13 @@ def test_same_instant_burst_coalesces_into_batches():
 
 
 def test_batched_and_seed_mode_orders_identical():
-    """Any knob setting drains the same FIFO queue: same delivered order."""
+    """Any knob setting drains the same FIFO queue: the batched settings
+    deliver the unbatched (one entry per instance, no pipeline cap) order."""
     histories = []
     for knobs in (
-        dict(max_batch=1, max_inflight=None, dual_2b=False),  # seed emulation
-        dict(max_batch=3, max_inflight=2, dual_2b=True),
-        dict(max_batch=32, max_inflight=8, dual_2b=True),
+        dict(max_batch=1, max_inflight=None),  # unbatched
+        dict(max_batch=3, max_inflight=2),
+        dict(max_batch=32, max_inflight=8),
     ):
         rig = Rig(**knobs)
         for i in range(9):
@@ -97,7 +98,7 @@ def test_max_inflight_bounds_outstanding_instances():
 
     def recording(instance, value):
         original(instance, value)
-        observed.append(endpoint._inflight())
+        observed.append(len(endpoint._proposals))
 
     endpoint._propose = recording
     rig.sim.schedule(
@@ -110,11 +111,14 @@ def test_max_inflight_bounds_outstanding_instances():
 
 
 def test_light_load_latency_not_worse_than_seed_mode():
-    """A lone submission must not wait for a batch to fill."""
+    """A lone submission must not wait for a batch to fill: the batched
+    leader delivers it when the unbatched one does, one 2A and one 2B
+    delay after the cast. The 2B lands the network's FIFO spacing after
+    the heartbeat its sender put on the same link at the same instant."""
     times = {}
     for mode, knobs in (
-        ("seed", dict(max_batch=1, max_inflight=None, dual_2b=False)),
-        ("batched", dict(max_batch=32, max_inflight=8, dual_2b=True)),
+        ("unbatched", dict(max_batch=1, max_inflight=None)),
+        ("batched", dict(max_batch=32, max_inflight=8)),
     ):
         rig = Rig(**knobs)
         stamp = {}
@@ -127,7 +131,7 @@ def test_light_load_latency_not_worse_than_seed_mode():
         rig.run()
         rig.shutdown()
         times[mode] = stamp["solo"]
-    assert times["batched"] <= times["seed"]
+    assert times["batched"] == times["unbatched"] == 7.0 + Network.FIFO_EPSILON
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +166,9 @@ def test_steady_state_skips_phase1():
 def test_gap_noop_proposals_are_capped():
     """A leader facing a 200-instance gap must not flood 200 concurrent
     NOOP proposals (the seed engine's `_fill_gaps` was unbounded); it fills
-    at most max_gap per round and lets the drive re-arm until delivery
+    at most max_inflight per round and lets the drive re-arm until delivery
     catches up."""
-    rig = Rig(retry_interval=0.5, max_gap=20)
+    rig = Rig(retry_interval=0.5, max_inflight=20)
     rig.run(until=5.0)  # leader 0 established
     leader = rig.endpoints[0]
     assert leader._is_leader and leader._phase1_complete
@@ -179,10 +183,10 @@ def test_gap_noop_proposals_are_capped():
     assert rig.delivered[0] == [("island", 0)]
 
 
-def test_seed_emulation_keeps_unbounded_gap_fill():
-    """max_gap=None (the explicit seed behaviour) still fills everything
-    in one round — the cap is opt-out for faithful baselines."""
-    rig = Rig(retry_interval=0.5, max_gap=None, max_inflight=None)
+def test_unbounded_inflight_fills_every_gap_at_once():
+    """max_inflight=None leaves the gap fill uncapped too: every hole gets
+    its NOOP in one round."""
+    rig = Rig(retry_interval=0.5, max_inflight=None)
     rig.run(until=5.0)
     leader = rig.endpoints[0]
     leader._record_decided(60, Batch((( ("island", 1), "p"),)))
@@ -357,33 +361,22 @@ def test_meta_is_written_per_ballot_change_not_per_accept():
 
 
 # ---------------------------------------------------------------------------
-# Dual 2B vs classic decide broadcast
-# ---------------------------------------------------------------------------
-def test_dual_2b_decides_two_message_delays_earlier_at_a_follower():
-    """Classic: 2A, 2B to the leader, decide back (three delays). Dual: the
-    leader's 2A is its own vote, so a follower at n = 3 decides on the 2A
-    alone (one delay). The classic time carries the network's 1e-9 FIFO
-    spacing of the leader's back-to-back sends."""
-    times = {}
-    for mode, dual in (("classic", False), ("dual", True)):
-        rig = Rig(max_batch=1, max_inflight=None, dual_2b=dual)
-        stamp = {}
-
-        def deliver_stamp(key, payload, rig=rig, stamp=stamp):
-            stamp.setdefault(key, rig.sim.now)
-
-        rig.endpoints[2]._deliver = deliver_stamp
-        rig.sim.schedule(5.0, lambda rig=rig: rig.endpoints[0].tob_cast("x", 1))
-        rig.run()
-        rig.shutdown()
-        times[mode] = stamp["x"]
-    assert times["dual"] == 6.0
-    assert round(times["classic"] - times["dual"], 6) == 2.0
-
-
-# ---------------------------------------------------------------------------
 # The leader's 2A is its own vote
 # ---------------------------------------------------------------------------
+def test_follower_decides_on_the_leaders_2a_alone():
+    """The leader's 2A is its own vote, so a follower at n = 3 decides on
+    the 2A and its own vote: one message delay after the cast."""
+    rig = Rig(max_batch=1, max_inflight=None)
+    stamp = {}
+    rig.endpoints[2]._deliver = lambda key, payload: stamp.setdefault(
+        key, rig.sim.now
+    )
+    rig.sim.schedule(5.0, lambda: rig.endpoints[0].tob_cast("x", 1))
+    rig.run()
+    rig.shutdown()
+    assert stamp["x"] == 6.0
+
+
 def test_leader_journals_its_acceptance_before_its_2a_leaves(monkeypatch):
     """The invariant a follower relies on when it counts a 2A as the
     owner's vote: the owner's ``paxos.acc`` line is written first."""

@@ -4,8 +4,9 @@ The batching/pipelining knobs trade messages for latency; they must never
 trade *order*. Random schedules and random knob settings pin the contract:
 
 - leader-origin schedules deliver in cast order on every engine — the
-  batched engine, its seed-emulation configuration, and the fixed
-  sequencer all produce the bit-identical history;
+  batched engine, its unbatched configuration (one entry per instance, no
+  pipeline cap), and the fixed sequencer all produce the bit-identical
+  history;
 - arbitrary multi-origin schedules deliver identically under any knob
   setting (batching amortizes cost; the drained FIFO order is invariant);
 - a leader crash mid-batch neither loses nor duplicates operations: the
@@ -25,13 +26,12 @@ from repro.sim.kernel import Simulator
 
 SLOW = settings(max_examples=15)
 
-SEED_MODE = dict(max_batch=1, max_inflight=None, dual_2b=False)
+UNBATCHED = dict(max_batch=1, max_inflight=None)
 
 knob_settings = st.fixed_dictionaries(
     {
         "max_batch": st.integers(min_value=1, max_value=8),
         "max_inflight": st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
-        "dual_2b": st.booleans(),
     }
 )
 
@@ -85,11 +85,11 @@ def slots_to_casts(slots, origins=None):
 @SLOW
 @given(knobs=knob_settings, slots=st.lists(st.integers(0, 40), min_size=1, max_size=12))
 def test_leader_origin_schedules_match_cast_order_on_every_engine(knobs, slots):
-    """All casts at node 0: batched, seed-mode and sequencer histories are
+    """All casts at node 0: batched, unbatched and sequencer histories are
     all bit-identical — and equal to the (time, cast-index) order."""
     casts = slots_to_casts(slots)
     expected = [key for _, _, key in sorted(casts, key=lambda c: c[1])]
-    for engine_knobs in (knobs, SEED_MODE, None):
+    for engine_knobs in (knobs, UNBATCHED, None):
         rig = Rig(engine_knobs)
         rig.cast_all(casts)
         rig.finish(until=200.0)
@@ -105,11 +105,12 @@ def test_leader_origin_schedules_match_cast_order_on_every_engine(knobs, slots):
     ),
 )
 def test_any_knob_setting_delivers_the_seed_mode_history(knobs, schedule):
-    """Multi-origin schedules: batching must be invisible in the history."""
+    """Multi-origin schedules: batching must be invisible in the history,
+    which equals the unbatched configuration's."""
     origins = [origin for origin, _ in schedule]
     casts = slots_to_casts([slot for _, slot in schedule], origins)
     histories = []
-    for engine_knobs in (knobs, SEED_MODE):
+    for engine_knobs in (knobs, UNBATCHED):
         rig = Rig(engine_knobs)
         rig.cast_all(casts)
         rig.finish(until=200.0)
