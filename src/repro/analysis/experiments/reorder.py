@@ -57,7 +57,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.config import BayouConfig
 from repro.core.cluster import BayouCluster, ORIGINAL
 from repro.datatypes.counter import Counter
-from repro.net.faults import MessageFilter
+from repro.net.faults import MessageFilter, MessageRule
 
 #: Clock offset making wave requests older than any setup request.
 _ANCIENT = -1.0e6
@@ -130,20 +130,6 @@ def _finish(cluster: BayouCluster, *, schedule: str, log_length: int) -> Reorder
         checkpoint_restores=[r.state.checkpoint_restores for r in cluster.replicas],
         undo_unwinds=[r.state.undo_unwinds for r in cluster.replicas],
     )
-
-
-def _hold_sender_rule(sender: int, extra: float):
-    """Delay *everything* ``sender`` sends by ``extra`` (a silent uplink).
-
-    The network is FIFO per link, so the hold must be uniform per sender:
-    delaying only one component's messages would stall every later message
-    on the same link behind them.
-    """
-
-    def rule(src: int, _dst: int, _payload: Any, _time: float) -> Optional[float]:
-        return extra if src == sender else None
-
-    return rule
 
 
 @dataclass
@@ -225,8 +211,12 @@ def build_divergent_suffix(
         checkpoint_interval=checkpoint_interval,
         record_perceived_traces=record_perceived_traces,
     )
+    # Everything replica 0 sends is held (a silent uplink). The network is
+    # FIFO per link, so the hold must be uniform per sender: delaying only
+    # one component's messages would stall every later message on the same
+    # link behind them.
     filters = MessageFilter()
-    filters.add(_hold_sender_rule(0, hold))
+    filters.add(MessageRule(sender=0, extra=hold))
     cluster = BayouCluster(
         Counter(), config, protocol=ORIGINAL, filters=filters,
         telemetry=telemetry,

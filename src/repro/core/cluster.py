@@ -114,7 +114,6 @@ class BayouCluster:
         self.omegas: List[OmegaFailureDetector] = []
         #: Per-replica stable storage (None entries when durability="none").
         self.stores: List[Optional[DurableStore]] = []
-        self.crashes = crashes
         #: Stabilisation horizon marked by :meth:`add_horizon_probes`.
         self._horizon: Optional[float] = None
         #: Every operation ever submitted here: the one per-op record that

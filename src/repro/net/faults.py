@@ -1,22 +1,26 @@
-"""Fault injection: crash schedules and message filters.
+"""Fault injection: crash plans and message filters.
 
 The paper's model is crash-stop ("replicas may crash silently and cease all
-communication"). :class:`CrashSchedule` arms crashes at given times.
-:class:`MessageFilter` supports targeted message drops/delays used by tests
-to force specific adversarial schedules (e.g. the Theorem 1 execution, where
-one replica must never learn about a particular operation).
+communication"). A :class:`CrashPlan` is one planned crash (and optional
+recovery); :class:`CrashSchedule` arms a list of them. :class:`MessageFilter`
+supports targeted message drops/delays used by tests to force specific
+adversarial schedules (e.g. the Theorem 1 execution, where one replica must
+never learn about a particular operation); a :class:`MessageRule` declares
+one such drop or delay as a value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 
-#: A filter rule: (src, dst, payload, time) -> extra delay (None = no-op).
-FilterRule = Callable[[int, int, Any, float], Optional[float]]
+#: A filter rule takes (sender, receiver, payload, time) and returns either
+#: ``None`` to let the network's normal behaviour apply, ``"drop"`` to drop
+#: the message permanently, or a float extra delay in time units.
+FilterRule = Callable[[int, int, Any, float], Optional[Any]]
 
 
 def mentions_dot(value: Any, dot: Any) -> bool:
@@ -32,63 +36,50 @@ def mentions_dot(value: Any, dot: Any) -> bool:
     return False
 
 
-def tob_delay_rule(extra: float, *, tag: str = "seqtob") -> FilterRule:
-    """A rule adding ``extra`` latency to every TOB-engine message.
+@dataclass(frozen=True)
+class MessageRule:
+    """One declared drop or delay: a filter rule that is a value.
 
-    The paper's Figure 1/2 schedules rely on the final order being
-    established well after the speculative executions; consensus being
-    slower than gossip is also the realistic regime.
+    Every field that is set must match: ``sender`` and ``receiver`` the
+    link's ends, ``tag`` the component the message travels under (its
+    payload's first element, e.g. a TOB engine's ``"seqtob"``), ``dot`` a
+    request the payload mentions anywhere (:func:`mentions_dot`). A
+    matching message is dropped (``drop=True``) or delayed by ``extra``.
+    Examples: ``MessageRule(sender=0, extra=5.0)`` holds back everything
+    replica 0 sends; ``MessageRule(sender=1, receiver=2, drop=True)`` cuts
+    one direction of a link.
     """
 
-    def rule(_src: int, _dst: int, payload: Any, _time: float) -> Optional[float]:
-        if isinstance(payload, tuple) and payload and payload[0] == tag:
-            return extra
-        return None
+    sender: Optional[int] = None
+    receiver: Optional[int] = None
+    tag: Optional[str] = None
+    dot: Any = None
+    extra: Optional[float] = None
+    drop: bool = False
 
-    return rule
+    def __post_init__(self) -> None:
+        if self.drop == (self.extra is not None):
+            raise ValueError("a MessageRule takes exactly one of extra= and drop=True")
 
-
-def delay_tob_for_dot_rule(
-    dot: Any, *, receiver: int, extra: float, tag: str = "seqtob"
-) -> FilterRule:
-    """A rule delaying only TOB-engine messages about ``dot`` into ``receiver``.
-
-    Used to steer the final order: e.g. hold a request's proposal back from
-    the sequencer so later requests commit first.
-    """
-
-    def rule(_src: int, dst: int, payload: Any, _time: float) -> Optional[float]:
-        if (
-            dst == receiver
-            and isinstance(payload, tuple)
-            and payload
-            and payload[0] == tag
-            and mentions_dot(payload, dot)
+    def __call__(
+        self, sender: int, receiver: int, payload: Any, _time: float
+    ) -> Optional[Any]:
+        if (self.sender is not None and sender != self.sender) or (
+            self.receiver is not None and receiver != self.receiver
         ):
-            return extra
-        return None
-
-    return rule
-
-
-def quarantine_dot_rule(dot: Any, *, receiver: int, extra: float) -> FilterRule:
-    """A rule delaying every message carrying ``dot`` into ``receiver``.
-
-    Models the Theorem-1 adversary: a replica must not learn about an event
-    (by any route — RB, relay, or TOB delivery) until late.
-    """
-
-    def rule(_src: int, dst: int, payload: Any, _time: float) -> Optional[float]:
-        if dst == receiver and mentions_dot(payload, dot):
-            return extra
-        return None
-
-    return rule
+            return None
+        if self.tag is not None and not (
+            isinstance(payload, tuple) and payload and payload[0] == self.tag
+        ):
+            return None
+        if self.dot is not None and not mentions_dot(payload, self.dot):
+            return None
+        return MessageFilter.DROP if self.drop else self.extra
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrashPlan:
-    """One planned crash (and optional recovery).
+    """One planned crash (and optional recovery), checked when made.
 
     ``mode`` is the :meth:`Process.crash` mode: ``"stop"`` for the paper's
     permanent silent crash, ``"recover"`` for a crash–recovery fault. It
@@ -100,18 +91,39 @@ class CrashPlan:
     recover_at: Optional[float] = None
     mode: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.pid < 0:
+            raise ValueError(f"no replica {self.pid}")
+        if self.mode not in (None, "stop", "recover"):
+            raise ValueError(f"unknown crash mode {self.mode!r}")
+        if self.recover_at is not None and self.recover_at <= self.crash_at:
+            raise ValueError("recovery must come after the crash")
+        if self.mode == "stop" and self.recover_at is not None:
+            raise ValueError("a crash-stop plan cannot have a recovery time")
+
     @property
     def effective_mode(self) -> str:
         if self.mode is not None:
             return self.mode
         return "recover" if self.recover_at is not None else "stop"
 
+    def arm(self, sim: Simulator, process: Process) -> None:
+        """Schedule the crash (and recovery) of ``process`` on ``sim``."""
+        mode = self.effective_mode
+        sim.schedule_at(
+            self.crash_at, lambda: process.crash(mode), label=f"crash p{self.pid}"
+        )
+        if self.recover_at is not None:
+            sim.schedule_at(
+                self.recover_at, process.recover, label=f"recover p{self.pid}"
+            )
+
 
 class CrashSchedule:
     """Arms crash/recovery timers against a set of processes."""
 
-    def __init__(self, plans: Sequence[CrashPlan] = ()) -> None:
-        self.plans: List[CrashPlan] = list(plans)
+    def __init__(self) -> None:
+        self.plans: List[CrashPlan] = []
 
     def add(
         self,
@@ -122,33 +134,12 @@ class CrashSchedule:
         mode: Optional[str] = None,
     ) -> None:
         """Plan a crash of ``pid`` at ``crash_at`` (and recovery, if given)."""
-        if mode not in (None, "stop", "recover"):
-            raise ValueError(f"unknown crash mode {mode!r}")
-        if recover_at is not None and recover_at <= crash_at:
-            raise ValueError("recovery must come after the crash")
-        if mode == "stop" and recover_at is not None:
-            raise ValueError("a crash-stop plan cannot have a recovery time")
         self.plans.append(CrashPlan(pid, crash_at, recover_at, mode))
 
     def arm(self, sim: Simulator, processes: Dict[int, Process]) -> None:
         """Schedule the crash/recovery callbacks on the simulator."""
         for plan in self.plans:
-            process = processes[plan.pid]
-            sim.schedule_at(
-                plan.crash_at,
-                lambda p=process, m=plan.effective_mode: p.crash(m),
-                label=f"crash p{plan.pid}",
-            )
-            if plan.recover_at is not None:
-                sim.schedule_at(
-                    plan.recover_at, process.recover, label=f"recover p{plan.pid}"
-                )
-
-
-#: A filter takes (sender, receiver, payload, time) and returns either
-#: ``None`` to let the network's normal behaviour apply, ``"drop"`` to drop
-#: the message permanently, or a float extra delay in time units.
-FilterFn = Callable[[int, int, Any, float], Optional[Any]]
+            plan.arm(sim, processes[plan.pid])
 
 
 class MessageFilter:
@@ -166,31 +157,11 @@ class MessageFilter:
     def __init__(self) -> None:
         #: The registered filters, in order. While it is empty the network
         #: skips the verdict altogether.
-        self.rules: List[FilterFn] = []
+        self.rules: List[FilterRule] = []
 
-    def add(self, filter_fn: FilterFn) -> None:
+    def add(self, filter_fn: FilterRule) -> None:
         """Register a filter."""
         self.rules.append(filter_fn)
-
-    def drop_between(self, sender: int, receiver: int) -> None:
-        """Permanently drop every message from ``sender`` to ``receiver``."""
-
-        def rule(src: int, dst: int, _payload: Any, _t: float) -> Optional[Any]:
-            if src == sender and dst == receiver:
-                return MessageFilter.DROP
-            return None
-
-        self.add(rule)
-
-    def delay_between(self, sender: int, receiver: int, extra: float) -> None:
-        """Add ``extra`` latency to every message from ``sender`` to ``receiver``."""
-
-        def rule(src: int, dst: int, _payload: Any, _t: float) -> Optional[Any]:
-            if src == sender and dst == receiver:
-                return extra
-            return None
-
-        self.add(rule)
 
     def verdict(self, sender: int, receiver: int, payload: Any, time: float) -> Optional[Any]:
         """DROP if any rule drops; otherwise the summed extra delay (or None)."""

@@ -24,11 +24,11 @@ criteria. :class:`Scenario` captures that shape as a builder::
     result.responses["append_x"]        # 'aax' — the paper's Figure 1
     result.check("bec:weak").ok         # False: temporary reordering
 
-``run()`` compiles the builder to a :class:`~repro.core.cluster.BayouCluster`
-(+ :class:`~repro.net.partition.PartitionSchedule`,
-:class:`~repro.net.faults.MessageFilter`, client
-:class:`~repro.core.session.Session` objects), runs to quiescence (or
-stability, for the Paxos engine), issues horizon probes, and returns a
+Each fault and workload verb appends one frozen record (:class:`Split`,
+:class:`Crash`, :class:`Invoke`, ...) to one ordered list, so equal chains
+give equal lists. ``run()`` builds a fault-free cluster (or deployment),
+installs every record on it in one pass, runs to quiescence (or stability,
+for the Paxos engine), issues horizon probes, and returns a
 :class:`RunResult` bundling the history, the abstract execution, the
 requested guarantee reports, convergence diagnostics and every labelled
 :class:`~repro.core.session.OpFuture`.
@@ -42,17 +42,10 @@ Theorem 3's asynchronous window), :meth:`Scenario.build` returns the
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import commit_latency_samples, weak_staleness_samples
 from repro.analysis.workload import (
@@ -63,6 +56,7 @@ from repro.analysis.workload import (
     WorkloadProfile,
     make_sampler,
 )
+from repro.broadcast import paxos, sequencer
 from repro.core.cluster import ORIGINAL, BayouCluster
 from repro.core.config import BayouConfig
 from repro.core.request import Dot
@@ -78,39 +72,200 @@ from repro.framework.guarantees import check_bec, check_fec, check_seq
 from repro.framework.history import History, STRONG, WEAK
 from repro.framework.predicates import check_ncc
 from repro.framework.session_guarantees import check_all_session_guarantees
-from repro.net.faults import (
-    CrashSchedule,
-    FilterRule,
-    MessageFilter,
-    delay_tob_for_dot_rule,
-    quarantine_dot_rule,
-    tob_delay_rule,
-)
-from repro.net.partition import PartitionSchedule
+from repro.net.faults import CrashPlan, FilterRule, MessageRule
 from repro.shard.control import PlacementController
 from repro.shard.deployment import ShardedCluster
 from repro.shard.migration import Migration, MigrationCheck
 from repro.shard.router import ShardedSession, ShardRouter
 
 
-@dataclass
-class _ScriptedOp:
-    """One scheduled open-loop invocation."""
+#: The component tag each TOB engine's messages travel under.
+_TOB_TAGS = {"sequencer": sequencer._TAG, "paxos": paxos._TAG}
 
+
+# ----------------------------------------------------------------------
+# The schedule: one ordered list of frozen records, installed by
+# ``Scenario.build`` in ``rank`` order (faults first), each rank in
+# declaration order.
+# ----------------------------------------------------------------------
+class _Fault:
+    """A record scoped to one shard's cluster (None: every built cluster)."""
+
+    rank: ClassVar[int] = 0
+    shard: Optional[int]
+
+    def install(self, live: "LiveRun") -> None:
+        built = live.clusters[: live.scenario._n_shards or 1]
+        for cluster in built if self.shard is None else [built[self.shard]]:
+            self.install_on(cluster)  # type: ignore[attr-defined]
+
+
+@dataclass(frozen=True)
+class Split(_Fault):
+    """Partition the network into ``groups`` at ``at``."""
+
+    at: float
+    groups: Tuple[Tuple[int, ...], ...]
+    shard: Optional[int] = None
+
+    def install_on(self, cluster: BayouCluster) -> None:
+        cluster.partitions.split(self.at, self.groups)
+
+
+@dataclass(frozen=True)
+class Heal(_Fault):
+    """Restore full connectivity at ``at``."""
+
+    at: float
+    shard: Optional[int] = None
+
+    def install_on(self, cluster: BayouCluster) -> None:
+        cluster.partitions.heal(self.at)
+
+
+@dataclass(frozen=True)
+class Crash(CrashPlan, _Fault):
+    """Crash replica ``pid`` (a :class:`CrashPlan`: checked when made)."""
+
+    shard: Optional[int] = None
+
+    def install_on(self, cluster: BayouCluster) -> None:
+        self.arm(cluster.sim, cluster.nodes[self.pid])
+
+
+@dataclass(frozen=True)
+class Filter(_Fault):
+    """A message-filter rule; with ``tob``, a :class:`MessageRule` given the
+    configured TOB engine's message tag when installed."""
+
+    rule: FilterRule
+    shard: Optional[int] = None
+    tob: bool = False
+
+    def install_on(self, cluster: BayouCluster) -> None:
+        rule = self.rule
+        if self.tob:
+            rule = dataclasses.replace(rule, tag=_TOB_TAGS[cluster.config.tob_engine])
+        cluster.filters.add(rule)
+
+
+@dataclass(frozen=True)
+class Autoscale:
+    """Arm a placement controller with these keywords."""
+
+    rank: ClassVar[int] = 1
+    options: Dict[str, Any]
+
+    def install(self, live: "LiveRun") -> None:
+        live.controller = PlacementController(live.router, **self.options)
+        live.controller.start()
+
+
+@dataclass(frozen=True)
+class Reshard:
+    """Start a live ``kind`` migration at ``at``: ``target`` is the split's
+    source, the merge's ``(dst, src)`` or the move's ``(lo, hi, dst)``."""
+
+    rank: ClassVar[int] = 2
+    at: float
+    kind: str
+    target: Any
+    pid: int = 0
+    transfer_delay: float = 0.0
+
+    def install(self, live: "LiveRun") -> None:
+        label = f"scenario resharding {self.kind}={self.target!r}"
+        live.sim.schedule_at(self.at, lambda: self.start(live.deployment), label=label)
+
+    def start(self, deployment: ShardedCluster) -> Migration:
+        options = dict(pid=self.pid, transfer_delay=self.transfer_delay)
+        if self.kind == "split":
+            return deployment.split(self.target, **options)
+        if self.kind == "merge":
+            return deployment.merge(*self.target, **options)
+        return deployment.move(self.target[:2], self.target[2], **options)
+
+
+@dataclass(frozen=True, init=False)
+class Invoke:
+    """One open-loop invocation at absolute time ``at``. Scripted into a
+    crash window it is *refused*, not fatal: the client could not reach the
+    crashed replica, a run observation (:attr:`LiveRun.refused`)."""
+
+    rank: ClassVar[int] = 3
     at: float
     pid: int
     op: Operation
     strong: bool
     label: str
 
+    def __init__(self, at: float, pid: int, op: Operation, strong: bool, label: str):
+        # A schedule may hold thousands: the generated frozen __init__ (an
+        # object.__setattr__ per field) takes 2.5 times as long.
+        fields = self.__dict__
+        fields["at"], fields["pid"], fields["op"] = at, pid, op
+        fields["strong"], fields["label"] = strong, label
 
-@dataclass
-class _WorkloadSpec:
+    def install(self, live: "LiveRun") -> None:
+        label = f"scenario invoke R{self.pid} {self.op}"
+        live.sim.schedule_at(self.at, lambda: self.fire(live), label=label)
+
+    def fire(self, live: "LiveRun") -> None:
+        try:
+            live.futures[self.label] = live._client.submit(
+                self.pid, self.op, strong=self.strong
+            )
+        except ReplicaUnavailableError:
+            live.refused[self.label] = live.now
+
+
+@dataclass(frozen=True)
+class ClientScript:
+    """A closed-loop session on replica ``pid``; its :class:`ScenarioClient`
+    fills ``ops`` with ``(op, strong, label)``."""
+
+    rank: ClassVar[int] = 4
+    pid: int
+    think_time: float
+    ops: List[Tuple[Operation, bool, Optional[str]]]
+
+    def install(self, live: "LiveRun") -> None:
+        session = live._client.connect(self.pid, think_time=self.think_time)
+        live.sessions.append(session)
+        for op, strong, label in self.ops:
+            future = session.submit(op, strong=strong)
+            if label is not None:
+                live.futures[label] = future
+
+
+@dataclass(frozen=True)
+class Workload:
+    """A random closed-loop workload; the fields are its
+    :class:`RandomWorkload` arguments."""
+
+    rank: ClassVar[int] = 5
     profile: WorkloadProfile
     ops_per_session: int
     think_time: float
     seed: int
     sessions: Optional[int] = None
+
+    def install(self, live: "LiveRun") -> None:
+        workload = RandomWorkload(live._client, **vars(self))
+        workload.start()
+        live.workloads.append(workload)
+
+
+@dataclass(frozen=True)
+class Hook:
+    """Run ``fn(live_run)`` at simulated time ``at``."""
+
+    rank: ClassVar[int] = 6
+    at: float
+    fn: Callable[["LiveRun"], None]
+
+    def install(self, live: "LiveRun") -> None:
+        live.sim.schedule_at(self.at, lambda: self.fn(live), label="scenario hook")
 
 
 class ScenarioClient:
@@ -124,11 +279,9 @@ class ScenarioClient:
         alice.strong(RList.read(), label="confirm")
     """
 
-    def __init__(self, scenario: "Scenario", pid: int, think_time: float) -> None:
+    def __init__(self, scenario: "Scenario", script: ClientScript) -> None:
         self.scenario = scenario
-        self.pid = pid
-        self.think_time = think_time
-        self.ops: List[Tuple[Operation, bool, Optional[str]]] = []
+        self.ops = script.ops
 
     def op(
         self, op: Operation, *, strong: bool = False, label: Optional[str] = None
@@ -175,26 +328,9 @@ class Scenario:
         self._clock_offsets: Dict[int, float] = {}
         self._clock_rates: Dict[int, float] = {}
         self._exec_overrides: Dict[int, float] = {}
-        #: (kind, at, groups, shard) — shard is None outside sharded mode
-        #: (and means "every shard" inside it).
-        self._partition_events: List[Tuple[str, float, Any, Optional[int]]] = []
-        #: (pid, at, recover_at, mode, shard).
-        self._crash_plans: List[
-            Tuple[int, float, Optional[float], Optional[str], Optional[int]]
-        ] = []
-        #: (rule, shard) — shard is None outside sharded mode (and means
-        #: "every shard" inside it).
-        self._filter_rules: List[Tuple[FilterRule, Optional[int]]] = []
-        #: (at, description, step) — ``step(deployment)`` starts the migration.
-        self._reshardings: List[
-            Tuple[float, str, Callable[[ShardedCluster], Migration]]
-        ] = []
-        #: PlacementController kwargs when autoscale() armed one.
-        self._autoscale: Optional[Dict[str, Any]] = None
-        self._scripted: List[_ScriptedOp] = []
-        self._clients: List[ScenarioClient] = []
-        self._workloads: List[_WorkloadSpec] = []
-        self._hooks: List[Tuple[float, Callable[["LiveRun"], None]]] = []
+        #: The schedule: records in declaration order.
+        self._records: List[Any] = []
+        self._n_invokes = 0
         self._probe_op: Optional[Callable[[], Operation]] = None
         self._probe_spacing: Optional[float] = None
         self._checks: List[Tuple[str, Optional[str]]] = []
@@ -346,12 +482,12 @@ class Scenario:
         internal network (shards are independent consensus groups, each
         with its own links); None partitions every shard identically.
         """
-        self._partition_events.append(("split", at, groups, shard))
+        self._records.append(Split(at, tuple(map(tuple, groups)), shard))
         return self
 
     def heal(self, at: float, *, shard: Optional[int] = None) -> "Scenario":
         """Restore full connectivity at time ``at`` (optionally one shard)."""
-        self._partition_events.append(("heal", at, None, shard))
+        self._records.append(Heal(at, shard))
         return self
 
     def crash(
@@ -371,9 +507,10 @@ class Scenario:
         without it the crash is permanent (the paper's crash-stop model).
         ``mode`` overrides the inferred :meth:`Process.crash` mode. In a
         sharded scenario ``shard`` names the shard whose replica ``pid``
-        crashes (None: replica ``pid`` of *every* shard).
+        crashes (None: replica ``pid`` of *every* shard). A bad plan raises
+        here, not at ``build()``.
         """
-        self._crash_plans.append((pid, at, recover_at, mode, shard))
+        self._records.append(Crash(pid, at, recover_at, mode, shard))
         return self
 
     def durability(
@@ -420,30 +557,20 @@ class Scenario:
         land on the run (``live.migrations`` /
         :attr:`RunResult.migrations`).
         """
-        chosen = [f"{name}={value!r}" for name, value in (
+        given = [(kind, value) for kind, value in (
             ("split", split), ("merge", merge), ("move", move)
         ) if value is not None]
-        if len(chosen) != 1:
+        if len(given) != 1:
+            chosen = [f"{kind}={value!r}" for kind, value in given]
             raise ValueError(
                 "resharding() needs exactly one of split=/merge=/move=, "
                 f"got {chosen or 'none'}"
             )
-        options = dict(pid=pid, transfer_delay=transfer_delay)
-        if split is not None:
-            step = lambda d: d.split(split, **options)
-        elif merge is not None:
-            if len(merge) != 2:
-                raise ValueError(
-                    f"merge expects a (dst, src) pair, got {merge!r}"
-                )
-            step = lambda d: d.merge(*merge, **options)
-        else:
-            if len(move) != 3:
-                raise ValueError(
-                    f"move expects an (lo, hi, dst) triple, got {move!r}"
-                )
-            step = lambda d: d.move(move[:2], move[2], **options)
-        self._reshardings.append((at, chosen[0], step))
+        if merge is not None and len(merge) != 2:
+            raise ValueError(f"merge expects a (dst, src) pair, got {merge!r}")
+        if move is not None and len(move) != 3:
+            raise ValueError(f"move expects an (lo, hi, dst) triple, got {move!r}")
+        self._records.append(Reshard(at, *given[0], pid, transfer_delay))
         return self
 
     def autoscale(
@@ -469,35 +596,36 @@ class Scenario:
         knobs (``hysteresis``, ``lookback``, ``decay``,
         ``transfer_delay``, ...) pass through to the controller. The
         controller lands on the result
-        (:attr:`RunResult.controller`).
+        (:attr:`RunResult.controller`). A later call replaces an earlier
+        one.
         """
-        self._autoscale = dict(
-            policy=policy,
-            threshold=threshold,
-            cooldown=cooldown,
-            interval=interval,
-            **controller_kwargs,
-        )
+        self._records = [r for r in self._records if not isinstance(r, Autoscale)]
+        options = dict(policy=policy, threshold=threshold, cooldown=cooldown)
+        options.update(interval=interval, **controller_kwargs)
+        self._records.append(Autoscale(options))
         return self
 
     def filter(
         self, rule: FilterRule, *, shard: Optional[int] = None
     ) -> "Scenario":
-        """Install a raw message-filter rule (drop/delay by inspection).
+        """Install a message-filter rule: a :class:`~repro.net.faults.MessageRule`
+        or any ``(sender, receiver, payload, time) -> None | "drop" | delay``.
 
         In a sharded scenario ``shard`` scopes the rule to one shard's
-        network; None installs it on every shard. Rules may be stateful
-        (e.g. "drop the first 3"): each shard compiles its *own*
-        :class:`MessageFilter`, so per-rule state is per shard.
+        network; None installs it on every shard. Every shard then calls the
+        *same* object, so a stateful rule (e.g. "drop the first 3") spends
+        one budget across the whole deployment.
         """
-        self._filter_rules.append((rule, shard))
+        self._records.append(Filter(rule, shard))
         return self
 
     def tob_extra_delay(
-        self, extra: float, *, tag: str = "seqtob", shard: Optional[int] = None
+        self, extra: float, *, shard: Optional[int] = None
     ) -> "Scenario":
-        """Add ``extra`` latency to every TOB-engine message (slow consensus)."""
-        return self.filter(tob_delay_rule(extra, tag=tag), shard=shard)
+        """Add ``extra`` latency to every message of the configured TOB
+        engine (slow consensus)."""
+        self._records.append(Filter(MessageRule(extra=extra), shard, tob=True))
+        return self
 
     def delay_tob_for_dot(
         self,
@@ -505,7 +633,6 @@ class Scenario:
         *,
         receiver: int,
         extra: float,
-        tag: str = "seqtob",
         shard: Optional[int] = None,
     ) -> "Scenario":
         """Delay only TOB-engine messages about ``dot`` into ``receiver``.
@@ -515,10 +642,9 @@ class Scenario:
         scenarios pass ``shard``: dots are per-cluster ``(pid, n)`` pairs,
         so the same dot exists independently in every shard.
         """
-        return self.filter(
-            delay_tob_for_dot_rule(dot, receiver=receiver, extra=extra, tag=tag),
-            shard=shard,
-        )
+        rule = MessageRule(receiver=receiver, dot=dot, extra=extra)
+        self._records.append(Filter(rule, shard, tob=True))
+        return self
 
     def quarantine_dot(
         self,
@@ -534,7 +660,7 @@ class Scenario:
         event (by any route — RB, relay, or TOB delivery) until late.
         """
         return self.filter(
-            quarantine_dot_rule(dot, receiver=receiver, extra=extra), shard=shard
+            MessageRule(receiver=receiver, dot=dot, extra=extra), shard=shard
         )
 
     # ------------------------------------------------------------------
@@ -556,20 +682,21 @@ class Scenario:
     ) -> "Scenario":
         """Schedule an open-loop invocation at absolute time ``at``."""
         if label is None:
-            index = len(self._scripted)
+            index = self._n_invokes
             label = f"{op.name}#{index}"
             while label in self._labels:  # sidestep user-chosen "name#n" labels
                 index += 1
                 label = f"{op.name}#{index}"
         self._claim_label(label)
-        self._scripted.append(_ScriptedOp(at, pid, op, strong, label))
+        self._n_invokes += 1
+        self._records.append(Invoke(at, pid, op, strong, label))
         return self
 
     def client(self, pid: int, *, think_time: float = 0.0) -> ScenarioClient:
         """A closed-loop client script bound to replica ``pid``."""
-        client = ScenarioClient(self, pid, think_time)
-        self._clients.append(client)
-        return client
+        script = ClientScript(pid, think_time, [])
+        self._records.append(script)
+        return ScenarioClient(self, script)
 
     def workload(
         self,
@@ -627,14 +754,14 @@ class Scenario:
                 profile = dataclasses.replace(
                     profile, strong_probability=strong_probability
                 )
-        self._workloads.append(
-            _WorkloadSpec(profile, ops_per_session, think_time, seed, sessions)
+        self._records.append(
+            Workload(profile, ops_per_session, think_time, seed, sessions)
         )
         return self
 
     def at(self, time: float, hook: Callable[["LiveRun"], None]) -> "Scenario":
         """Run ``hook(live_run)`` at simulated time ``time`` (custom steps)."""
-        self._hooks.append((time, hook))
+        self._records.append(Hook(time, hook))
         return self
 
     # ------------------------------------------------------------------
@@ -665,16 +792,12 @@ class Scenario:
         ``fec``/``bec``/``seq`` name the consistency level to check (e.g.
         ``fec="weak"``); ``ncc`` and ``session_guarantees`` are flags.
         """
-        if fec is not None:
-            self._checks.append(("fec", fec))
-        if bec is not None:
-            self._checks.append(("bec", bec))
-        if seq is not None:
-            self._checks.append(("seq", seq))
-        if ncc:
-            self._checks.append(("ncc", None))
-        if session_guarantees:
-            self._checks.append(("sessions", None))
+        for kind, level in (("fec", fec), ("bec", bec), ("seq", seq)):
+            if level is not None:
+                self._checks.append((kind, level))
+        for kind, wanted in (("ncc", ncc), ("sessions", session_guarantees)):
+            if wanted:
+                self._checks.append((kind, None))
         return self
 
     # ------------------------------------------------------------------
@@ -695,88 +818,41 @@ class Scenario:
                 kwargs[key] = merged
         return BayouConfig(**kwargs)
 
-    def _shard_targets(self, shard: Optional[int], verb: str) -> Sequence[Any]:
-        """The deployment targets one fault declaration applies to.
-
-        Unsharded builds have the single target ``None`` (a shard scope is
-        an error there); sharded builds fan an unscoped declaration out to
-        every shard.
-        """
-        if self._n_shards is None:
-            if shard is not None:
-                raise ValueError(
-                    f"{verb}(..., shard=...) needs a sharded scenario "
-                    "(call .shards(n) first)"
-                )
-            return (None,)
-        return range(self._n_shards) if shard is None else (shard,)
-
     def build(self) -> "LiveRun":
-        """Compile to a live cluster (or sharded deployment), scheduled."""
+        """Compile to a live cluster (or sharded deployment), scheduled.
+
+        The cluster is built fault-free; then one pass installs every
+        record on it, by ``rank`` and, within a rank, in declaration order.
+        """
         if self._datatype is None:
             raise ValueError("Scenario needs a datatype (pass one or .datatype())")
-        sharded = self._n_shards is not None
-        if not sharded:
-            for verb, used in (
-                ("resharding", self._reshardings),
-                ("autoscale", self._autoscale is not None),
-            ):
-                if used:
-                    raise ValueError(
-                        f"{verb}(...) needs a sharded scenario (call "
-                        ".shards(n) first)"
-                    )
+        n_shards = self._n_shards
+        ordered = sorted(self._records, key=attrgetter("rank"))
+        # Only the first ranks (faults, Autoscale, Reshard) name shards.
+        for record in itertools.takewhile(lambda r: r.rank <= Reshard.rank, ordered):
+            shard = getattr(record, "shard", 0)  # Reshard, Autoscale: any shard
+            if shard is not None and not 0 <= shard < (n_shards or 0):
+                where = f" with a shard {shard}" if shard else ""
+                raise ValueError(
+                    f"{record!r} needs a sharded scenario{where} (call .shards(n))"
+                )
         config = self._compile_config()
-
-        # Faults compile per target: None for the one unsharded cluster,
-        # the shard index otherwise.
-        partitions: Dict[Optional[int], PartitionSchedule] = {}
-        for kind, at, groups, shard in self._partition_events:
-            for target in self._shard_targets(shard, "partition"):
-                schedule = partitions.setdefault(
-                    target, PartitionSchedule(config.n_replicas)
-                )
-                if kind == "split":
-                    schedule.split(at, groups)
-                else:
-                    schedule.heal(at)
-        crashes: Dict[Optional[int], CrashSchedule] = {}
-        for pid, at, recover_at, mode, shard in self._crash_plans:
-            for target in self._shard_targets(shard, "crash"):
-                crashes.setdefault(target, CrashSchedule()).add(
-                    pid, at, recover_at, mode=mode
-                )
-        # Every target gets its own MessageFilter instance.
-        filters: Dict[Optional[int], MessageFilter] = {}
-        for rule, shard in self._filter_rules:
-            for target in self._shard_targets(shard, "filter"):
-                filters.setdefault(target, MessageFilter()).add(rule)
-
-        if sharded:
-            return LiveRun(
-                self,
-                ShardedCluster(
-                    self._datatype,
-                    config,
-                    n_shards=self._n_shards,
-                    partitioner=self._partitioner,
-                    protocol=self._protocol,
-                    partitions=partitions or None,
-                    filters=filters or None,
-                    crashes=crashes or None,
-                ),
+        if n_shards is None:
+            target: Union[BayouCluster, ShardedCluster] = BayouCluster(
+                self._datatype, config, protocol=self._protocol
             )
-        return LiveRun(
-            self,
-            BayouCluster(
+        else:
+            target = ShardedCluster(
                 self._datatype,
                 config,
+                n_shards=n_shards,
+                partitioner=self._partitioner,
                 protocol=self._protocol,
-                partitions=partitions.get(None),
-                filters=filters.get(None),
-                crashes=crashes.get(None),
-            ),
-        )
+            )
+        live = LiveRun(self, target)
+        for record in ordered:
+            record.install(live)
+        return live
 
     def run(
         self,
@@ -840,13 +916,12 @@ class LiveRun:
         self.scenario = scenario
         sharded = isinstance(target, ShardedCluster)
         self.deployment: Optional[ShardedCluster] = target if sharded else None
-        self.router: Optional[ShardRouter] = (
-            ShardRouter(target) if sharded else None
-        )
+        self.router: Optional[ShardRouter] = ShardRouter(target) if sharded else None
         #: What is driven (the cluster or the deployment) and what takes
         #: submissions (the cluster or the router).
         self._target = target
         self._client = self.router if sharded else target
+        self.sim = target.sim
         #: label -> OpFuture for every labelled scripted/client operation
         #: (across all shards, cross-shard parents included).
         self.futures: Dict[str, OpFuture] = {}
@@ -860,7 +935,6 @@ class LiveRun:
         self.workloads: List[RandomWorkload] = []
         #: The autonomous placement controller (``autoscale()`` only).
         self.controller: Optional[PlacementController] = None
-        self._schedule_everything()
 
     @property
     def clusters(self) -> List[BayouCluster]:
@@ -874,54 +948,10 @@ class LiveRun:
         """The run's one cluster; a named error on a multi-shard run."""
         return _only(self.clusters, "cluster")
 
-    # -- wiring --------------------------------------------------------
-    def _schedule_everything(self) -> None:
-        scenario = self.scenario
-        sim = self._target.sim
-        if scenario._autoscale is not None:
-            self.controller = PlacementController(
-                self.router, **scenario._autoscale
-            )
-            self.controller.start()
-        for at, what, step in scenario._reshardings:
-            sim.schedule_at(
-                at,
-                lambda step=step: step(self.deployment),
-                label=f"scenario resharding {what}",
-            )
-        for scripted in scenario._scripted:
-            sim.schedule_at(
-                scripted.at,
-                lambda s=scripted: self._fire_scripted(s),
-                label=f"scenario invoke R{scripted.pid} {scripted.op}",
-            )
-        for client in scenario._clients:
-            session = self._client.connect(
-                client.pid, think_time=client.think_time
-            )
-            self.sessions.append(session)
-            for op, strong, op_label in client.ops:
-                future = session.submit(op, strong=strong)
-                if op_label is not None:
-                    self.futures[op_label] = future
-        for spec in scenario._workloads:
-            workload = RandomWorkload(
-                self._client,
-                spec.profile,
-                ops_per_session=spec.ops_per_session,
-                think_time=spec.think_time,
-                seed=spec.seed,
-                sessions=spec.sessions,
-            )
-            workload.start()
-            self.workloads.append(workload)
-        for time, hook in scenario._hooks:
-            sim.schedule_at(time, lambda h=hook: h(self), label="scenario hook")
-
     # -- driving -------------------------------------------------------
     @property
     def now(self) -> float:
-        return self._target.sim.now
+        return self.sim.now
 
     def submit(
         self,
@@ -945,20 +975,6 @@ class LiveRun:
         if label is not None:
             self.futures[label] = future
         return future
-
-    def _fire_scripted(self, scripted: _ScriptedOp) -> None:
-        """Run one declared invocation (its label was claimed at declaration).
-
-        An invocation scripted into a crash window is *refused*, not fatal:
-        the client could not reach the crashed replica, which is a run
-        observation (recorded in :attr:`refused`), not a harness error.
-        """
-        try:
-            self.futures[scripted.label] = self._client.submit(
-                scripted.pid, scripted.op, strong=scripted.strong
-            )
-        except ReplicaUnavailableError:
-            self.refused[scripted.label] = self.now
 
     def run(self, until: Optional[float] = None) -> None:
         self._target.run(until=until)
@@ -984,9 +1000,7 @@ class LiveRun:
             self._target.run_until_quiescent()
             return
         sessions = self.sessions + [
-            session
-            for workload in self.workloads
-            for session in workload.sessions
+            session for workload in self.workloads for session in workload.sessions
         ]
         while True:
             self._target.run_until_stable(max_time=max_time)
@@ -1022,13 +1036,9 @@ class LiveRun:
         and run them to completion."""
         if self.scenario._probe_op is None:
             return
+        probed = self.clusters
         if self.deployment is not None:
-            probed = [
-                self.deployment.shards[index]
-                for index in self.deployment.live_shard_indexes()
-            ]
-        else:
-            probed = self.clusters
+            probed = [probed[index] for index in self.deployment.live_shard_indexes()]
         for cluster in probed:
             cluster.add_horizon_probes(
                 self.scenario._probe_op, spacing=self.scenario._probe_spacing
@@ -1055,10 +1065,7 @@ class LiveRun:
                 self.shutdown()
                 self._target.run_until_quiescent()
         clusters = list(self.clusters)
-        histories = [
-            cluster.build_history(well_formed=well_formed)
-            for cluster in clusters
-        ]
+        histories = [c.build_history(well_formed=well_formed) for c in clusters]
         executions = [build_abstract_execution(h) for h in histories]
         sharded = self.deployment is not None
 
@@ -1081,13 +1088,8 @@ class LiveRun:
                 )
         if self.migrations:
             checks["migrations"] = [
-                MigrationCheck(
-                    name=migration.describe(),
-                    ok=migration.complete,
-                    state=migration.state,
-                    error=migration.error,
-                )
-                for migration in self.migrations
+                MigrationCheck(m.describe(), m.complete, m.state, m.error)
+                for m in self.migrations
             ]
         return RunResult(
             name=self.scenario.name,
@@ -1230,17 +1232,14 @@ class RunResult:
         self, level: Optional[str] = None, *, session: Optional[int] = None
     ) -> List[float]:
         """Response latencies from the histories (optionally filtered)."""
-        samples = []
-        for history in self.histories:
-            for event in history.events:
-                if event.return_time is None:
-                    continue
-                if level is not None and event.level != level:
-                    continue
-                if session is not None and event.session != session:
-                    continue
-                samples.append(event.return_time - event.invoke_time)
-        return samples
+        return [
+            event.return_time - event.invoke_time
+            for history in self.histories
+            for event in history.events
+            if event.return_time is not None
+            and (level is None or event.level == level)
+            and (session is None or event.session == session)
+        ]
 
     @property
     def weak_latencies(self) -> List[float]:

@@ -52,6 +52,9 @@ from typing import (
 from repro.obs.metrics import MetricsRegistry
 from repro.shard.control.topk import SpaceSavingSketch
 
+#: Keys the hot-key sketch tracks.
+TOPK_CAPACITY = 32
+
 
 @dataclass
 class StatsWindow:
@@ -88,12 +91,11 @@ class ShardStats:
         n_shards: int,
         *,
         window_limit: int = 64,
-        topk_capacity: int = 32,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.sketch = SpaceSavingSketch(topk_capacity)
+        self.sketch = SpaceSavingSketch(TOPK_CAPACITY)
         #: Where the counts live. Sharing the deployment telemetry
         #: plane's registry means the controller decides from the same
         #: instruments the exporters render.

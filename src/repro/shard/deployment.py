@@ -38,8 +38,6 @@ from repro.core.config import BayouConfig
 from repro.core.durability import DurableStore, open_store
 from repro.datatypes.base import DataType
 from repro.errors import MigrationError
-from repro.net.faults import CrashSchedule, MessageFilter
-from repro.net.partition import PartitionSchedule
 from repro.obs import Telemetry
 from repro.shard.migration import Migration
 from repro.shard.partitioner import (
@@ -65,9 +63,6 @@ class ShardedCluster:
         n_shards: int,
         partitioner: Optional[Partitioner] = None,
         protocol: str = ORIGINAL,
-        partitions: Optional[Dict[int, PartitionSchedule]] = None,
-        filters: Optional[Dict[int, MessageFilter]] = None,
-        crashes: Optional[Dict[int, CrashSchedule]] = None,
     ) -> None:
         self.datatype = datatype
         self.config = config or BayouConfig()
@@ -98,20 +93,8 @@ class ShardedCluster:
         #: convergence (their logs still drain so in-flight futures
         #: settle, but they own no keys under the active epoch).
         self.retired: Set[int] = set()
-        for index in range(n_shards):
-            self.shards.append(
-                BayouCluster(
-                    datatype,
-                    self._shard_config(index),
-                    protocol=protocol,
-                    partitions=(partitions or {}).get(index),
-                    filters=(filters or {}).get(index),
-                    crashes=(crashes or {}).get(index),
-                    sim=self.sim,
-                    name=f"S{index}",
-                    telemetry=self.telemetry,
-                )
-            )
+        for _ in range(n_shards):
+            self._spawn_shard()
         self._placement_store = self._open_placement_store()
         self._replay_epoch_chain()
 
@@ -330,7 +313,8 @@ class ShardedCluster:
         return self._start_migration(migration)
 
     def _spawn_shard(self) -> int:
-        """Spawn a fresh cluster stack mid-run; returns its shard index."""
+        """Spawn a fresh cluster stack (at construction or mid-run); returns
+        its shard index."""
         index = len(self.shards)
         self.shards.append(
             BayouCluster(

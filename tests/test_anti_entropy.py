@@ -79,11 +79,11 @@ def test_partition_heals_through_later_sessions():
 
 def test_transitive_spread_without_direct_link():
     """Updates travel through intermediaries — the laptop-to-laptop story."""
-    from repro.net.faults import MessageFilter
+    from repro.net.faults import MessageFilter, MessageRule
 
     filters = MessageFilter()
-    filters.drop_between(0, 2)
-    filters.drop_between(2, 0)
+    filters.add(MessageRule(sender=0, receiver=2, drop=True))
+    filters.add(MessageRule(sender=2, receiver=0, drop=True))
     sim = Simulator()
     network = Network(sim, 3, latency=FixedLatency(0.3), filters=filters)
     nodes = [RoutingNode(SimRuntime(sim, network), pid) for pid in range(3)]

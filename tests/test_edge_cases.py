@@ -8,7 +8,6 @@ from repro.datatypes.counter import Counter
 from repro.datatypes.rlist import RList
 from repro.framework.history import PENDING
 from repro.net.network import FixedLatency, UniformLatency
-from repro.net.partition import PartitionSchedule
 from repro.shard import ShardedCluster
 from repro.sim.rng import SeededRngRegistry
 
@@ -139,26 +138,25 @@ def test_rlist_render_handles_non_string_elements():
     assert rlist.execute(RList.get_first(), db) == 1
 
 
-def _never_healed(n_replicas):
+def _never_healed(cluster):
     """Replica ``n - 1`` is cut off from t=0.5 on and nobody heals it."""
-    partitions = PartitionSchedule(n_replicas)
-    partitions.split(0.5, [list(range(n_replicas - 1)), [n_replicas - 1]])
-    return partitions
+    n_replicas = cluster.config.n_replicas
+    cluster.partitions.split(0.5, [list(range(n_replicas - 1)), [n_replicas - 1]])
 
 
 def _asynchronous_cluster():
     config = BayouConfig(n_replicas=3, exec_delay=0.05, message_delay=1.0)
-    cluster = BayouCluster(Counter(), config, partitions=_never_healed(3))
+    cluster = BayouCluster(Counter(), config)
+    _never_healed(cluster)
     cluster.schedule_invoke(1.0, 2, Counter.increment(1))
     return cluster, cluster.network
 
 
 def _asynchronous_sharded_cluster():
     config = BayouConfig(n_replicas=3, exec_delay=0.05, message_delay=1.0)
-    deployment = ShardedCluster(
-        Counter(), config, n_shards=2, partitions={0: _never_healed(3)}
-    )
+    deployment = ShardedCluster(Counter(), config, n_shards=2)
     shard = deployment.shards[0]
+    _never_healed(shard)
     shard.schedule_invoke(1.0, 2, Counter.increment(1))
     return deployment, shard.network
 

@@ -31,7 +31,7 @@ import pytest
 from repro.core.cluster import BayouCluster, MODIFIED, ORIGINAL
 from repro.core.config import BayouConfig
 from repro.datatypes.rlist import RList
-from repro.net.faults import CrashSchedule, MessageFilter
+from repro.net.faults import CrashSchedule, MessageFilter, MessageRule
 
 FIELDS = (
     "eid", "session", "op", "level", "invoke_time", "return_time", "rval",
@@ -131,8 +131,8 @@ def _filtered_jitter_run() -> BayouCluster:
     message must draw no latency sample (the RNG order decides every later
     delivery time)."""
     filters = MessageFilter()
-    filters.drop_between(1, 2)
-    filters.delay_between(0, 1, 0.7)
+    filters.add(MessageRule(sender=1, receiver=2, drop=True))
+    filters.add(MessageRule(sender=0, receiver=1, extra=0.7))
     return _mixed_run(
         ORIGINAL, "sequencer", filters=filters, retransmit_interval=1.0
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.faults import MessageFilter
+from repro.net.faults import MessageFilter, MessageRule
 from repro.net.network import FixedLatency, Network, UniformLatency
 from repro.net.partition import PartitionSchedule
 from repro.runtime.sim import SimRuntime
@@ -74,7 +74,7 @@ def test_broadcast_include_self():
 
 def test_filter_drop():
     filters = MessageFilter()
-    filters.drop_between(0, 1)
+    filters.add(MessageRule(sender=0, receiver=1, drop=True))
     sim, network, processes = build(filters=filters)
     network.send(0, 1, "lost")
     network.send(1, 0, "kept")
@@ -86,8 +86,8 @@ def test_filter_drop():
 
 def test_filter_delays_accumulate():
     filters = MessageFilter()
-    filters.delay_between(0, 1, 2.0)
-    filters.delay_between(0, 1, 3.0)
+    filters.add(MessageRule(sender=0, receiver=1, extra=2.0))
+    filters.add(MessageRule(sender=0, receiver=1, extra=3.0))
     sim, network, processes = build(latency=FixedLatency(1.0), filters=filters)
     network.send(0, 1, "slow")
     sim.run()
@@ -144,7 +144,7 @@ def _jittered_run(drop_first: bool):
         latency=UniformLatency(1.0, 5.0, SeededRngRegistry(5))
     )
     if drop_first:
-        network.filters.drop_between(1, 0)
+        network.filters.add(MessageRule(sender=1, receiver=0, drop=True))
         network.send(1, 0, "eaten")
     for index in range(3):
         network.send(0, 1, index)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.faults import CrashSchedule, MessageFilter
+from repro.net.faults import CrashSchedule, MessageFilter, MessageRule
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
 from repro.runtime.sim import SimRuntime
@@ -81,12 +81,12 @@ def test_timer_suppressed_after_crash():
 
 def test_message_filter_drop_wins_over_delay():
     filters = MessageFilter()
-    filters.delay_between(0, 1, 2.0)
-    filters.drop_between(0, 1)
+    filters.add(MessageRule(sender=0, receiver=1, extra=2.0))
+    filters.add(MessageRule(sender=0, receiver=1, drop=True))
     assert filters.verdict(0, 1, "x", 0.0) == MessageFilter.DROP
 
 
 def test_message_filter_none_when_no_match():
     filters = MessageFilter()
-    filters.delay_between(0, 1, 2.0)
+    filters.add(MessageRule(sender=0, receiver=1, extra=2.0))
     assert filters.verdict(1, 0, "x", 0.0) is None

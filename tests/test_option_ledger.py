@@ -9,9 +9,9 @@ way for several PRs). Two ledgers:
   ``.<field>``, or through a ``BayouConfig`` accessor such as
   ``exec_delay_for`` (``validate`` does not count: checking a value is not
   using it);
-- a keyword of a broadcast endpoint's constructor fails the moment no
-  module under ``src/repro`` other than the endpoint's own passes it by
-  name.
+- a keyword of a ledgered constructor (the broadcast endpoints, the
+  sharded deployment and its load statistics) fails the moment no module
+  under ``src/repro`` other than the constructor's own passes it by name.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from repro.broadcast.paxos import PaxosTOB
 from repro.broadcast.reliable import ReliableBroadcast
 from repro.broadcast.sequencer import SequencerTOB
 from repro.core.config import BayouConfig
+from repro.shard.control.stats import ShardStats
+from repro.shard.deployment import ShardedCluster
 
 #: Fields allowed to have no reader, each with the reason it survives.
 TOMBSTONES = {
@@ -38,22 +40,27 @@ TOMBSTONES = {
 }
 
 
-ENDPOINTS = (
+CONSTRUCTORS = (
     PaxosTOB,
     SequencerTOB,
     ReliableBroadcast,
     AntiEntropy,
     OmegaFailureDetector,
+    ShardedCluster,
+    ShardStats,
 )
 
-#: Endpoint keywords allowed to have no caller under src/repro, each with
-#: the reason it survives.
+#: Keywords allowed to have no caller under src/repro, each with the
+#: reason it survives.
 TEST_ONLY_KEYWORDS = {
     # Only tests set these, to drive the catch-up token bucket at small
     # sizes; every deployment runs the defaults.
     ("PaxosTOB", "catchup_batch"),
     ("PaxosTOB", "catchup_rate"),
     ("PaxosTOB", "catchup_burst"),
+    # Only the window-ring test sets it, to fill the ring in a few ticks;
+    # the controller keeps the default 64 windows.
+    ("ShardStats", "window_limit"),
 }
 
 ROOT = pathlib.Path(repro.__file__).parent
@@ -134,7 +141,7 @@ def test_every_endpoint_keyword_is_passed_outside_its_module():
         for path in sorted(ROOT.rglob("*.py"))
     }
     unpassed = set()
-    for cls in ENDPOINTS:
+    for cls in CONSTRUCTORS:
         passed = _keywords_passed_to(cls, calls_by_module)
         unpassed |= {
             (cls.__name__, name)
@@ -143,7 +150,7 @@ def test_every_endpoint_keyword_is_passed_outside_its_module():
             and name not in passed
         }
     assert sorted(unpassed) == sorted(TEST_ONLY_KEYWORDS), (
-        "broadcast endpoint keywords that no module under src/repro passes "
+        "constructor keywords that no module under src/repro passes "
         "(delete the keyword, or list it in TEST_ONLY_KEYWORDS with a "
         f"reason): {sorted(unpassed - TEST_ONLY_KEYWORDS)}"
     )

@@ -458,3 +458,53 @@ def test_settle_drives_closed_loop_sessions_to_the_end(shards, think_time):
     assert all(future.stable for future in futures)
     assert all(session.idle for session in live.sessions)
     assert live.converged()
+
+
+# ----------------------------------------------------------------------
+# The schedule is a list of records
+# ----------------------------------------------------------------------
+def _faulty_chain() -> Scenario:
+    return (
+        Scenario(KVStore())
+        .shards(2)
+        .replicas(3)
+        .partition(2.0, [[0, 1], [2]], shard=1)
+        .heal(6.0)
+        .crash(1, 3.0, recover_at=9.0)
+        .resharding(4.0, split=0, transfer_delay=0.5)
+        .tob_extra_delay(2.0)
+        .quarantine_dot((0, 1), receiver=2, extra=5.0, shard=0)
+    )
+
+
+def test_equal_chains_declare_equal_record_lists():
+    """Records are values: no lambda or closure stands between two
+    declarations of the same schedule."""
+    assert _faulty_chain()._records == _faulty_chain()._records
+    assert _faulty_chain().crash(2, 5.0)._records != _faulty_chain()._records
+
+
+def test_bad_crash_plan_is_rejected_at_the_call():
+    scenario = Scenario(Counter()).replicas(3)
+    with pytest.raises(ValueError, match="after the crash"):
+        scenario.crash(0, 5.0, recover_at=4.0)
+    with pytest.raises(ValueError, match="crash-stop"):
+        scenario.crash(0, 5.0, recover_at=6.0, mode="stop")
+    with pytest.raises(ValueError, match="unknown crash mode"):
+        scenario.crash(0, 5.0, mode="pause")
+
+
+@pytest.mark.parametrize("engine", ["sequencer", "paxos"])
+def test_tob_extra_delay_slows_the_configured_engine(engine):
+    """The TOB verbs tag their rule with the engine the scenario runs, so
+    Paxos messages are delayed too, not only the sequencer's."""
+
+    def strong_latency(extra):
+        scenario = Scenario(Counter()).replicas(3).tob(engine)
+        scenario.invoke(1.0, 0, Counter.increment(1), strong=True)
+        if extra:
+            scenario.tob_extra_delay(extra)
+        (latency,) = scenario.run().strong_latencies
+        return latency
+
+    assert strong_latency(2.0) >= strong_latency(0.0) + 2.0

@@ -87,12 +87,12 @@ class TestOpFutureTransitions:
     def test_stable_weak_future_may_still_disagree_with_final_order(self):
         from repro import BankAccounts
         from repro.analysis.metrics import stable_vs_tentative_mismatches
-        from repro.net.faults import MessageFilter, tob_delay_rule
+        from repro.net.faults import MessageFilter, MessageRule
 
         # The bank_transfers schedule: two racing weak withdrawals both
         # tentatively succeed, but only one survives the final order.
         filters = MessageFilter()
-        filters.add(tob_delay_rule(15.0))
+        filters.add(MessageRule(tag="seqtob", extra=15.0))
         config = BayouConfig(
             n_replicas=2, exec_delay=0.2, message_delay=1.0,
             clock_offsets={1: -0.5},

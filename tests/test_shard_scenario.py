@@ -212,9 +212,10 @@ def test_transfer_across_crash_window_completes_after_recovery():
     assert result.converged
 
 
-def test_shard_scoped_filter_state_is_per_shard():
-    """A stateful rule installed unscoped drops per shard, not globally;
-    a scoped rule touches only its shard."""
+def test_shard_scoped_filter_and_shared_stateful_rule():
+    """A scoped rule touches only its shard; an unscoped raw rule is one
+    object consulted by every shard, so a stateful rule's budget is spent
+    once across the whole deployment, not once per shard."""
 
     def drop_first_n(n):
         remaining = [n]
@@ -222,6 +223,7 @@ def test_shard_scoped_filter_state_is_per_shard():
         def rule(_src, _dst, _payload, _time):
             if remaining[0] > 0:
                 remaining[0] -= 1
+                hits.append(1)
                 return 50.0  # big delay stands in for a drop
             return None
 
@@ -233,36 +235,30 @@ def test_shard_scoped_filter_state_is_per_shard():
         hits.append(1)
         return None
 
-    scenario = (
-        Scenario(KVStore(), name="scoped-filter")
-        .shards(2, partitioner=RangePartitioner(["m"]))
-        .replicas(2)
-        .exec_delay(0.01)
-        .message_delay(0.2)
-        .filter(counting_rule, shard=0)
-        .invoke(1.0, 0, KVStore.put("alpha", 1), label="low")
-        .invoke(1.0, 0, KVStore.put("zeta", 2), label="high")
-    )
-    result = scenario.run(well_formed=False)
-    assert result.converged
+    def run(rule, **scope):
+        return (
+            Scenario(KVStore(), name="scoped-filter")
+            .shards(2, partitioner=RangePartitioner(["m"]))
+            .replicas(2)
+            .exec_delay(0.01)
+            .message_delay(0.2)
+            .filter(rule, **scope)
+            .invoke(1.0, 0, KVStore.put("alpha", 1), label="low")
+            .invoke(1.0, 0, KVStore.put("zeta", 2), label="high")
+            .run(well_formed=False)
+        )
+
+    assert run(counting_rule, shard=0).converged
     assert hits  # shard 0 traffic consulted the scoped rule
     shard0_messages = len(hits)
-    # Unscoped install: both shards consult *independent* copies, so a
-    # stateful rule's budget applies per shard.
     hits.clear()
-    result2 = (
-        Scenario(KVStore(), name="scoped-filter-2")
-        .shards(2, partitioner=RangePartitioner(["m"]))
-        .replicas(2)
-        .exec_delay(0.01)
-        .message_delay(0.2)
-        .filter(counting_rule)
-        .invoke(1.0, 0, KVStore.put("alpha", 1), label="low")
-        .invoke(1.0, 0, KVStore.put("zeta", 2), label="high")
-    )
-    result2 = result2.run(well_formed=False)
-    assert result2.converged
+    assert run(counting_rule).converged
     assert len(hits) > shard0_messages  # both shards' traffic now counted
+    # Unscoped, the stateful rule fires once in total, not once per shard,
+    # although both shards send messages.
+    hits.clear()
+    assert run(drop_first_n(1)).converged
+    assert len(hits) == 1
 
 
 def test_filter_shard_scope_requires_sharded_mode():

@@ -42,9 +42,8 @@ def _sharded_run() -> Tuple[ShardedCluster, ShardRouter, RandomWorkload]:
     crashes = CrashSchedule()
     crashes.add(1, 2.0, 6.0, mode="recover")
     crashes.add(1, 9.0, 12.0, mode="recover")
-    deployment = ShardedCluster(
-        BankAccounts(), config, n_shards=2, crashes={0: crashes}
-    )
+    deployment = ShardedCluster(BankAccounts(), config, n_shards=2)
+    crashes.arm(deployment.sim, dict(enumerate(deployment.shards[0].nodes)))
     router = ShardRouter(deployment)
     workload = RandomWorkload(
         router, bank_profile(), ops_per_session=8, think_time=0.5, seed=5, sessions=6

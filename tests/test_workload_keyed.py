@@ -282,6 +282,6 @@ def test_scenario_workload_hotspot_shift_validation():
     scenario = Scenario(KVStore()).shards(2).workload(
         "kv", keys=["a", "b"], hotspot_shift=[5.0]
     )
-    spec = scenario._workloads[0]
+    (spec,) = scenario._records
     assert isinstance(spec.profile.sampler, ShiftingHotspotSampler)
     assert spec.profile.sampler.shift_times == (5.0,)
