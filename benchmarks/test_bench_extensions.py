@@ -9,20 +9,26 @@
   protocol guarantees.
 """
 
-from repro.analysis.experiments.sessions import run_session_guarantees
+from repro.analysis.experiments.sessions import session_guarantees_scenario
 from repro.analysis.workload import PROFILES, RandomWorkload
 from repro.core.cluster import BayouCluster, MODIFIED, ORIGINAL
 from repro.core.config import BayouConfig
 from repro.datatypes.counter import Counter
 
 
+def latency(result):
+    """The response latency of the scenario's labelled read."""
+    read = result.event("ryw-read")
+    return read.return_time - read.invoke_time
+
+
 def test_session_guarantee_tradeoff(bench):
-    modified = bench(run_session_guarantees, protocol=MODIFIED)
-    original = run_session_guarantees(protocol=ORIGINAL)
+    modified = bench(session_guarantees_scenario(protocol=MODIFIED).run)
+    original = session_guarantees_scenario(protocol=ORIGINAL).run()
     # Original: RYW holds, but the read waited behind the backlog.
-    assert original.read_your_writes and original.read_latency > 1.0
+    assert original.session_guarantees["RYW"].ok and latency(original) > 1.0
     # Modified: instant answer, RYW gone — the paper's stated cost.
-    assert not modified.read_your_writes and modified.read_latency == 0.0
+    assert not modified.session_guarantees["RYW"].ok and latency(modified) == 0.0
 
 
 def _run_dissemination(dissemination: str):

@@ -6,20 +6,20 @@ protocol; the modified protocol (Algorithm 2) is cycle-free on the same
 schedule.
 """
 
-from repro.analysis.experiments.figure2 import run_figure2
+from repro.analysis.experiments.figure2 import figure2_scenario
 from repro.core.cluster import MODIFIED, ORIGINAL
 
 
 def test_figure2_original_has_cycle(bench):
-    result = bench(run_figure2, protocol=ORIGINAL)
+    result = bench(figure2_scenario(protocol=ORIGINAL).run)
     assert result.responses["append_x"] == "ayx"
     assert result.responses["append_y"] == "axy"
-    assert result.circular_causality
+    assert not result.ok("ncc")  # circular causality
     assert result.converged
 
 
 def test_figure2_modified_is_cycle_free(bench):
-    result = bench(run_figure2, protocol=MODIFIED)
-    assert not result.circular_causality
-    assert result.fec_weak.ok
+    result = bench(figure2_scenario(protocol=MODIFIED).run)
+    assert result.ok("ncc")
+    assert result.ok("fec:weak")
     assert result.converged

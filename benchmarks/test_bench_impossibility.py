@@ -7,11 +7,12 @@
   exactly that history, violating BEC while satisfying FEC ∧ Seq.
 """
 
-from repro.analysis.experiments.theorem1 import run_theorem1_live
+from repro.analysis.experiments.theorem1 import theorem1_scenario
 from repro.framework.impossibility import (
     build_fec_witness,
     prove_impossibility,
 )
+from repro.framework.search import find_bec_seq_execution
 
 
 def test_mechanised_impossibility(bench):
@@ -26,10 +27,11 @@ def test_fec_witness_construction(bench):
 
 
 def test_live_theorem1_schedule(bench):
-    result = bench(run_theorem1_live, bench_rounds=2)
+    result = bench(theorem1_scenario().run, bench_rounds=2)
     assert result.responses["r"] == "ab"
     assert result.responses["c"] == "bc"
-    assert not result.bec_weak.ok
-    assert result.fec_weak.ok
-    assert result.seq_strong.ok
-    assert not result.search.satisfiable
+    assert not result.ok("bec:weak")
+    assert result.ok("fec:weak")
+    assert result.ok("seq:strong")
+    search = find_bec_seq_execution(result.sub_history(["a", "b", "r", "c"]))
+    assert not search.satisfiable

@@ -13,25 +13,37 @@ Shapes reproduced (the paper's qualitative performance claims):
 """
 
 from repro.analysis.experiments.performance import (
-    run_latency_split,
+    latency_split_scenario,
     run_partition_sweep,
     run_throughput,
 )
+from repro.analysis.metrics import LatencyStats
 from repro.core.cluster import MODIFIED, ORIGINAL
 
 
+def _split(tob_engine):
+    """Weak and strong latency statistics of one latency-split run."""
+    result = latency_split_scenario(tob_engine=tob_engine).run(
+        well_formed=False, max_time=50_000.0
+    )
+    return (
+        LatencyStats.from_samples(result.weak_latencies),
+        LatencyStats.from_samples(result.strong_latencies),
+    )
+
+
 def test_latency_split_sequencer(bench):
-    split = bench(run_latency_split, tob_engine="sequencer")
-    assert split.weak.mean < 0.2
-    assert split.strong.mean >= 2.0 * split.weak.mean
-    assert split.strong.mean >= 1.0  # at least a TOB round
+    weak, strong = bench(_split, "sequencer")
+    assert weak.mean < 0.2
+    assert strong.mean >= 2.0 * weak.mean
+    assert strong.mean >= 1.0  # at least a TOB round
 
 
 def test_latency_split_paxos(bench):
-    split = bench(run_latency_split, tob_engine="paxos", bench_rounds=2)
-    sequencer = run_latency_split(tob_engine="sequencer")
-    assert split.strong.mean > sequencer.strong.mean  # extra quorum rounds
-    assert split.weak.mean < 0.2
+    weak, strong = bench(_split, "paxos", bench_rounds=2)
+    _sequencer_weak, sequencer_strong = _split("sequencer")
+    assert strong.mean > sequencer_strong.mean  # extra quorum rounds
+    assert weak.mean < 0.2
 
 
 def test_partition_sweep_strong_latency_tracks_duration(bench):

@@ -9,18 +9,20 @@ strong operations block (Seq fails), recovering after the heal.
 import pytest
 
 from repro.analysis.experiments.theorems import run_theorem2, run_theorem3
+from repro.framework.history import STRONG
 
 
 @pytest.mark.parametrize("profile", ["counter", "list", "kv", "bank", "set"])
 def test_theorem2_per_datatype(bench, profile):
     result = bench(run_theorem2, profile, bench_rounds=2)
-    assert result.theorem2_holds
+    assert result.ok("fec:weak") and result.ok("seq:strong")
     assert result.converged
 
 
 def test_theorem3_async_run(bench):
-    result = bench(run_theorem3, bench_rounds=2)
-    assert result.pending_strong_during == 1
-    assert not result.seq_strong_during.ok
-    assert result.fec_weak_during.ok
-    assert result.seq_strong_after.ok and result.fec_weak_after.ok
+    during, after = bench(run_theorem3, bench_rounds=2)
+    strong = during.history.with_level(STRONG)
+    assert sum(event.pending for event in strong) == 1
+    assert not during.ok("seq:strong")
+    assert during.ok("fec:weak")
+    assert after.ok("seq:strong") and after.ok("fec:weak")

@@ -6,26 +6,29 @@ client sees, why the orders disagree, and what the formal framework says
 about the run. A compact tour of temporary operation reordering.
 
 The schedule itself is ``figure1_scenario()``, a declarative
-:class:`repro.Scenario`; ``run_figure1`` runs it and collects the paper's
-observables.
+:class:`repro.Scenario`; ``.run()`` runs it and returns the paper's
+observables as a :class:`repro.RunResult`.
 """
 
-from repro import MODIFIED, ORIGINAL
-from repro.analysis.experiments.figure1 import run_figure1
+from repro import MODIFIED, ORIGINAL, RList
+from repro.analysis.experiments.figure1 import figure1_scenario
+from repro.analysis.metrics import count_reordering_witnesses
 
 
 def narrate(protocol: str) -> None:
-    result = run_figure1(protocol=protocol)
+    result = figure1_scenario(protocol=protocol).run()
     print(f"=== Figure 1 under the {protocol} protocol ===")
     print(f"  append('a')  (weak)   -> {result.responses['append_a']!r}")
     print(f"  append('x')  (weak)   -> {result.responses['append_x']!r}")
     print(f"  duplicate()  (strong) -> {result.responses['duplicate']!r}")
-    print(f"  final list on all replicas: {result.final_value!r}")
+    print(f"  final list on all replicas: {result.query(RList.read())!r}")
     print(f"  converged: {result.converged}")
-    print(f"  reordering witnesses: {result.reordering_witnesses}")
-    print(f"  {result.bec_weak.summary()}")
-    print(f"  {result.fec_weak.summary()}")
-    print(f"  {result.seq_strong.summary()}")
+    print(
+        "  reordering witnesses: "
+        f"{count_reordering_witnesses(result.history)}"
+    )
+    for check in ("bec:weak", "fec:weak", "seq:strong"):
+        print(f"  {result.check(check).summary()}")
     if protocol == ORIGINAL:
         print(
             "\n  The weak append saw the tentative order "
@@ -44,7 +47,7 @@ def main() -> None:
     narrate(MODIFIED)
 
     # The strong-append variant: the paper's parenthetical "(→ ax)".
-    variant = run_figure1(protocol=ORIGINAL, strong_append=True)
+    variant = figure1_scenario(protocol=ORIGINAL, strong_append=True).run()
     print(
         "Variant with append('x') issued strong: "
         f"append(x) -> {variant.responses['append_x']!r} "

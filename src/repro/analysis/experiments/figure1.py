@@ -29,35 +29,10 @@ Paper-expected observables reproduced exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict
-
-from repro.analysis.metrics import (
-    count_reordering_witnesses,
-    count_trace_final_discords,
-)
+from repro.analysis.metrics import count_reordering_witnesses
 from repro.core.cluster import MODIFIED, ORIGINAL
 from repro.datatypes.rlist import RList
-from repro.framework.guarantees import GuaranteeReport
-from repro.framework.history import History
 from repro.scenario import Scenario
-
-
-@dataclass
-class Figure1Result:
-    """Everything Figure 1 shows, as measured."""
-
-    protocol: str
-    strong_append: bool
-    responses: Dict[str, Any]
-    final_value: str
-    converged: bool
-    reordering_witnesses: int
-    trace_final_discords: int
-    history: History = field(repr=False, default=None)
-    bec_weak: GuaranteeReport = field(repr=False, default=None)
-    fec_weak: GuaranteeReport = field(repr=False, default=None)
-    seq_strong: GuaranteeReport = field(repr=False, default=None)
 
 
 def figure1_scenario(
@@ -81,36 +56,17 @@ def figure1_scenario(
     )
 
 
-def run_figure1(
-    *, protocol: str = ORIGINAL, strong_append: bool = False
-) -> Figure1Result:
-    """Run the Figure 1 schedule and return the measured observables."""
-    result = figure1_scenario(
-        protocol=protocol, strong_append=strong_append
-    ).run()
-    return Figure1Result(
-        protocol=protocol,
-        strong_append=strong_append,
-        responses=result.responses,
-        final_value=result.query(RList.read()),
-        converged=result.converged,
-        reordering_witnesses=count_reordering_witnesses(result.history),
-        trace_final_discords=count_trace_final_discords(result.history),
-        history=result.history,
-        bec_weak=result.check("bec:weak"),
-        fec_weak=result.check("fec:weak"),
-        seq_strong=result.check("seq:strong"),
-    )
-
-
 def main() -> None:
     for protocol in (ORIGINAL, MODIFIED):
         for strong_append in (False, True):
-            result = run_figure1(protocol=protocol, strong_append=strong_append)
+            result = figure1_scenario(
+                protocol=protocol, strong_append=strong_append
+            ).run()
             print(
                 f"{protocol:8s} strong_append={strong_append!s:5s} "
-                f"responses={result.responses} final={result.final_value!r} "
-                f"reorder={result.reordering_witnesses} "
-                f"BEC(weak) ok={result.bec_weak.ok} "
-                f"FEC(weak) ok={result.fec_weak.ok}"
+                f"responses={result.responses} "
+                f"final={result.query(RList.read())!r} "
+                f"reorder={count_reordering_witnesses(result.history)} "
+                f"BEC(weak) ok={result.ok('bec:weak')} "
+                f"FEC(weak) ok={result.ok('fec:weak')}"
             )

@@ -21,29 +21,9 @@ since the slow R1 has not even executed ``a`` yet).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict
-
 from repro.core.cluster import MODIFIED, ORIGINAL
 from repro.datatypes.rlist import RList
-from repro.framework.guarantees import GuaranteeReport
-from repro.framework.history import History
-from repro.framework.predicates import CheckResult
 from repro.scenario import Scenario
-
-
-@dataclass
-class Figure2Result:
-    """The Figure 2 observables."""
-
-    protocol: str
-    responses: Dict[str, Any]
-    circular_causality: bool
-    cycle_description: str
-    converged: bool
-    ncc: CheckResult = field(repr=False, default=None)
-    fec_weak: GuaranteeReport = field(repr=False, default=None)
-    history: History = field(repr=False, default=None)
 
 
 def figure2_scenario(*, protocol: str = ORIGINAL) -> Scenario:
@@ -65,27 +45,13 @@ def figure2_scenario(*, protocol: str = ORIGINAL) -> Scenario:
     )
 
 
-def run_figure2(*, protocol: str = ORIGINAL) -> Figure2Result:
-    """Run the Figure 2 schedule under the chosen protocol."""
-    result = figure2_scenario(protocol=protocol).run()
-    ncc = result.check("ncc")
-    return Figure2Result(
-        protocol=protocol,
-        responses=result.responses,
-        circular_causality=not ncc.ok,
-        cycle_description=ncc.violations[0] if ncc.violations else "",
-        converged=result.converged,
-        ncc=ncc,
-        fec_weak=result.check("fec:weak"),
-        history=result.history,
-    )
-
-
 def main() -> None:
     for protocol in (ORIGINAL, MODIFIED):
-        result = run_figure2(protocol=protocol)
+        result = figure2_scenario(protocol=protocol).run()
+        ncc = result.check("ncc")
         print(
             f"{protocol:8s} responses={result.responses} "
-            f"circular={result.circular_causality} "
-            f"({result.cycle_description}) converged={result.converged}"
+            f"circular={not ncc.ok} "
+            f"({ncc.violations[0] if ncc.violations else ''}) "
+            f"converged={result.converged}"
         )

@@ -22,19 +22,21 @@ GSP                   no          no          yes (local)   no
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.analysis.experiments.figure1 import run_figure1
-from repro.analysis.experiments.figure2 import run_figure2
-from repro.analysis.experiments.theorem1 import run_theorem1_live
-from repro.analysis.metrics import count_reordering_witnesses
+from repro.analysis.experiments.figure1 import figure1_scenario
+from repro.analysis.experiments.figure2 import figure2_scenario
+from repro.analysis.experiments.theorem1 import theorem1_scenario
+from repro.analysis.metrics import (
+    count_reordering_witnesses,
+    count_trace_final_discords,
+)
 from repro.analysis.report import format_columns
 from repro.baselines.ec_store import ECStoreCluster
 from repro.baselines.gsp import GSPCluster
 from repro.baselines.smr import SMRCluster
-from repro.core.cluster import MODIFIED, ORIGINAL, BayouCluster
-from repro.core.config import BayouConfig
+from repro.core.cluster import MODIFIED, ORIGINAL
 from repro.datatypes.counter import Counter
 from repro.datatypes.register import Register
 from repro.framework.builder import build_abstract_execution
@@ -61,24 +63,24 @@ class MatrixRow:
 def _bayou_rows() -> List[MatrixRow]:
     rows = []
     for protocol, label in ((ORIGINAL, "Bayou (original)"), (MODIFIED, "Bayou (modified)")):
-        figure1 = run_figure1(protocol=protocol)
-        figure2 = run_figure2(protocol=protocol)
-        theorem1 = run_theorem1_live(protocol=protocol)
+        figure1 = figure1_scenario(protocol=protocol).run()
+        figure2 = figure2_scenario(protocol=protocol).run()
+        theorem1 = theorem1_scenario(protocol=protocol).run()
         reordering = (
-            figure1.reordering_witnesses > 0
-            or figure1.trace_final_discords > 0
-            or not theorem1.bec_weak.ok
+            count_reordering_witnesses(figure1.history) > 0
+            or count_trace_final_discords(figure1.history) > 0
+            or not theorem1.ok("bec:weak")
         )
         rows.append(
             MatrixRow(
                 system=label,
                 temporary_reordering=reordering,
-                circular_causality=figure2.circular_causality
-                or not figure1.fec_weak.results[1].ok,  # NCC slot
+                circular_causality=not figure2.ok("ncc")
+                or not figure1.check("fec:weak").results[1].ok,  # NCC slot
                 weak_available_under_partition=True,
                 strong_ops=True,
-                bec_weak=figure1.bec_weak.ok and theorem1.bec_weak.ok,
-                seq_strong=figure1.seq_strong.ok,
+                bec_weak=figure1.ok("bec:weak") and theorem1.ok("bec:weak"),
+                seq_strong=figure1.ok("seq:strong"),
                 notes="speculative tentative order + TOB",
             )
         )

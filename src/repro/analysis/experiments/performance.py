@@ -23,18 +23,7 @@ from repro.framework.history import STRONG, WEAK
 from repro.scenario import Scenario
 
 
-@dataclass
-class LatencySplit:
-    """Latency statistics split by consistency level."""
-
-    protocol: str
-    tob_engine: str
-    message_delay: float
-    weak: LatencyStats
-    strong: LatencyStats
-
-
-def run_latency_split(
+def latency_split_scenario(
     *,
     protocol: str = MODIFIED,
     tob_engine: str = "sequencer",
@@ -42,9 +31,10 @@ def run_latency_split(
     ops_per_session: int = 10,
     n_replicas: int = 3,
     seed: int = 1,
-) -> LatencySplit:
-    """Random counter workload; measure weak vs strong response latency."""
-    result = (
+) -> Scenario:
+    """Random counter workload, for weak vs strong response latency; run
+    it with ``.run(well_formed=False, max_time=50_000.0)``."""
+    return (
         Scenario(Counter(), name="latency-split")
         .replicas(n_replicas)
         .protocol(protocol)
@@ -58,14 +48,6 @@ def run_latency_split(
             seed=seed,
             strong_probability=0.4,
         )
-        .run(well_formed=False, max_time=50_000.0)
-    )
-    return LatencySplit(
-        protocol=protocol,
-        tob_engine=tob_engine,
-        message_delay=message_delay,
-        weak=LatencyStats.from_samples(result.weak_latencies),
-        strong=LatencyStats.from_samples(result.strong_latencies),
     )
 
 
@@ -171,10 +153,14 @@ def run_throughput(
 
 def main() -> None:
     for engine in ("sequencer", "paxos"):
-        split = run_latency_split(tob_engine=engine)
+        split = latency_split_scenario(tob_engine=engine).run(
+            well_formed=False, max_time=50_000.0
+        )
+        weak = LatencyStats.from_samples(split.weak_latencies)
+        strong = LatencyStats.from_samples(split.strong_latencies)
         print(
-            f"{engine:10s} weak mean={split.weak.mean:.2f} "
-            f"strong mean={split.strong.mean:.2f}"
+            f"{engine:10s} weak mean={weak.mean:.2f} "
+            f"strong mean={strong.mean:.2f}"
         )
     for point in run_partition_sweep():
         print(

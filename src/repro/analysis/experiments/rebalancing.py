@@ -146,8 +146,6 @@ def _finish_leg(leg: str, live) -> RebalancingRun:
     latencies = [f.latency for f in futures if f.latency is not None]
     staleness = weak_staleness_samples(futures)
     controller = live.controller
-    if controller is not None:
-        controller.stop()
     migrations = live.deployment.migrations
     return RebalancingRun(
         leg=leg,

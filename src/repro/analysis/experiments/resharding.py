@@ -45,7 +45,6 @@ from repro.analysis.experiments.sharding import (
     STRONG_PROBABILITY,
     bank_barrage,
     keyed_scenario,
-    stop_paxos,
 )
 from repro.analysis.metrics import committed_op_rate, weak_staleness_samples
 from repro.analysis.report import format_columns
@@ -172,9 +171,6 @@ def run_split_case(
     b_start = min(f.invoke_time for f in b_futures if f.invoke_time is not None)
     b_end = max(f.stable_time for f in b_futures if f.stable_time is not None)
     post = committed_op_rate(b_futures, start=b_start, end=b_end + 1e-9)
-    converged = live.converged()
-    stop_paxos(live, tob_engine)
-
     fresh = run_fresh_baseline(skew, tob_engine)
     return ReshardingRun(
         skew=skew,
@@ -193,7 +189,7 @@ def run_split_case(
         fresh_throughput=fresh,
         post_split_ratio=post / fresh if fresh else 0.0,
         weak_staleness=mean(staleness) if staleness else 0.0,
-        converged=converged,
+        converged=live.converged(),
     )
 
 
@@ -218,7 +214,6 @@ def run_fresh_baseline(skew: str, tob_engine: str) -> float:
     futures = phase_b.futures
     start = min(f.invoke_time for f in futures if f.invoke_time is not None)
     end = max(f.stable_time for f in futures if f.stable_time is not None)
-    stop_paxos(live, tob_engine)
     return committed_op_rate(futures, start=start, end=end + 1e-9)
 
 

@@ -19,31 +19,14 @@ both per protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict
-
 from repro.core.cluster import MODIFIED, ORIGINAL
 from repro.datatypes.rlist import RList
-from repro.framework.predicates import CheckResult
 from repro.scenario import Scenario
 
 
-@dataclass
-class SessionGuaranteeResult:
-    """RYW/MR/WFR/MW verdicts plus the read's latency and value."""
-
-    protocol: str
-    read_value: Any
-    read_latency: float
-    guarantees: Dict[str, CheckResult] = field(repr=False, default=None)
-
-    @property
-    def read_your_writes(self) -> bool:
-        return self.guarantees["RYW"].ok
-
-
-def run_session_guarantees(*, protocol: str = MODIFIED) -> SessionGuaranteeResult:
-    """Write-then-read on a slow replica; check the session guarantees."""
+def session_guarantees_scenario(*, protocol: str = MODIFIED) -> Scenario:
+    """Write-then-read on a slow replica, checking the session guarantees;
+    the read is labelled ``"ryw-read"``."""
     scenario = (
         Scenario(RList(), name="session-guarantees")
         .replicas(2)
@@ -60,24 +43,18 @@ def run_session_guarantees(*, protocol: str = MODIFIED) -> SessionGuaranteeResul
     # under the modified protocol it is immediate — and the read misses
     # the still-tentative write.
     scenario.client(0, think_time=1.0).append("w").read(label="ryw-read")
-    result = scenario.run()
-    read_event = result.event("ryw-read")
-    return SessionGuaranteeResult(
-        protocol=protocol,
-        read_value=read_event.rval,
-        read_latency=read_event.return_time - read_event.invoke_time,
-        guarantees=result.session_guarantees,
-    )
+    return scenario
 
 
 def main() -> None:
     for protocol in (ORIGINAL, MODIFIED):
-        result = run_session_guarantees(protocol=protocol)
+        result = session_guarantees_scenario(protocol=protocol).run()
+        read = result.event("ryw-read")
         verdicts = ", ".join(
             f"{name}={'ok' if check.ok else 'FAIL'}"
-            for name, check in result.guarantees.items()
+            for name, check in result.session_guarantees.items()
         )
         print(
-            f"{protocol:8s} read -> {result.read_value!r} "
-            f"(latency {result.read_latency:.2f})  [{verdicts}]"
+            f"{protocol:8s} read -> {read.rval!r} "
+            f"(latency {read.return_time - read.invoke_time:.2f})  [{verdicts}]"
         )

@@ -141,13 +141,6 @@ def keyed_scenario(
     return scenario
 
 
-def stop_paxos(live, tob_engine: str) -> None:
-    """Shut a Paxos deployment down and drain it (its timers never go quiet)."""
-    if tob_engine == "paxos":
-        live.shutdown()
-        live.run_until_quiescent()
-
-
 def run_scaling_case(
     n_shards: int, skew: str = "uniform", tob_engine: str = "sequencer"
 ) -> ShardingRun:
@@ -167,9 +160,6 @@ def run_scaling_case(
     responded = [f for f in futures if f.response_time is not None]
     stable = [f for f in futures if f.stable_time is not None]
     staleness = weak_staleness_samples(futures)
-    converged = live.converged()
-    routed = list(live.router.routed_counts)
-    stop_paxos(live, tob_engine)
     return ShardingRun(
         n_shards=n_shards,
         skew=skew,
@@ -178,8 +168,8 @@ def run_scaling_case(
         committed_ops=len(stable),
         committed_throughput=committed_op_rate(futures),
         weak_staleness=mean(staleness) if staleness else 0.0,
-        routed_per_shard=routed,
-        converged=converged,
+        routed_per_shard=list(live.router.routed_counts),
+        converged=live.converged(),
     )
 
 

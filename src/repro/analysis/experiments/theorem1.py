@@ -25,33 +25,20 @@ with temporary operation reordering, exactly as the theorem mandates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict
-
 from repro.core.cluster import ORIGINAL
 from repro.datatypes.rlist import RList
-from repro.framework.guarantees import GuaranteeReport
-from repro.framework.history import History
-from repro.framework.search import SearchOutcome, find_bec_seq_execution
+from repro.framework.search import find_bec_seq_execution
 from repro.scenario import Scenario
 
 
-@dataclass
-class Theorem1LiveResult:
-    """Observables of the live Theorem-1 schedule."""
-
-    responses: Dict[str, Any]
-    converged: bool
-    bec_weak: GuaranteeReport = field(repr=False, default=None)
-    fec_weak: GuaranteeReport = field(repr=False, default=None)
-    seq_strong: GuaranteeReport = field(repr=False, default=None)
-    search: SearchOutcome = field(repr=False, default=None)
-    history: History = field(repr=False, default=None)
-    core_history: History = field(repr=False, default=None)
-
-
 def theorem1_scenario(*, protocol: str = ORIGINAL) -> Scenario:
-    """The proof's adversarial schedule as a declarative scenario."""
+    """The proof's adversarial schedule as a declarative scenario.
+
+    Works for both protocols: the modified protocol's weak read on k also
+    reflects the tentative order (a, b), so the same BEC violation appears
+    — Theorem 1 binds the modified protocol too. The proof's four events
+    are ``result.sub_history(["a", "b", "r", "c"])``.
+    """
     return (
         Scenario(RList(), name="theorem1")
         .replicas(3)
@@ -78,40 +65,18 @@ def theorem1_scenario(*, protocol: str = ORIGINAL) -> Scenario:
     )
 
 
-def run_theorem1_live(*, protocol: str = ORIGINAL) -> Theorem1LiveResult:
-    """Drive the proof's schedule on a real 3-replica Bayou cluster.
-
-    Works for both protocols: the modified protocol's weak read on k also
-    reflects the tentative order (a, b), so the same BEC violation appears —
-    Theorem 1 binds the modified protocol too, which is the whole point of
-    FEC.
-    """
-    result = theorem1_scenario(protocol=protocol).run()
-    # The four proof events, extracted for the exhaustive search.
-    core_history = result.sub_history(["a", "b", "r", "c"])
-    return Theorem1LiveResult(
-        responses=result.responses,
-        converged=result.converged,
-        bec_weak=result.check("bec:weak"),
-        fec_weak=result.check("fec:weak"),
-        seq_strong=result.check("seq:strong"),
-        search=find_bec_seq_execution(core_history),
-        history=result.history,
-        core_history=core_history,
-    )
-
-
 def main() -> None:
-    result = run_theorem1_live()
+    result = theorem1_scenario().run()
+    search = find_bec_seq_execution(result.sub_history(["a", "b", "r", "c"]))
     print(f"responses: {result.responses}")
     print(f"converged: {result.converged}")
-    print(result.bec_weak.summary())
-    print(result.fec_weak.summary())
-    print(result.seq_strong.summary())
+    print(result.check("bec:weak").summary())
+    print(result.check("fec:weak").summary())
+    print(result.check("seq:strong").summary())
     print(
         "exhaustive search:",
         "NO BEC(weak) ∧ Seq(strong) extension exists"
-        if not result.search.satisfiable
+        if not search.satisfiable
         else "unexpectedly satisfiable!",
-        f"({result.search.arbitrations_tried} arbitrations examined)",
+        f"({search.arbitrations_tried} arbitrations examined)",
     )

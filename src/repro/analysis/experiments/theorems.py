@@ -14,8 +14,7 @@ the minority partition are *pending* (∇). After the partition heals
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from typing import Any, Dict, Tuple
 
 from repro.core.cluster import MODIFIED
 from repro.datatypes.bank import BankAccounts
@@ -23,10 +22,8 @@ from repro.datatypes.counter import Counter
 from repro.datatypes.kvstore import KVStore
 from repro.datatypes.orset import SetType
 from repro.datatypes.rlist import RList
-from repro.framework.builder import build_abstract_execution
-from repro.framework.guarantees import GuaranteeReport, check_fec, check_seq
-from repro.framework.history import History, STRONG, WEAK
-from repro.scenario import Scenario
+from repro.framework.history import STRONG, WEAK
+from repro.scenario import RunResult, Scenario
 
 #: The data type instance and read-only probe op per profile name.
 DATATYPES: Dict[str, tuple] = {
@@ -38,25 +35,7 @@ DATATYPES: Dict[str, tuple] = {
 }
 
 
-@dataclass
-class TheoremCheckResult:
-    """Checked guarantees of one run."""
-
-    profile: str
-    protocol: str
-    n_events: int
-    fec_weak: GuaranteeReport
-    seq_strong: GuaranteeReport
-    bec_weak: GuaranteeReport
-    converged: bool
-    history: History = field(repr=False, default=None)
-
-    @property
-    def theorem2_holds(self) -> bool:
-        return self.fec_weak.ok and self.seq_strong.ok
-
-
-def run_theorem2(
+def theorem2_scenario(
     profile_name: str = "counter",
     *,
     protocol: str = MODIFIED,
@@ -66,10 +45,10 @@ def run_theorem2(
     message_delay: float = 1.0,
     latency_jitter: float = 0.5,
     exec_delay: float = 0.05,
-) -> TheoremCheckResult:
+) -> Scenario:
     """A stable run: random workload, no partitions, full checking."""
     datatype_cls, probe = DATATYPES[profile_name]
-    scenario = (
+    return (
         Scenario(datatype_cls(), name=f"theorem2:{profile_name}")
         .replicas(n_replicas)
         .protocol(protocol)
@@ -80,42 +59,21 @@ def run_theorem2(
         .probes(probe)
         .checks(fec="weak", seq="strong", bec="weak")
     )
-    live = scenario.build()
+
+
+def run_theorem2(profile_name: str = "counter", **options: Any) -> RunResult:
+    """Run :func:`theorem2_scenario` to quiescence, every session done."""
+    live = theorem2_scenario(profile_name, **options).build()
     live.run_until_quiescent()
     assert all(
         workload.all_done for workload in live.workloads
     ), "closed-loop sessions did not finish"
-    result = live.finish()
-    return TheoremCheckResult(
-        profile=profile_name,
-        protocol=protocol,
-        n_events=len(result.history),
-        fec_weak=result.check("fec:weak"),
-        seq_strong=result.check("seq:strong"),
-        bec_weak=result.check("bec:weak"),
-        converged=result.converged,
-        history=result.history,
-    )
+    return live.finish()
 
 
-@dataclass
-class Theorem3Result:
-    """Guarantees during and after an asynchronous window."""
-
-    pending_strong_during: int
-    weak_responses_during: int
-    fec_weak_during: GuaranteeReport
-    seq_strong_during: GuaranteeReport
-    fec_weak_after: GuaranteeReport
-    seq_strong_after: GuaranteeReport
-    converged_after: bool
-
-
-def run_theorem3(
-    *,
-    n_replicas: int = 3,
-    partition_heals_at: float = 500.0,
-) -> Theorem3Result:
+def theorem3_scenario(
+    *, n_replicas: int = 3, partition_heals_at: float = 500.0
+) -> Scenario:
     """An asynchronous run: the minority replica's strong ops block.
 
     Replica 2 is cut off from {0, 1} (which hosts the sequencer). During
@@ -123,7 +81,7 @@ def run_theorem3(
     strong operation stays pending, so ``Seq(strong)`` fails; after healing
     everything commits and the full conjunction holds.
     """
-    scenario = (
+    return (
         Scenario(Counter(), name="theorem3")
         .replicas(n_replicas)
         .protocol(MODIFIED)
@@ -141,58 +99,41 @@ def run_theorem3(
         .invoke(20.0, 2, Counter.read(), strong=True, label="blocked")
         .invoke(30.0, 2, Counter.increment(16))
         .probes(Counter.read)
+        .checks(fec="weak", seq="strong")
     )
-    live = scenario.build()
 
-    # Run to the middle of the partition window and snapshot the history.
+
+def run_theorem3(
+    partition_heals_at: float = 500.0,
+) -> Tuple[RunResult, RunResult]:
+    """Snapshots of :func:`theorem3_scenario` 10 time units before the heal
+    and after it has converged."""
+    live = theorem3_scenario(partition_heals_at=partition_heals_at).build()
     live.run(until=partition_heals_at - 10.0)
-    history_during = live.history(well_formed=False)
-    execution_during = build_abstract_execution(history_during)
-    pending_strong = sum(
-        1
-        for event in history_during.with_level(STRONG)
-        if event.pending
-    )
-    weak_responded = sum(
-        1
-        for event in history_during.with_level(WEAK)
-        if not event.pending
-    )
-
-    # Heal and converge; verify the temporary-partition model's promise.
+    during = live.finish(settle=False, well_formed=False)
     live.run_until_quiescent()
-    live.add_probes()
-    history_after = live.history(well_formed=False)
-    execution_after = build_abstract_execution(history_after)
-
-    return Theorem3Result(
-        pending_strong_during=pending_strong,
-        weak_responses_during=weak_responded,
-        fec_weak_during=check_fec(execution_during, WEAK),
-        seq_strong_during=check_seq(execution_during, STRONG),
-        fec_weak_after=check_fec(execution_after, WEAK),
-        seq_strong_after=check_seq(execution_after, STRONG),
-        converged_after=live.converged(),
-    )
+    return during, live.finish(well_formed=False)
 
 
 def main() -> None:
     for profile_name in DATATYPES:
         result = run_theorem2(profile_name)
         print(
-            f"theorem2 {profile_name:8s} events={result.n_events:3d} "
-            f"FEC(weak)={result.fec_weak.ok} Seq(strong)={result.seq_strong.ok} "
-            f"BEC(weak)={result.bec_weak.ok} converged={result.converged}"
+            f"theorem2 {profile_name:8s} events={len(result.history):3d} "
+            f"FEC(weak)={result.ok('fec:weak')} "
+            f"Seq(strong)={result.ok('seq:strong')} "
+            f"BEC(weak)={result.ok('bec:weak')} converged={result.converged}"
         )
-    result3 = run_theorem3()
+    during, after = run_theorem3()
+    strong = during.history.with_level(STRONG)
+    weak = during.history.with_level(WEAK)
     print(
-        f"theorem3 during: pending strong={result3.pending_strong_during} "
-        f"weak answered={result3.weak_responses_during} "
-        f"Seq(strong)={result3.seq_strong_during.ok} "
-        f"FEC(weak)={result3.fec_weak_during.ok}"
+        f"theorem3 during: pending strong={sum(e.pending for e in strong)} "
+        f"weak answered={sum(not e.pending for e in weak)} "
+        f"Seq(strong)={during.ok('seq:strong')} "
+        f"FEC(weak)={during.ok('fec:weak')}"
     )
     print(
-        f"theorem3 after heal: Seq(strong)={result3.seq_strong_after.ok} "
-        f"FEC(weak)={result3.fec_weak_after.ok} "
-        f"converged={result3.converged_after}"
+        f"theorem3 after heal: Seq(strong)={after.ok('seq:strong')} "
+        f"FEC(weak)={after.ok('fec:weak')} converged={after.converged}"
     )

@@ -207,8 +207,9 @@ class Invoke:
         fields["strong"], fields["label"] = strong, label
 
     def install(self, live: "LiveRun") -> None:
-        label = f"scenario invoke R{self.pid} {self.op}"
-        live.sim.schedule_at(self.at, lambda: self.fire(live), label=label)
+        live.sim.schedule_at(
+            self.at, lambda: self.fire(live), label="scenario invoke"
+        )
 
     def fire(self, live: "LiveRun") -> None:
         try:
@@ -1096,7 +1097,6 @@ class LiveRun:
             protocol=self._target.protocol,
             clusters=clusters,
             histories=histories,
-            executions=executions,
             futures=dict(self.futures),
             checks=checks,
             session_guarantees=session_guarantees,
@@ -1113,12 +1113,12 @@ class LiveRun:
 class RunResult:
     """Everything one scenario run produced, structured for assertions.
 
-    One class serves any shard count: ``clusters`` / ``histories`` /
-    ``executions`` hold one entry per shard (one entry when unsharded),
-    and ``cluster`` / ``history`` / ``execution`` are the single-cluster
-    accessors, raising :class:`~repro.errors.MultiShardError` on a
-    multi-shard result. The sharded extras (``deployment``, ``router``,
-    ``migrations``, ``controller``) are ``None``/empty when unsharded.
+    One class serves any shard count: ``clusters`` / ``histories`` hold
+    one entry per shard (one entry when unsharded), and ``cluster`` /
+    ``history`` are the single-cluster accessors, raising
+    :class:`~repro.errors.MultiShardError` on a multi-shard result. The
+    sharded extras (``deployment``, ``router``, ``migrations``,
+    ``controller``) are ``None``/empty when unsharded.
     """
 
     name: str
@@ -1126,7 +1126,6 @@ class RunResult:
     clusters: List[BayouCluster] = field(repr=False)
     #: One frozen history per cluster, indexed by shard id.
     histories: List[History] = field(repr=False)
-    executions: List[Any] = field(repr=False)
     #: label -> future, across all shards (cross-shard parents included).
     futures: Dict[str, OpFuture] = field(repr=False)
     #: check name -> the report (unsharded) or per-shard reports (sharded).
@@ -1151,10 +1150,6 @@ class RunResult:
     @property
     def history(self) -> History:
         return _only(self.histories, "history")
-
-    @property
-    def execution(self) -> Any:
-        return _only(self.executions, "execution")
 
     # -- responses -----------------------------------------------------
     @property

@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.analysis.experiments.figure1 import run_figure1
-from repro.analysis.experiments.figure2 import run_figure2
+from repro.analysis.experiments.figure1 import figure1_scenario
+from repro.analysis.experiments.figure2 import figure2_scenario
 from repro.analysis.experiments.progress import run_clock_slowdown, run_slow_replica
-from repro.analysis.experiments.theorem1 import run_theorem1_live
+from repro.analysis.experiments.theorem1 import theorem1_scenario
 from repro.analysis.experiments.theorems import run_theorem2, run_theorem3
+from repro.analysis.metrics import (
+    count_reordering_witnesses,
+    count_trace_final_discords,
+)
 from repro.core.cluster import MODIFIED, ORIGINAL
+from repro.datatypes.rlist import RList
+from repro.framework.history import STRONG, WEAK
+from repro.framework.search import find_bec_seq_execution
 
 
 # ----------------------------------------------------------------------
@@ -15,44 +22,44 @@ from repro.core.cluster import MODIFIED, ORIGINAL
 # ----------------------------------------------------------------------
 class TestFigure1:
     def test_weak_append_returns_tentative_aax(self):
-        result = run_figure1(protocol=ORIGINAL)
+        result = figure1_scenario(protocol=ORIGINAL).run()
         assert result.responses["append_a"] == "a"
         assert result.responses["append_x"] == "aax"       # tentative!
         assert result.responses["duplicate"] == "axax"     # final order
 
     def test_strong_append_variant_returns_ax(self):
-        result = run_figure1(protocol=ORIGINAL, strong_append=True)
+        result = figure1_scenario(protocol=ORIGINAL, strong_append=True).run()
         assert result.responses["append_x"] == "ax"        # paper's "(→ ax)"
         assert result.responses["duplicate"] == "axax"
 
     def test_replicas_converge_to_axax(self):
-        result = run_figure1(protocol=ORIGINAL)
+        result = figure1_scenario(protocol=ORIGINAL).run()
         assert result.converged
-        assert result.final_value == "axax"
+        assert result.query(RList.read()) == "axax"
 
     def test_reordering_witnessed_and_bec_violated(self):
-        result = run_figure1(protocol=ORIGINAL)
-        assert result.reordering_witnesses >= 1
-        assert result.trace_final_discords >= 1
-        assert not result.bec_weak.ok
+        result = figure1_scenario(protocol=ORIGINAL).run()
+        assert count_reordering_witnesses(result.history) >= 1
+        assert count_trace_final_discords(result.history) >= 1
+        assert not result.ok("bec:weak")
 
     def test_original_protocol_also_shows_circular_causality_here(self):
         # Figure 1's schedule creates the hb-cycle too (Section 2.2).
-        result = run_figure1(protocol=ORIGINAL)
-        ncc = next(r for r in result.fec_weak.results if r.name == "NCC")
+        result = figure1_scenario(protocol=ORIGINAL).run()
+        ncc = next(r for r in result.check("fec:weak").results if r.name == "NCC")
         assert not ncc.ok
 
     def test_modified_protocol_same_schedule_is_clean(self):
-        result = run_figure1(protocol=MODIFIED)
+        result = figure1_scenario(protocol=MODIFIED).run()
         assert result.responses["append_x"] == "ax"
         assert result.responses["duplicate"] == "axax"
-        assert result.bec_weak.ok
-        assert result.fec_weak.ok
-        assert result.seq_strong.ok
+        assert result.ok("bec:weak")
+        assert result.ok("fec:weak")
+        assert result.ok("seq:strong")
 
     def test_strong_ops_satisfy_seq_even_in_original(self):
-        result = run_figure1(protocol=ORIGINAL)
-        assert result.seq_strong.ok
+        result = figure1_scenario(protocol=ORIGINAL).run()
+        assert result.ok("seq:strong")
 
 
 # ----------------------------------------------------------------------
@@ -60,16 +67,16 @@ class TestFigure1:
 # ----------------------------------------------------------------------
 class TestFigure2:
     def test_circular_causality_in_original(self):
-        result = run_figure2(protocol=ORIGINAL)
+        result = figure2_scenario(protocol=ORIGINAL).run()
         assert result.responses["append_x"] == "ayx"   # x observed y
         assert result.responses["append_y"] == "axy"   # y observed x
-        assert result.circular_causality
+        assert not result.ok("ncc")                     # circular causality
         assert result.converged
 
     def test_modified_protocol_avoids_the_cycle(self):
-        result = run_figure2(protocol=MODIFIED)
-        assert not result.circular_causality
-        assert result.fec_weak.ok
+        result = figure2_scenario(protocol=MODIFIED).run()
+        assert result.ok("ncc")
+        assert result.ok("fec:weak")
         assert result.converged
         # Immediate execution: responses reflect only local state.
         assert result.responses["append_x"] == "ax"
@@ -112,7 +119,7 @@ class TestProgress:
 class TestTheorem1Live:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_theorem1_live()
+        return theorem1_scenario().run()
 
     def test_proof_schedule_observables(self, result):
         assert result.responses["a"] == "a"
@@ -121,13 +128,14 @@ class TestTheorem1Live:
         assert result.responses["c"] == "bc"   # committed prefix b only
 
     def test_bec_weak_violated_fec_and_seq_hold(self, result):
-        assert not result.bec_weak.ok
-        assert result.fec_weak.ok
-        assert result.seq_strong.ok
+        assert not result.ok("bec:weak")
+        assert result.ok("fec:weak")
+        assert result.ok("seq:strong")
 
     def test_exhaustive_search_confirms_impossibility(self, result):
-        assert not result.search.satisfiable
-        assert result.search.arbitrations_tried == 24
+        search = find_bec_seq_execution(result.sub_history(["a", "b", "r", "c"]))
+        assert not search.satisfiable
+        assert search.arbitrations_tried == 24
 
     def test_cluster_converges_after_quarantine_lifts(self, result):
         assert result.converged
@@ -140,26 +148,30 @@ class TestTheorems:
     @pytest.mark.parametrize("profile", ["counter", "list", "kv", "bank", "set"])
     def test_theorem2_fec_weak_and_seq_strong(self, profile):
         result = run_theorem2(profile)
-        assert result.theorem2_holds, (
-            result.fec_weak.summary() + " / " + result.seq_strong.summary()
+        assert result.ok("fec:weak") and result.ok("seq:strong"), (
+            result.check("fec:weak").summary()
+            + " / "
+            + result.check("seq:strong").summary()
         )
         assert result.converged
 
     def test_theorem2_different_seeds(self):
         for seed in (7, 21):
             result = run_theorem2("counter", seed=seed)
-            assert result.theorem2_holds
+            assert result.ok("fec:weak") and result.ok("seq:strong")
 
     def test_theorem2_original_protocol_strong_ops_still_seq(self):
         result = run_theorem2("counter", protocol=ORIGINAL)
-        assert result.seq_strong.ok
+        assert result.ok("seq:strong")
 
     def test_theorem3_async_run(self):
-        result = run_theorem3()
-        assert result.pending_strong_during == 1
-        assert result.weak_responses_during >= 4
-        assert not result.seq_strong_during.ok    # pending strong op
-        assert result.fec_weak_during.ok          # weak ops stay correct
-        assert result.seq_strong_after.ok         # temporary partitions heal
-        assert result.fec_weak_after.ok
-        assert result.converged_after
+        during, after = run_theorem3()
+        strong = during.history.with_level(STRONG)
+        weak = during.history.with_level(WEAK)
+        assert sum(event.pending for event in strong) == 1
+        assert sum(not event.pending for event in weak) >= 4
+        assert not during.ok("seq:strong")  # pending strong op
+        assert during.ok("fec:weak")        # weak ops stay correct
+        assert after.ok("seq:strong")       # temporary partitions heal
+        assert after.ok("fec:weak")
+        assert after.converged

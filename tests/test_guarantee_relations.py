@@ -78,11 +78,11 @@ def test_fec_strictly_weaker_than_bec():
 
 def test_seq_strong_independent_of_weak_violations():
     """Seq(strong) can hold while BEC(weak) fails (Figure 1's very point)."""
-    from repro.analysis.experiments.figure1 import run_figure1
+    from repro.analysis.experiments.figure1 import figure1_scenario
 
-    result = run_figure1(protocol=ORIGINAL)
-    assert result.seq_strong.ok
-    assert not result.bec_weak.ok
+    result = figure1_scenario(protocol=ORIGINAL).run()
+    assert result.ok("seq:strong")
+    assert not result.ok("bec:weak")
 
 
 def test_guarantee_reports_expose_failures():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Counter, Scenario
 from tests.test_tob_contract import Harness
 
 
@@ -92,3 +93,38 @@ def test_learner_catches_up_after_rejoining():
     rig.shutdown()
     assert rig.delivered[2] == rig.delivered[0]
     assert len(rig.delivered[2]) == 2
+
+
+def _slow_network_increment(extra_delay):
+    """One strong increment on 3 Paxos replicas, every Paxos message
+    ``extra_delay`` slower than the base delay; the op's future at t=400."""
+    live = (
+        Scenario(Counter())
+        .replicas(3)
+        .tob("paxos")
+        .tob_extra_delay(extra_delay)
+        .invoke(1.0, 0, Counter.increment(1), strong=True, label="inc")
+        .build()
+    )
+    live.run(until=400.0)
+    return live.futures["inc"]
+
+
+def test_strong_op_decides_on_a_uniformly_slow_network():
+    """The control for the test below: at 5 extra per message the op is
+    answered, already stable."""
+    future = _slow_network_increment(5.0)
+    assert future.done and future.stable
+    assert future.response_time == future.stable_time == 24.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="CHANGES.md FOUND: broadcast/paxos.py never decides when every "
+    "Paxos message is slower than about half paxos_retry_interval (each "
+    "retry re-prepares before the previous prepare's round trip completes)",
+)
+def test_strong_op_decides_when_paxos_messages_are_slower_than_half_a_retry():
+    future = _slow_network_increment(8.0)
+    assert future.done

@@ -1,6 +1,6 @@
 """Tests for the history/execution renderers."""
 
-from repro.analysis.experiments.figure1 import run_figure1
+from repro.analysis.experiments.figure1 import figure1_scenario
 from repro.core.cluster import ORIGINAL
 from repro.framework.builder import build_abstract_execution
 from repro.framework.impossibility import build_theorem1_history
@@ -25,7 +25,7 @@ def test_render_execution_shows_visibility_and_notes():
 
 
 def test_render_flags_circular_causality():
-    result = run_figure1(protocol=ORIGINAL)
+    result = figure1_scenario(protocol=ORIGINAL).run()
     execution = build_abstract_execution(result.history)
     text = render_execution(execution)
     assert "circular causality present" in text

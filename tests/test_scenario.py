@@ -10,7 +10,7 @@ from repro import (
     RList,
     Scenario,
 )
-from repro.analysis.experiments.figure1 import figure1_scenario, run_figure1
+from repro.analysis.experiments.figure1 import figure1_scenario
 from repro.errors import MultiShardError
 from repro.framework.history import STRONG, WEAK
 
@@ -30,16 +30,6 @@ class TestFigure1RoundTrip:
         assert result.converged
         assert not result.ok("bec:weak")   # temporary reordering happened
         assert result.ok("seq:strong")
-
-    def test_scenario_matches_experiment_wrapper(self):
-        via_scenario = figure1_scenario().run()
-        via_experiment = run_figure1()
-        assert via_scenario.responses == via_experiment.responses
-        assert via_experiment.final_value == via_scenario.query(RList.read())
-        assert (
-            via_scenario.check("bec:weak").ok == via_experiment.bec_weak.ok
-        )
-        assert len(via_scenario.history) == len(via_experiment.history)
 
     def test_futures_in_result_are_stable(self):
         result = figure1_scenario().run()
@@ -430,7 +420,7 @@ class TestOneFacade:
             live.cluster
         result = live.finish()
         assert len(result.histories) == len(result.clusters) == 2
-        for accessor in ("history", "execution", "cluster"):
+        for accessor in ("history", "cluster"):
             with pytest.raises(MultiShardError, match="2 shards"):
                 getattr(result, accessor)
 

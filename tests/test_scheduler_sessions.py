@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.experiments.sessions import run_session_guarantees
+from repro.analysis.experiments.sessions import session_guarantees_scenario
 from repro.core.cluster import BayouCluster, MODIFIED, ORIGINAL
 from repro.core.config import BayouConfig
 from repro.datatypes.base import PlainDb
@@ -113,24 +113,26 @@ def test_scheduler_runs_satisfy_theorem2():
 # Session guarantees (Appendix A.1.2's trade-off)
 # ----------------------------------------------------------------------
 def test_original_protocol_keeps_read_your_writes():
-    result = run_session_guarantees(protocol=ORIGINAL)
-    assert result.read_your_writes
-    assert result.read_value == "w"
-    assert result.read_latency > 1.0  # the price: waiting for the backlog
+    result = session_guarantees_scenario(protocol=ORIGINAL).run()
+    read = result.event("ryw-read")
+    assert result.session_guarantees["RYW"].ok
+    assert read.rval == "w"
+    assert read.return_time - read.invoke_time > 1.0  # the price: the backlog
 
 
 def test_modified_protocol_trades_ryw_for_latency():
-    result = run_session_guarantees(protocol=MODIFIED)
-    assert not result.read_your_writes
-    assert result.read_value == ""    # the write is still tentative
-    assert result.read_latency == 0.0  # the benefit: bounded wait-freedom
+    result = session_guarantees_scenario(protocol=MODIFIED).run()
+    read = result.event("ryw-read")
+    assert not result.session_guarantees["RYW"].ok
+    assert read.rval == ""    # the write is still tentative
+    assert read.return_time - read.invoke_time == 0.0  # bounded wait-freedom
 
 
 def test_other_session_guarantees_hold_for_both():
     for protocol in (ORIGINAL, MODIFIED):
-        result = run_session_guarantees(protocol=protocol)
-        assert result.guarantees["MW"].ok, protocol
-        assert result.guarantees["WFR"].ok, protocol
+        result = session_guarantees_scenario(protocol=protocol).run()
+        assert result.session_guarantees["MW"].ok, protocol
+        assert result.session_guarantees["WFR"].ok, protocol
 
 
 def test_monotonic_writes_checker_detects_violation():
