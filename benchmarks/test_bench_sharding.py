@@ -24,7 +24,6 @@ Shapes reproduced / asserted:
 from repro.analysis.experiments.sharding import (
     run_conservation,
     run_scaling_case,
-    speedup,
 )
 
 #: The acceptance gate: committed-op throughput, 4 shards vs 1.

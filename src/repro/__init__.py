@@ -88,6 +88,7 @@ from repro.errors import (
     ReproError,
     SessionProtocolError,
     UnknownOperationError,
+    UnsupportedOperationError,
 )
 from repro.net.faults import CrashSchedule
 from repro.obs import Telemetry
@@ -157,6 +158,7 @@ __all__ = [
     "StateObject",
     "Telemetry",
     "UnknownOperationError",
+    "UnsupportedOperationError",
     "VersionedShardMap",
     "WEAK",
     "__version__",

@@ -6,8 +6,7 @@ A module is scenario builders plus one ``main`` fold. A builder (e.g.
 :class:`~repro.scenario.RunResult` (or, for runs sampled while they go,
 its :class:`~repro.scenario.LiveRun`) into the printed rows and, for
 six experiments, a JSON artifact. Tests and benchmarks read the same
-``RunResult``. E7's baselines and E10/E15/E16's rigs drive their
-clusters directly.
+``RunResult``. E10/E15/E16's rigs drive their clusters directly.
 
 The catalogue is ``repro.cli.EXPERIMENTS`` (README, *Experiment
 catalogue*); run any of them with ``python -m repro <name>``.

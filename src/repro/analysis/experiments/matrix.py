@@ -33,17 +33,11 @@ from repro.analysis.metrics import (
     count_trace_final_discords,
 )
 from repro.analysis.report import format_columns
-from repro.baselines.ec_store import ECStoreCluster
-from repro.baselines.gsp import GSPCluster
-from repro.baselines.smr import SMRCluster
 from repro.core.cluster import MODIFIED, ORIGINAL
+from repro.datatypes.base import DataType, Operation
 from repro.datatypes.counter import Counter
 from repro.datatypes.register import Register
-from repro.framework.builder import build_abstract_execution
-from repro.framework.guarantees import check_bec, check_seq
-from repro.framework.history import STRONG, WEAK
-from repro.framework.predicates import check_ncc
-from repro.net.partition import PartitionSchedule
+from repro.scenario import Scenario
 
 
 @dataclass
@@ -58,6 +52,22 @@ class MatrixRow:
     bec_weak: Optional[bool]
     seq_strong: Optional[bool]
     notes: str = ""
+
+
+def _answered_in_minority(
+    protocol: str, datatype: DataType, op: Operation, *, strong: bool = False
+) -> bool:
+    """Whether one operation at replica 2, cut off from the majority
+    ``{0, 1}``, is answered by t = 200."""
+    result = (
+        Scenario(datatype)
+        .replicas(3)
+        .protocol(protocol)
+        .partition(0.5, [[0, 1], [2]])
+        .invoke(1.0, 2, op, strong=strong, label="minority")
+        .run(until=200.0, well_formed=False)
+    )
+    return result.future("minority").done
 
 
 def _bayou_rows() -> List[MatrixRow]:
@@ -77,7 +87,9 @@ def _bayou_rows() -> List[MatrixRow]:
                 temporary_reordering=reordering,
                 circular_causality=not figure2.ok("ncc")
                 or not figure1.check("fec:weak").results[1].ok,  # NCC slot
-                weak_available_under_partition=True,
+                weak_available_under_partition=_answered_in_minority(
+                    protocol, Counter(), Counter.increment(1)
+                ),
                 strong_ops=True,
                 bec_weak=figure1.ok("bec:weak") and theorem1.ok("bec:weak"),
                 seq_strong=figure1.ok("seq:strong"),
@@ -87,96 +99,72 @@ def _bayou_rows() -> List[MatrixRow]:
     return rows
 
 
-def _ec_row() -> MatrixRow:
-    cluster = ECStoreCluster(Register(), n_replicas=3)
+def ec_scenario() -> Scenario:
+    """Blind writes interleaved with reads on an LWW store, then probes."""
+    scenario = Scenario(Register()).replicas(3).protocol("ec")
     for index in range(6):
-        cluster.schedule_invoke(
-            1.0 + index, index % 3, Register.write(f"v{index}")
-        )
-        cluster.schedule_invoke(1.5 + index, (index + 1) % 3, Register.read())
-    cluster.run_until_quiescent()
-    cluster.mark_horizon()
-    for pid in range(3):
-        cluster.schedule_invoke(cluster.sim.now + 1.0 + pid, pid, Register.read())
-    cluster.run_until_quiescent()
-    history = cluster.build_history()
-    execution = build_abstract_execution(history)
-    return MatrixRow(
-        system="EC store (LWW)",
-        temporary_reordering=count_reordering_witnesses(history) > 0,
-        circular_causality=not check_ncc(execution).ok,
-        weak_available_under_partition=True,
-        strong_ops=False,
-        bec_weak=check_bec(execution, WEAK).ok,
-        seq_strong=None,
-        notes="blind writes only (limited semantics)",
-    )
+        scenario.invoke(1.0 + index, index % 3, Register.write(f"v{index}"))
+        scenario.invoke(1.5 + index, (index + 1) % 3, Register.read())
+    return scenario.probes(Register.read).checks(bec="weak", ncc=True)
 
 
-def _smr_row() -> MatrixRow:
-    # Part 1: a normal run, checked for Seq.
-    cluster = SMRCluster(Counter(), n_replicas=3)
+def smr_scenario() -> Scenario:
+    """Six strong increments under state machine replication."""
+    scenario = Scenario(Counter()).replicas(3).protocol("smr")
     for index in range(6):
-        cluster.schedule_invoke(1.0 + index, index % 3, Counter.increment(1))
-    cluster.run_until_quiescent()
-    cluster.mark_horizon()
-    history = cluster.build_history()
-    execution = build_abstract_execution(history)
-    seq_ok = check_seq(execution, STRONG).ok
-
-    # Part 2: a partitioned run — the minority gets no responses.
-    partitions = PartitionSchedule(3)
-    partitions.split(0.5, [[0, 1], [2]])
-    blocked = SMRCluster(Counter(), n_replicas=3, partitions=partitions)
-    blocked.schedule_invoke(1.0, 2, Counter.increment(1))
-    blocked.run(until=200.0)
-    minority_answered = any(
-        future.done for future in blocked.ops.futures.values()
-    )
-    return MatrixRow(
-        system="SMR",
-        temporary_reordering=count_reordering_witnesses(history) > 0,
-        circular_causality=not check_ncc(execution).ok,
-        weak_available_under_partition=minority_answered,
-        strong_ops=True,
-        bec_weak=None,
-        seq_strong=seq_ok,
-        notes="all ops via TOB; minority partition blocks",
-    )
+        scenario.invoke(1.0 + index, index % 3, Counter.increment(1), strong=True)
+    return scenario.checks(seq="strong", ncc=True)
 
 
-def _gsp_row() -> MatrixRow:
-    cluster = GSPCluster(Counter(), n_replicas=3)
+def gsp_scenario() -> Scenario:
+    """Six increments from three GSP clients, then probes."""
+    scenario = Scenario(Counter()).replicas(3).protocol("gsp")
     for index in range(6):
-        cluster.schedule_invoke(1.0 + index * 0.4, index % 3, Counter.increment(1))
-    cluster.run_until_quiescent()
-    cluster.mark_horizon()
-    # GSP probes go through the cloud; space them beyond the commit
-    # round-trip so each probe observes the previous one.
-    for pid in range(3):
-        cluster.schedule_invoke(cluster.sim.now + 1.0 + pid * 5.0, pid, Counter.read())
-    cluster.run_until_quiescent()
-    history = cluster.build_history()
-    execution = build_abstract_execution(history)
+        scenario.invoke(1.0 + index * 0.4, index % 3, Counter.increment(1))
+    return scenario.probes(Counter.read).checks(bec="weak", ncc=True)
+
+
+def _baseline_row(
+    system: str, scenario: Scenario, minority_op: Operation, notes: str
+) -> MatrixRow:
+    result = scenario.run()
+    strong = result.protocol == "smr"  # the only baseline with strong ops
     return MatrixRow(
-        system="GSP",
-        temporary_reordering=count_reordering_witnesses(history) > 0,
-        circular_causality=not check_ncc(execution).ok,
-        weak_available_under_partition=True,
-        strong_ops=False,
-        bec_weak=check_bec(execution, WEAK).ok,
-        seq_strong=None,
-        notes="no mutual visibility while cloud is unreachable",
+        system=system,
+        temporary_reordering=count_reordering_witnesses(result.history) > 0,
+        circular_causality=not result.ok("ncc"),
+        weak_available_under_partition=_answered_in_minority(
+            result.protocol, result.history.datatype, minority_op, strong=strong
+        ),
+        strong_ops=strong,
+        bec_weak=None if strong else result.ok("bec:weak"),
+        seq_strong=result.ok("seq:strong") if strong else None,
+        notes=notes,
     )
 
 
 def run_matrix() -> List[MatrixRow]:
     """Compute the full guarantee matrix."""
-    rows = _bayou_rows()
-    rows.append(_ec_row())
-    rows.append(_smr_row())
-    rows.append(_gsp_row())
-    return rows
+    return _bayou_rows() + [
+        _baseline_row(
+            "EC store (LWW)",
+            ec_scenario(),
+            Register.write("minority"),
+            "blind writes only (limited semantics)",
+        ),
+        _baseline_row(
+            "SMR",
+            smr_scenario(),
+            Counter.increment(1),
+            "all ops via TOB; minority partition blocks",
+        ),
+        _baseline_row(
+            "GSP",
+            gsp_scenario(),
+            Counter.increment(1),
+            "no mutual visibility while cloud is unreachable",
+        ),
+    ]
 
 
 COLUMNS = (

@@ -22,6 +22,7 @@ import tempfile
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.broadcast.failure_detector import OmegaFailureDetector
+from repro.core.baselines import ECReplica, GSPReplica, SMRReplica
 from repro.core.config import BayouConfig
 from repro.core.durability import DurableStore
 from repro.core.modified_replica import ModifiedBayouReplica
@@ -50,9 +51,19 @@ from repro.sim.rng import SeededRngRegistry
 ORIGINAL = "original"
 MODIFIED = "modified"
 
+#: The replica class each protocol name runs: the paper's two algorithms
+#: and the three systems it compares them with (:mod:`repro.core.baselines`).
+PROTOCOLS = {
+    ORIGINAL: BayouReplica,
+    MODIFIED: ModifiedBayouReplica,
+    "smr": SMRReplica,
+    "ec": ECReplica,
+    "gsp": GSPReplica,
+}
+
 
 class BayouCluster:
-    """A simulated deployment of the (original or modified) Bayou protocol."""
+    """A simulated deployment of one protocol of :data:`PROTOCOLS`."""
 
     def __init__(
         self,
@@ -69,8 +80,11 @@ class BayouCluster:
     ) -> None:
         self.config = config or BayouConfig()
         self.config.validate()
-        if protocol not in (ORIGINAL, MODIFIED):
-            raise ValueError(f"unknown protocol {protocol!r}")
+        if protocol not in PROTOCOLS:
+            raise ValueError(
+                f"unknown protocol {protocol!r}; choose one of "
+                + ", ".join(map(repr, PROTOCOLS))
+            )
         self.protocol = protocol
         self.datatype = datatype
         #: Deployment name; prefixes node names (sharded deployments run
@@ -133,9 +147,7 @@ class BayouCluster:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         config = self.config
-        replica_class = (
-            ModifiedBayouReplica if self.protocol == MODIFIED else BayouReplica
-        )
+        replica_class = PROTOCOLS[self.protocol]
         durability_root = config.durability_dir
         if config.durability == "jsonl" and durability_root is None:
             durability_root = tempfile.mkdtemp(prefix="repro-durable-")

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.request import Req
 from repro.datatypes.base import Operation

@@ -77,11 +77,15 @@ class ModifiedBayouReplica(BayouReplica):
             # (Invisible weak reads are never persisted either: they leave
             # no replicated state for a recovery to rebuild.)
             self._persist_invoke(req)
-            self.rb.rb_cast(req.dot, req)
-            self.tob.tob_cast(req.dot, req)
+            self._cast_update(req)
             self.adjust_tentative_order(req)
             self._arm_retransmit()
         return req
+
+    def _cast_update(self, req: Req) -> None:
+        """Send a weak update out: RB-cast and TOB-cast it."""
+        self.rb.rb_cast(req.dot, req)
+        self.tob.tob_cast(req.dot, req)
 
     def tob_casts(self, req: Req) -> bool:
         """Everything but the invisible weak reads (change 3)."""

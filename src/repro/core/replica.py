@@ -603,7 +603,8 @@ class BayouReplica:
         self._stopped = True
 
     def _arm_retransmit(self) -> None:
-        """Periodically re-TOB-cast tentative requests (TOB requirement 4).
+        """Periodically re-TOB-cast tentative requests (TOB requirement 4),
+        those :meth:`tob_casts` names.
 
         Only armed when ``config.retransmit_interval`` is set; the network
         already buffers messages across partitions, so retransmission is
@@ -615,10 +616,11 @@ class BayouReplica:
 
         def tick() -> None:
             self._retransmit_timer = None
-            if self._stopped or not self.tentative:
+            due = [req for req in self.tentative if self.tob_casts(req)]
+            if self._stopped or not due:
                 return
             assert self.tob is not None
-            for req in self.tentative:
+            for req in due:
                 self.tob.tob_cast(req.dot, req)
             self._arm_retransmit()
 
@@ -788,8 +790,7 @@ class BayouReplica:
         """
         if self.tob is None:
             return
-        for req in self.tentative:
-            self.tob.tob_cast(req.dot, req)
-        for req in self._recovered_nontentative:
-            self.tob.tob_cast(req.dot, req)
+        for req in self.tentative + self._recovered_nontentative:
+            if self.tob_casts(req):
+                self.tob.tob_cast(req.dot, req)
         self._arm_retransmit()

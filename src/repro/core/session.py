@@ -46,7 +46,11 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECK
 
 from repro.core.request import Dot, Req
 from repro.datatypes.base import Operation
-from repro.errors import PendingResponseError, SessionProtocolError
+from repro.errors import (
+    PendingResponseError,
+    SessionProtocolError,
+    UnsupportedOperationError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cluster import BayouCluster
@@ -325,7 +329,11 @@ class OpLedger:
             future = OpFuture(op, strong=strong, pid=replica.pid)
         dot = (replica.pid, replica.curr_event_no + 1)
         self.open(dot, future)
-        req = replica.invoke(op, strong=strong)
+        try:
+            req = replica.invoke(op, strong=strong)
+        except UnsupportedOperationError:
+            self.forget(future)
+            raise
         assert req.dot == dot, "event numbering out of sync"
         if future.request is None:
             future.request = req

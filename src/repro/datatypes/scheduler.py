@@ -20,7 +20,7 @@ application, the meeting-room scheduler:
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from repro.datatypes.base import (
     DataType,

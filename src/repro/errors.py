@@ -17,6 +17,15 @@ class UnknownOperationError(ReproError, ValueError):
     """Raised when a data type is asked to execute an operation it lacks."""
 
 
+class UnsupportedOperationError(ReproError, ValueError):
+    """Raised when a protocol lacks the level or kind of an operation.
+
+    The baselines each miss something Bayou has: state machine replication
+    has no weak operations, an eventually consistent store no strong and no
+    read-write ones (only blind writes and reads), and GSP no strong ones.
+    """
+
+
 class SessionProtocolError(ReproError, RuntimeError):
     """Raised when a session's well-formedness is violated.
 

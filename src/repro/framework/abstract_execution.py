@@ -15,7 +15,7 @@ TOB-delivered events (see ``docs`` note in builder.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from repro.framework.history import History, HistoryEvent
 from repro.framework.relations import Relation

@@ -32,7 +32,7 @@ corner case. ``ar.is_total_order()`` is exposed for diagnostics.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro.framework.abstract_execution import AbstractExecution
 from repro.framework.history import History, HistoryEvent

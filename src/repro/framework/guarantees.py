@@ -20,7 +20,7 @@ histories by exhaustive enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import List
 
 from repro.framework.abstract_execution import AbstractExecution
 from repro.framework.predicates import (

@@ -32,14 +32,13 @@ schedule) lives in :mod:`repro.analysis.experiments.theorem1`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.datatypes.rlist import RList
 from repro.framework.abstract_execution import AbstractExecution
 from repro.framework.builder import build_abstract_execution
 from repro.framework.guarantees import GuaranteeReport, check_fec, check_seq
 from repro.framework.history import STRONG, WEAK, History, HistoryEvent
-from repro.framework.relations import Relation
 from repro.framework.search import SearchOutcome, find_bec_seq_execution
 
 #: Session ids used in the constructed history.

@@ -22,11 +22,10 @@ always checked exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from repro.framework.abstract_execution import AbstractExecution
-from repro.framework.history import STRONG, WEAK, HistoryEvent
-from repro.framework.relations import Relation, rank
+from repro.framework.relations import rank
 
 #: Cap on violations retained per check (full counts are still reported).
 MAX_VIOLATIONS = 25

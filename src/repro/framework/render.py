@@ -7,8 +7,6 @@ observable history, in the spirit of the paper's figure annotations.
 
 from __future__ import annotations
 
-from typing import Any, List
-
 from repro.analysis.report import format_table
 from repro.framework.abstract_execution import AbstractExecution
 from repro.framework.history import History

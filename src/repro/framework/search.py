@@ -25,12 +25,11 @@ extension found" verdict remains valid for the conjunction that includes EV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
-from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.framework.abstract_execution import AbstractExecution
-from repro.framework.guarantees import GuaranteeReport
 from repro.framework.history import STRONG, WEAK, History, HistoryEvent
 from repro.framework.predicates import (
     check_ncc,

@@ -351,7 +351,13 @@ class Scenario:
         return self
 
     def protocol(self, protocol: str) -> "Scenario":
-        """Choose ``"original"`` (Algorithm 1) or ``"modified"`` (Algorithm 2)."""
+        """Choose the replica protocol: ``"original"`` (Algorithm 1),
+        ``"modified"`` (Algorithm 2), or one of the systems the paper
+        compares Bayou with, ``"smr"`` (state machine replication, strong
+        operations only), ``"ec"`` (an eventually consistent store, weak
+        blind writes and reads only) or ``"gsp"`` (the Global Sequence
+        Protocol, weak operations ordered by the TOB engine as its cloud).
+        See :data:`repro.core.cluster.PROTOCOLS`."""
         self._protocol = protocol
         return self
 

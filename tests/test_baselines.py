@@ -1,166 +1,227 @@
-"""Tests for the baseline systems (EC store, SMR, GSP)."""
+"""Tests for the baseline protocols (EC store, SMR, GSP)."""
+
+import random
 
 import pytest
 
-from repro.baselines.ec_store import ECStoreCluster, UnsupportedOperationError
-from repro.baselines.gsp import GSPCluster
-from repro.baselines.smr import SMRCluster
 from repro.analysis.metrics import count_reordering_witnesses
 from repro.datatypes.counter import Counter
 from repro.datatypes.register import Register
-from repro.framework.builder import build_abstract_execution
-from repro.framework.guarantees import check_bec, check_seq
-from repro.framework.history import STRONG, WEAK
-from repro.net.partition import PartitionSchedule
+from repro.errors import UnsupportedOperationError
+from repro.scenario import Scenario
+
+
+def _live(protocol, datatype, n_replicas):
+    return Scenario(datatype).replicas(n_replicas).protocol(protocol).build()
 
 
 # ----------------------------------------------------------------------
 # EC store
 # ----------------------------------------------------------------------
 def test_ec_store_lww_convergence():
-    cluster = ECStoreCluster(Register(), n_replicas=3)
-    cluster.schedule_invoke(1.0, 0, Register.write("first"))
-    cluster.schedule_invoke(2.0, 1, Register.write("second"))
-    cluster.run_until_quiescent()
-    assert cluster.converged()
+    live = (
+        Scenario(Register())
+        .replicas(3)
+        .protocol("ec")
+        .invoke(1.0, 0, Register.write("first"))
+        .invoke(2.0, 1, Register.write("second"))
+        .build()
+    )
+    live.run_until_quiescent()
+    assert live.converged()
     # Last writer (by timestamp) wins on every replica.
-    read = cluster.invoke(2, Register.read())
-    history = cluster.build_history(well_formed=False)
-    assert history.event(read.dot).rval == "second"
+    live.submit(2, Register.read(), label="read")
+    result = live.finish(well_formed=False, settle=False)
+    assert result.event("read").rval == "second"
 
 
 def test_ec_store_concurrent_writes_agree():
     """Same-time writes from different replicas: dots break the tie."""
-    cluster = ECStoreCluster(Register(), n_replicas=2)
-    cluster.schedule_invoke(1.0, 0, Register.write("zero"))
-    cluster.schedule_invoke(1.0, 1, Register.write("one"))
-    cluster.run_until_quiescent()
-    assert cluster.converged()
+    result = (
+        Scenario(Register())
+        .replicas(2)
+        .protocol("ec")
+        .invoke(1.0, 0, Register.write("zero"))
+        .invoke(1.0, 1, Register.write("one"))
+        .run()
+    )
+    assert result.converged
 
 
 def test_ec_store_rejects_read_write_operations():
-    cluster = ECStoreCluster(Counter(), n_replicas=2)
+    live = _live("ec", Counter(), 2)
     with pytest.raises(UnsupportedOperationError):
-        cluster.invoke(0, Counter.increment(1))
+        live.submit(0, Counter.increment(1))
+    assert not live.cluster.ops.futures  # a refused op leaves no record
 
 
 def test_ec_store_rejects_strong_ops():
-    cluster = ECStoreCluster(Register(), n_replicas=2)
+    live = _live("ec", Register(), 2)
     with pytest.raises(UnsupportedOperationError):
-        cluster.invoke(0, Register.write("x"), strong=True)
+        live.submit(0, Register.write("x"), strong=True)
 
 
 def test_ec_store_satisfies_bec_and_shows_no_reordering():
-    cluster = ECStoreCluster(Register(), n_replicas=3)
+    scenario = Scenario(Register()).replicas(3).protocol("ec")
     for index in range(5):
-        cluster.schedule_invoke(1.0 + index, index % 3, Register.write(index))
-        cluster.schedule_invoke(1.4 + index, (index + 1) % 3, Register.read())
-    cluster.run_until_quiescent()
-    cluster.mark_horizon()
-    for pid in range(3):
-        cluster.schedule_invoke(cluster.sim.now + 1.0 + pid, pid, Register.read())
-    cluster.run_until_quiescent()
-    history = cluster.build_history()
-    execution = build_abstract_execution(history)
-    assert check_bec(execution, WEAK).ok
-    assert count_reordering_witnesses(history) == 0
+        scenario.invoke(1.0 + index, index % 3, Register.write(index))
+        scenario.invoke(1.4 + index, (index + 1) % 3, Register.read())
+    result = scenario.probes(Register.read).checks(bec="weak").run()
+    assert result.check("bec:weak").ok
+    assert count_reordering_witnesses(result.history) == 0
 
 
 def test_ec_store_available_under_partition():
-    partitions = PartitionSchedule(3)
-    partitions.split(0.5, [[0], [1, 2]])
-    cluster = ECStoreCluster(Register(), n_replicas=3, partitions=partitions)
-    req = cluster.invoke(0, Register.write("isolated"))
-    cluster.run(until=10.0)
-    history = cluster.build_history(well_formed=False)
-    assert not history.event(req.dot).pending
+    result = (
+        Scenario(Register())
+        .replicas(3)
+        .protocol("ec")
+        .partition(0.5, [[0], [1, 2]])
+        .invoke(0.0, 0, Register.write("isolated"), label="write")
+        .run(until=10.0, well_formed=False)
+    )
+    assert not result.event("write").pending
+
+
+def test_ec_store_never_tob_casts():
+    """No EC request reaches TOB, neither by retransmission nor by the
+    re-announcement after a crash–recovery, so none ever commits."""
+    writes = Scenario(Register()).replicas(3).protocol("ec")
+    for index in range(4):
+        writes.invoke(1.0 + index, index % 3, Register.write(index))
+    retransmitting = writes.config(retransmit_interval=5.0).run()
+    recovered = (
+        Scenario(Register())
+        .replicas(3)
+        .protocol("ec")
+        .durability("memory")
+        .crash(0, 3.5, recover_at=8.0)
+    )
+    for index in range(4):
+        recovered.invoke(1.0 + index, index % 3, Register.write(index))
+    for result in (retransmitting, recovered.run()):
+        assert all(not r.tob.delivered_sequence for r in result.cluster.replicas)
+        assert all(f.stable for f in result.cluster.ops.futures.values())
 
 
 # ----------------------------------------------------------------------
 # SMR
 # ----------------------------------------------------------------------
 def test_smr_executes_in_identical_order():
-    cluster = SMRCluster(Counter(), n_replicas=3)
     # SMR responses take a TOB round; keep per-session invocations spaced
     # out so the history stays well-formed.
+    scenario = Scenario(Counter()).replicas(3).protocol("smr")
     for index in range(6):
-        cluster.schedule_invoke(1.0 + index * 3.0, index % 3, Counter.increment(1))
-    cluster.run_until_quiescent()
-    assert cluster.converged()
-    history = cluster.build_history()
-    execution = build_abstract_execution(history)
-    assert check_seq(execution, STRONG).ok
+        scenario.invoke(
+            1.0 + index * 3.0, index % 3, Counter.increment(1), strong=True
+        )
+    result = scenario.checks(seq="strong").run()
+    assert result.converged
+    assert result.check("seq:strong").ok
 
 
 def test_smr_order_sensitive_ops_are_safe():
-    cluster = SMRCluster(Counter(), n_replicas=3)
-    cluster.schedule_invoke(1.0, 0, Counter.increment(1))
-    cluster.schedule_invoke(1.1, 1, Counter.add_if_even(10))
-    cluster.run_until_quiescent()
-    history = cluster.build_history()
-    execution = build_abstract_execution(history)
-    assert check_seq(execution, STRONG).ok
+    result = (
+        Scenario(Counter())
+        .replicas(3)
+        .protocol("smr")
+        .invoke(1.0, 0, Counter.increment(1), strong=True)
+        .invoke(1.1, 1, Counter.add_if_even(10), strong=True)
+        .checks(seq="strong")
+        .run()
+    )
+    assert result.check("seq:strong").ok
 
 
 def test_smr_blocks_in_minority_partition():
-    partitions = PartitionSchedule(3)
-    partitions.split(0.5, [[0, 1], [2]])
-    cluster = SMRCluster(Counter(), n_replicas=3, partitions=partitions)
-    req = cluster.invoke(2, Counter.increment(1))
-    cluster.run(until=300.0)
-    history = cluster.build_history(well_formed=False)
-    assert history.event(req.dot).pending
+    result = (
+        Scenario(Counter())
+        .replicas(3)
+        .protocol("smr")
+        .partition(0.5, [[0, 1], [2]])
+        .invoke(0.0, 2, Counter.increment(1), strong=True, label="minority")
+        .run(until=300.0, well_formed=False)
+    )
+    assert result.event("minority").pending
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("engine", ["sequencer", "paxos"])
+def test_smr_is_an_oracle_for_strong_bayou(engine, seed):
+    """On a fault-free strong-only schedule, Algorithm 1 answers every
+    operation as state machine replication does, in the same TOB order.
+    (Response times differ: Algorithm 1 also executes strong operations
+    tentatively.)"""
+    rng = random.Random(seed)
+    schedule = [
+        (
+            round(rng.uniform(1.0, 40.0), 2),
+            rng.randrange(3),
+            rng.choice([Counter.increment, Counter.add_if_even])(rng.randint(1, 4)),
+        )
+        for _ in range(30)
+    ]
+
+    def run(protocol):
+        scenario = Scenario(Counter()).replicas(3).protocol(protocol)
+        for index, (at, pid, op) in enumerate(schedule):
+            scenario.invoke(at, pid, op, strong=True, label=f"op{index}")
+        return scenario.tob(engine).seed(seed).run(well_formed=False)
+
+    bayou, smr = run("original"), run("smr")
+    order = smr.cluster.replicas[0].tob.delivered_sequence
+    assert len(order) == 30
+    assert bayou.responses == smr.responses
+    assert bayou.cluster.replicas[0].tob.delivered_sequence == order
 
 
 # ----------------------------------------------------------------------
 # GSP
 # ----------------------------------------------------------------------
 def test_gsp_immediate_local_responses():
-    cluster = GSPCluster(Counter(), n_replicas=2)
-    req = cluster.invoke(0, Counter.increment(5))
-    history = cluster.build_history(well_formed=False)
-    event = history.event(req.dot)
+    live = _live("gsp", Counter(), 2)
+    live.submit(0, Counter.increment(5), label="increment")
+    event = live.finish(well_formed=False, settle=False).event("increment")
     assert event.rval == 5
     assert event.return_time == event.invoke_time
 
 
-def test_gsp_clients_converge_through_cloud():
-    cluster = GSPCluster(Counter(), n_replicas=3)
+def _gsp_increments(spacing):
+    scenario = Scenario(Counter()).replicas(3).protocol("gsp")
     for index in range(6):
-        cluster.schedule_invoke(1.0 + index * 0.5, index % 3, Counter.increment(1))
-    cluster.run_until_quiescent()
-    assert cluster.converged()
+        scenario.invoke(1.0 + index * spacing, index % 3, Counter.increment(1))
+    return scenario
+
+
+def test_gsp_clients_converge_through_cloud():
+    assert _gsp_increments(0.5).run().converged
 
 
 def test_gsp_no_temporary_reordering():
-    cluster = GSPCluster(Counter(), n_replicas=3)
-    for index in range(6):
-        cluster.schedule_invoke(1.0 + index * 0.3, index % 3, Counter.increment(1))
-    cluster.run_until_quiescent()
-    history = cluster.build_history(well_formed=False)
-    assert count_reordering_witnesses(history) == 0
+    result = _gsp_increments(0.3).run(well_formed=False)
+    assert count_reordering_witnesses(result.history) == 0
 
 
 def test_gsp_strong_ops_unsupported():
-    cluster = GSPCluster(Counter(), n_replicas=2)
+    live = _live("gsp", Counter(), 2)
     with pytest.raises(ValueError):
-        cluster.invoke(0, Counter.increment(1), strong=True)
+        live.submit(0, Counter.increment(1), strong=True)
 
 
 def test_gsp_no_mutual_visibility_during_cloud_outage():
     """While the cloud is unreachable, clients do not observe each other
-    (the reason Theorem 1 does not apply to GSP)."""
-    partitions = PartitionSchedule(4)  # 3 clients + cloud (pid 3)
-    partitions.split(0.5, [[0, 1, 2], [3]])
-    cluster = GSPCluster(Counter(), n_replicas=3, partitions=partitions)
-    cluster.schedule_invoke(1.0, 0, Counter.increment(1))
-    read = []
-    cluster.sim.schedule_at(
-        50.0, lambda: read.append(cluster.invoke(1, Counter.read()))
+    (the reason Theorem 1 does not apply to GSP). The cloud is the
+    sequencer, on replica 0."""
+    result = (
+        Scenario(Counter())
+        .replicas(3)
+        .protocol("gsp")
+        .partition(0.5, [[0], [1, 2]])
+        .invoke(1.0, 0, Counter.increment(1))
+        .invoke(50.0, 1, Counter.read(), label="read")
+        .run(until=100.0, well_formed=False)
     )
-    cluster.run(until=100.0)
-    history = cluster.build_history(well_formed=False)
     # Client 1 still sees 0: client 0's increment never reached it.
-    assert history.event(read[0].dot).rval == 0
+    assert result.event("read").rval == 0
     # Local ops still respond: availability for local speculation.
-    assert not history.event(read[0].dot).pending
+    assert not result.event("read").pending

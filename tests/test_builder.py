@@ -1,7 +1,5 @@
 """Unit tests for the Theorem-2-style (vis, ar, par) builders."""
 
-import pytest
-
 from repro.datatypes.rlist import RList
 from repro.framework.builder import build_abstract_execution, build_ar, build_par, build_vis
 from repro.framework.history import History, HistoryEvent, PENDING, STRONG, WEAK

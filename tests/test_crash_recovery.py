@@ -29,7 +29,6 @@ from repro.errors import ReplicaUnavailableError
 from repro.net.faults import CrashSchedule
 from repro.net.network import FixedLatency, Network
 from repro.net.node import RoutingNode
-from repro.net.partition import PartitionSchedule
 from repro.runtime.sim import SimRuntime
 from repro.scenario import Scenario
 from repro.sim.kernel import Simulator

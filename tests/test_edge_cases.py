@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cluster import BayouCluster, MODIFIED, ORIGINAL
+from repro.core.cluster import BayouCluster, MODIFIED
 from repro.core.config import BayouConfig
 from repro.datatypes.counter import Counter
 from repro.datatypes.rlist import RList

@@ -2,9 +2,7 @@
 
 import pathlib
 import runpy
-import sys
 
-import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 

@@ -10,8 +10,6 @@ converge to ``ar``). We verify both directions:
   and the Theorem-1 history are the canonical witnesses.
 """
 
-import random
-
 import pytest
 
 from repro.analysis.workload import PROFILES, RandomWorkload
@@ -20,9 +18,8 @@ from repro.core.config import BayouConfig
 from repro.datatypes.counter import Counter
 from repro.framework.abstract_execution import AbstractExecution
 from repro.framework.builder import build_abstract_execution
-from repro.framework.guarantees import check_bec, check_fec, check_seq
-from repro.framework.history import STRONG, WEAK
-from repro.framework.impossibility import build_theorem1_history
+from repro.framework.guarantees import check_bec, check_fec
+from repro.framework.history import WEAK
 
 
 def _run_random(seed, protocol):

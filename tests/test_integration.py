@@ -1,7 +1,5 @@
 """Cross-stack integration tests: Bayou over Paxos, crashes, partitions."""
 
-import pytest
-
 from repro.analysis.workload import PROFILES, RandomWorkload
 from repro.core.cluster import BayouCluster, MODIFIED, ORIGINAL
 from repro.core.config import BayouConfig

@@ -1,7 +1,5 @@
 """Behavioural tests for the modified Bayou replica (Algorithm 2)."""
 
-import pytest
-
 from repro.core.cluster import BayouCluster, MODIFIED
 from repro.core.config import BayouConfig
 from repro.datatypes.counter import Counter

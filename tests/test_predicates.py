@@ -1,7 +1,5 @@
 """Unit tests for the correctness predicates on hand-built executions."""
 
-import pytest
-
 from repro.datatypes.rlist import RList
 from repro.framework.abstract_execution import AbstractExecution
 from repro.framework.history import History, HistoryEvent, PENDING, STRONG, WEAK

@@ -1,7 +1,5 @@
 """Behavioural tests for the original Bayou replica (Algorithm 1)."""
 
-import pytest
-
 from repro.core.cluster import BayouCluster, ORIGINAL
 from repro.core.config import BayouConfig
 from repro.datatypes.counter import Counter

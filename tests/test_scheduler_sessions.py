@@ -1,7 +1,5 @@
 """Tests for the dependency-check/merge scheduler and session guarantees."""
 
-import pytest
-
 from repro.analysis.experiments.sessions import session_guarantees_scenario
 from repro.core.cluster import BayouCluster, MODIFIED, ORIGINAL
 from repro.core.config import BayouConfig
@@ -10,11 +8,7 @@ from repro.datatypes.scheduler import MeetingScheduler
 from repro.framework.builder import build_abstract_execution
 from repro.framework.guarantees import check_fec, check_seq
 from repro.framework.history import STRONG, WEAK
-from repro.framework.session_guarantees import (
-    check_all_session_guarantees,
-    check_monotonic_writes,
-    check_read_your_writes,
-)
+from repro.framework.session_guarantees import check_monotonic_writes
 
 
 # ----------------------------------------------------------------------

@@ -15,13 +15,10 @@ end-to-end:
   both shipped policies.
 """
 
-from collections import Counter as Histogram
-
 import pytest
 
 from repro.core.config import BayouConfig
 from repro.datatypes.kvstore import KVStore
-from repro.errors import MigrationStrandedError
 from repro.scenario import Scenario
 from repro.shard import ShardMap, ShardRouter, ShardedCluster
 from repro.shard.control import (

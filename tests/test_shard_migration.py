@@ -4,7 +4,6 @@ import os
 
 import pytest
 
-from repro.core.cluster import BayouCluster
 from repro.core.config import BayouConfig
 from repro.datatypes.bank import BankAccounts
 from repro.datatypes.base import (

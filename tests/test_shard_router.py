@@ -10,7 +10,6 @@ from repro.datatypes.kvstore import KVStore
 from repro.errors import CrossShardError
 from repro.shard import (
     CrossShardFuture,
-    HashPartitioner,
     RangePartitioner,
     ShardRouter,
     ShardedCluster,
