@@ -125,10 +125,17 @@ def gsp_scenario() -> Scenario:
 
 
 def _baseline_row(
-    system: str, scenario: Scenario, minority_op: Operation, notes: str
+    system: str,
+    scenario: Scenario,
+    minority_op: Operation,
+    notes: str,
+    *,
+    strong: bool = False,
 ) -> MatrixRow:
+    """``strong`` says whether the system's operations are strong (SMR) or
+    weak (EC, GSP); it picks the minority operation's level and whether
+    the row is checked for sequential or basic eventual consistency."""
     result = scenario.run()
-    strong = result.protocol == "smr"  # the only baseline with strong ops
     return MatrixRow(
         system=system,
         temporary_reordering=count_reordering_witnesses(result.history) > 0,
@@ -157,6 +164,7 @@ def run_matrix() -> List[MatrixRow]:
             smr_scenario(),
             Counter.increment(1),
             "all ops via TOB; minority partition blocks",
+            strong=True,
         ),
         _baseline_row(
             "GSP",

@@ -145,6 +145,13 @@ def test_smr_blocks_in_minority_partition():
     assert result.event("minority").pending
 
 
+def test_smr_rejects_weak_ops():
+    live = _live("smr", Counter(), 2)
+    with pytest.raises(UnsupportedOperationError):
+        live.submit(0, Counter.increment(1))
+    assert not live.cluster.ops.futures  # a refused op leaves no record
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 @pytest.mark.parametrize("engine", ["sequencer", "paxos"])
 def test_smr_is_an_oracle_for_strong_bayou(engine, seed):
@@ -211,17 +218,18 @@ def test_gsp_strong_ops_unsupported():
 def test_gsp_no_mutual_visibility_during_cloud_outage():
     """While the cloud is unreachable, clients do not observe each other
     (the reason Theorem 1 does not apply to GSP). The cloud is the
-    sequencer, on replica 0."""
+    sequencer, on replica 0; clients 1 and 2 share a partition without it."""
     result = (
         Scenario(Counter())
         .replicas(3)
         .protocol("gsp")
         .partition(0.5, [[0], [1, 2]])
-        .invoke(1.0, 0, Counter.increment(1))
+        .invoke(1.0, 2, Counter.increment(1))
         .invoke(50.0, 1, Counter.read(), label="read")
         .run(until=100.0, well_formed=False)
     )
-    # Client 1 still sees 0: client 0's increment never reached it.
+    # Client 1 still sees 0: client 2's increment, though reachable,
+    # travels only through the cloud.
     assert result.event("read").rval == 0
     # Local ops still respond: availability for local speculation.
     assert not result.event("read").pending
